@@ -7,12 +7,9 @@ convex loss under a nuclear-norm constraint.
 """
 
 from .dataio import Dataset, GestureSample, SynthConfig, load_csv, save_csv, synth_generate
-from .features import PatchSpec, RffMap, patchify, rff_init, rff_transform, unpatchify
+from .features import PatchSpec, RffMap, patchify, rff_init, rff_transform
 from .model import (
     ModelBundle,
-    attend,
-    attention_scores,
-    attention_weights,
     class_scores,
     deserialize,
     load_model,

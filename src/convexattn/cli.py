@@ -28,7 +28,7 @@ from .numutil import RngStream
 CONFIG_KEYS = {
     "nuclear_radius", "m", "gamma", "eta", "epochs", "batch_size",
     "batches_per_epoch", "loss_kind", "seed", "n_classes",
-    "channels", "frames", "patches", "variance_meta",
+    "channels", "frames", "patches",
 }
 
 

@@ -187,17 +187,18 @@ def smooth(X):
     return out
 
 
-def zscore_fit(samples):
-    """Per-channel mean/stddev over all frames of the training samples.
+def zscore_fit(X):
+    """Per-channel mean/stddev over all gestures and frames of a stacked
+    (n, C, T) training array.
 
     Near-constant channels get their stddev clamped to 1 with a warning
     so normalization never divides by ~0.
     """
-    if len(samples) < 2:
-        raise ValueError("zscore_fit needs at least 2 samples")
-    stack = np.concatenate([np.asarray(s.X, dtype=float) for s in samples], axis=1)
-    mean = stack.mean(axis=1)
-    std = stack.std(axis=1)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 3 or X.shape[0] < 2:
+        raise ValueError("zscore_fit needs an (n, C, T) array with n >= 2")
+    mean = X.mean(axis=(0, 2))
+    std = X.std(axis=(0, 2))
     if np.any(std < 1e-8):
         warnings.warn("constant channel: stddev clamped to 1")
         std = np.where(std < 1e-8, 1.0, std)
@@ -206,8 +207,7 @@ def zscore_fit(samples):
 
 def zscore_apply(X, stats):
     mean, std = stats
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return (X - mean[:, None]) / std[:, None]
+    return (np.asarray(X, dtype=float) - mean[:, None]) / std[:, None]
 
 
 def _tap_gesture(config, anchor, rng):
@@ -342,10 +342,19 @@ def load_csv(path):
         parts = line.split(",")
         if len(parts) != 3 + C:
             raise ValueError(f"{path}:{ln}: expected {3 + C} fields")
-        gid, cname, frame = parts[0], parts[1], int(parts[2])
+        gid, cname = parts[0], parts[1]
+        try:
+            frame = int(parts[2])
+        except ValueError:
+            raise ValueError(
+                f"{path}:{ln}: frame {parts[2]!r} is not an integer"
+            ) from None
         if cname not in class_names:
             raise ValueError(f"{path}:{ln}: unknown class label {cname!r}")
-        vals = [float(v) for v in parts[3:]]
+        try:
+            vals = [float(v) for v in parts[3:]]
+        except ValueError as e:
+            raise ValueError(f"{path}:{ln}: {e}") from None
         rows.setdefault(gid, (cname, []))[1].append((frame, vals))
         if rows[gid][0] != cname:
             raise ValueError(f"{path}:{ln}: class changes within gesture {gid}")

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import zscore_apply
 from .numutil import RngStream, check_finite
 
 
@@ -74,18 +75,6 @@ def patchify(X, spec):
     return out
 
 
-def unpatchify(patches, spec):
-    """Inverse of patchify: reassemble the channels x frames matrix."""
-    patches = np.asarray(patches, dtype=float)
-    if patches.shape != (spec.patches, spec.patch_dim):
-        raise ValueError("patch array shape does not match spec")
-    fpp = spec.frames_per_patch
-    X = np.empty((spec.channels, spec.frames))
-    for p in range(spec.patches):
-        X[:, p * fpp:(p + 1) * fpp] = patches[p].reshape(fpp, spec.channels).T
-    return X
-
-
 def rff_init(spec, m, gamma, rng):
     """Sample a fixed RFF map: W ~ N(0, 2*gamma), b ~ Uniform[0, 2pi)."""
     if m < 1:
@@ -113,3 +102,23 @@ def rff_transform(patches, rmap):
             f"patch_dim {rmap.patch_dim}"
         )
     return np.sqrt(2.0 / rmap.m) * np.cos(patches @ rmap.W + rmap.b)
+
+
+def lift(X, stats, spec, rff):
+    """Normalize, patchify and RFF-transform a stack of raw gestures.
+
+    X has shape (n, channels, frames) and stats is the (mean, std) pair
+    of per-channel normalization statistics; returns Q of shape
+    (n, patches, m).
+    """
+    X = np.asarray(X, dtype=float)
+    if X.shape[1:] != (spec.channels, spec.frames):
+        raise ValueError(
+            f"gesture shape {X.shape[1:]} does not match spec "
+            f"({spec.channels}, {spec.frames})"
+        )
+    Xn = zscore_apply(X, stats)
+    Q = np.empty((X.shape[0], spec.patches, rff.m))
+    for i in range(X.shape[0]):
+        Q[i] = rff_transform(patchify(Xn[i], spec), rff)
+    return Q

@@ -8,12 +8,11 @@ binary bundle.
 """
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .features import PatchSpec, RffMap, patchify, rff_transform
-from .numutil import check_finite
+from .features import PatchSpec, RffMap, lift
 from .projections import simplex_project_rows
 
 MAGIC = b"CVAT"
@@ -54,59 +53,41 @@ class ModelBundle:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
 
 
-def attention_scores(Q, A):
-    """Scores s[k, p] = <Q_p, A[k, p]> / sqrt(m)."""
-    Q = np.asarray(Q, dtype=float)
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 3 or Q.shape != A.shape[1:]:
-        raise ValueError(f"shape mismatch: Q {Q.shape} vs A {A.shape}")
-    m = Q.shape[1]
-    return np.einsum("pm,kpm->kp", Q, A) / np.sqrt(m)
+def _score(Q, A):
+    """Class scores of a stack of feature matrices Q (n, P, m).
 
-
-def attention_weights(s):
-    """Project each class's score row onto the probability simplex."""
-    return simplex_project_rows(np.atleast_2d(s))
-
-
-def attend(Q, alpha):
-    """Attended features: row k is the alpha_k-weighted sum of patches."""
-    Q = np.asarray(Q, dtype=float)
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    if alpha.shape[1] != Q.shape[0]:
-        raise ValueError(f"shape mismatch: alpha {alpha.shape} vs Q {Q.shape}")
-    return alpha @ Q
-
-
-def class_scores(Q, A):
-    """f[k] = sum_p alpha[k, p] * <Q_p, A[k, p]> = sqrt(m) <alpha_k, s_k>."""
-    s = attention_scores(Q, A)
-    alpha = attention_weights(s)
-    m = Q.shape[1]
-    return np.sqrt(m) * np.einsum("kp,kp->k", alpha, s)
-
-
-def batch_class_scores(Q, A):
-    """Vectorized class scores for a stack of feature matrices.
-
-    Q has shape (n, P, m); returns scores (n, K), attention (n, K, P)
-    and raw score rows (n, K, P).
+    s[n, k, p] = <Q_np, A[k, p]> / sqrt(m); alpha projects each class's
+    score row onto the simplex; f[n, k] = sqrt(m) <alpha_nk, s_nk>.
+    Returns (f, alpha, s).
     """
     Q = np.asarray(Q, dtype=float)
     A = np.asarray(A, dtype=float)
+    if Q.ndim != 3 or Q.shape[1:] != A.shape[1:]:
+        raise ValueError(f"shape mismatch: Q {Q.shape} vs A {A.shape}")
     n, P, m = Q.shape
     K = A.shape[0]
-    s = np.einsum("npm,kpm->nkp", Q, A) / np.sqrt(m)
+    root_m = np.sqrt(m)
+    s = np.einsum("npm,kpm->nkp", Q, A) / root_m
     alpha = simplex_project_rows(s.reshape(n * K, P)).reshape(n, K, P)
-    f = np.sqrt(m) * np.einsum("nkp,nkp->nk", alpha, s)
+    f = root_m * np.einsum("nkp,nkp->nk", alpha, s)
     return f, alpha, s
 
 
+def class_scores(Q, A):
+    """Class scores f (K,) of one feature matrix Q (P, m)."""
+    return _score(np.asarray(Q, dtype=float)[None], A)[0][0]
+
+
+def batch_class_scores(Q, A):
+    """Scores (n, K), attention (n, K, P) and raw score rows (n, K, P)
+    for a stack of feature matrices Q (n, P, m)."""
+    return _score(Q, A)
+
+
 def features_for(X, bundle):
-    """Raw gesture -> normalized, patchified, RFF-lifted features."""
-    X = np.atleast_2d(check_finite(X, "gesture"))
-    Xn = (X - bundle.norm_mean[:, None]) / bundle.norm_std[:, None]
-    return rff_transform(patchify(Xn, bundle.spec), bundle.rff)
+    """Raw gesture (C, T) -> normalized, patchified, RFF-lifted features."""
+    stats = (bundle.norm_mean, bundle.norm_std)
+    return lift(np.asarray(X, dtype=float)[None], stats, bundle.spec, bundle.rff)[0]
 
 
 def predict(X, bundle):
@@ -186,7 +167,12 @@ def deserialize(data):
     for name, v in (("K", K), ("C", C), ("T", T), ("P", P), ("m", m)):
         if not 1 <= v <= _MAX_DIM:
             raise ModelFormatError(f"dimension overflow: {name}={v}")
-    spec = PatchSpec(channels=C, frames=T, patches=P)
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ModelFormatError(f"bad gamma {gamma}")
+    try:
+        spec = PatchSpec(channels=C, frames=T, patches=P)
+    except ValueError as e:
+        raise ModelFormatError(str(e)) from None
     d = spec.patch_dim
     n_vals = 2 * C + m + d * m + K * P * m
     width = 4 if precision == 32 else 8
@@ -197,6 +183,8 @@ def deserialize(data):
         )
     dtype = "<f4" if precision == 32 else "<f8"
     vals = np.frombuffer(data, dtype=dtype, offset=_HEADER.size).astype(float)
+    if not np.all(np.isfinite(vals)):
+        raise ModelFormatError("non-finite value in payload")
     pos = 0
 
     def take(n, shape):
@@ -207,6 +195,8 @@ def deserialize(data):
 
     norm_mean = take(C, (C,))
     norm_std = take(C, (C,))
+    if np.any(norm_std <= 0):
+        raise ModelFormatError("norm_std must be > 0")
     b = take(m, (m,))
     W = take(d * m, (d, m))
     A = take(K * P * m, (K, P, m))
@@ -234,7 +224,3 @@ def load_model(path):
     with open(path, "rb") as fh:
         return deserialize(fh.read())
 
-
-def with_weights(bundle, A):
-    """Copy of the bundle with a different weight tensor."""
-    return replace(bundle, weights=np.asarray(A, dtype=float))

@@ -47,16 +47,6 @@ class RngStream:
         return x
 
 
-def gauss_sample(rng, n, mean, stddev):
-    """n i.i.d. Gaussian draws from the stream."""
-    return rng.gauss(n, mean, stddev)
-
-
-def uniform_sample(rng, n, lo, hi):
-    """n i.i.d. draws from Uniform[lo, hi)."""
-    return rng.uniform(n, lo, hi)
-
-
 def check_finite(a, name="input"):
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):

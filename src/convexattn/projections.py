@@ -11,21 +11,27 @@ import numpy as np
 from .numutil import check_finite, svd_thin
 
 
-def simplex_project(s):
-    """Euclidean projection of a vector onto the probability simplex.
+def _threshold_rows(S, radius):
+    """Sort-and-threshold kernel (Duchi et al., ICML 2008), row-wise.
 
-    Sort descending, find the largest j with u_j - (cumsum_j - 1)/j > 0,
-    threshold at theta = (cumsum_rho - 1)/rho, clip at zero.
+    Sort each row descending, count the j with u_j - (cumsum_j - r)/j > 0
+    as rho, threshold at theta = (cumsum_rho - r)/rho, clip at zero.
     """
+    n, p = S.shape
+    U = np.sort(S, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1) - radius
+    j = np.arange(1, p + 1)
+    rho = np.count_nonzero(U - css / j > 0, axis=1)
+    theta = css[np.arange(n), rho - 1] / rho
+    return np.maximum(S - theta[:, None], 0.0)
+
+
+def simplex_project(s):
+    """Euclidean projection of a vector onto the probability simplex."""
     s = check_finite(s, "scores")
     if s.ndim != 1 or s.size == 0:
         raise ValueError("expected a nonempty 1-d vector")
-    u = np.sort(s)[::-1]
-    css = np.cumsum(u) - 1.0
-    j = np.arange(1, s.size + 1)
-    rho = np.nonzero(u - css / j > 0)[0][-1] + 1
-    theta = css[rho - 1] / rho
-    return np.maximum(s - theta, 0.0)
+    return _threshold_rows(s[None], 1.0)[0]
 
 
 def simplex_project_rows(S):
@@ -33,13 +39,7 @@ def simplex_project_rows(S):
     S = check_finite(S, "scores")
     if S.ndim != 2 or S.shape[1] == 0:
         raise ValueError("expected a 2-d array with nonzero row length")
-    n, p = S.shape
-    U = np.sort(S, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1) - 1.0
-    j = np.arange(1, p + 1)
-    rho = np.count_nonzero(U - css / j > 0, axis=1)
-    theta = css[np.arange(n), rho - 1] / rho
-    return np.maximum(S - theta[:, None], 0.0)
+    return _threshold_rows(S, 1.0)
 
 
 def squared_distance_to_simplex(s):
@@ -65,12 +65,7 @@ def l1_ball_project_nonneg(sigma, radius):
         raise ValueError("sigma must be nonnegative")
     if sigma.sum() <= radius:
         return sigma.copy()
-    u = np.sort(sigma)[::-1]
-    css = np.cumsum(u) - radius
-    j = np.arange(1, sigma.size + 1)
-    rho = np.nonzero(u - css / j > 0)[0][-1] + 1
-    theta = css[rho - 1] / rho
-    return np.maximum(sigma - theta, 0.0)
+    return _threshold_rows(sigma[None], radius)[0]
 
 
 def nuclear_norm(A):

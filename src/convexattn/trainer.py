@@ -12,11 +12,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dataio
-from .features import PatchSpec, patchify, rff_init, rff_transform
+from .features import PatchSpec, lift, rff_init
 from .losses import hinge_loss, hinge_subgradient, one_hot, squared_gradient, squared_loss
 from .model import ModelBundle, batch_class_scores
 from .numutil import RngStream, check_finite
-from .projections import nuclear_ball_project
+from .projections import nuclear_ball_project, nuclear_norm
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class TrainConfig:
     seed: int = 0
     n_classes: int = 4
     spec: PatchSpec = None
-    variance_meta: int = 0  # stored for preset fidelity, unused
 
     def __post_init__(self):
         ok = (
@@ -63,12 +62,10 @@ PRESETS = {
     "tap-tuned": dict(
         nuclear_radius=5.158, m=9, gamma=0.789, eta=0.0297, epochs=200,
         batch_size=16, batches_per_epoch=128, patches=10, frames=10,
-        variance_meta=50,
     ),
     "swipe-tuned": dict(
         nuclear_radius=10.770, m=3, gamma=0.135, eta=0.0703, epochs=300,
         batch_size=16, batches_per_epoch=128, patches=30, frames=30,
-        variance_meta=30,
     ),
 }
 
@@ -112,15 +109,6 @@ def _validate_dataset(X, y, config):
     return X, y
 
 
-def _lift(X, stats, spec, rff):
-    """Normalize, patchify and RFF-transform a stack of gestures."""
-    Xn = (X - stats[0][None, :, None]) / stats[1][None, :, None]
-    Q = np.empty((X.shape[0], spec.patches, rff.m))
-    for i in range(X.shape[0]):
-        Q[i] = rff_transform(patchify(Xn[i], spec), rff)
-    return Q
-
-
 def train(dataset, config):
     """Run the full projected-gradient training loop.
 
@@ -145,10 +133,8 @@ def train(dataset, config):
     )
     batch_rng = root.derive(3)
 
-    mean = X.mean(axis=(0, 2))
-    std = X.std(axis=(0, 2))
-    std = np.where(std < 1e-8, 1.0, std)
-    Q = _lift(X, (mean, std), spec, rff)
+    mean, std = dataio.zscore_fit(X)
+    Q = lift(X, (mean, std), spec, rff)
 
     Y = one_hot(y, K) if config.loss_kind == "squared" else None
     report = TrainReport()
@@ -174,9 +160,7 @@ def train(dataset, config):
         acc = float((f.argmax(axis=1) == y).mean())
         report.epoch_loss.append(loss)
         report.epoch_accuracy.append(acc)
-        report.epoch_nuclear_norm.append(
-            float(np.linalg.svd(flat(A), compute_uv=False).sum())
-        )
+        report.epoch_nuclear_norm.append(nuclear_norm(flat(A)))
         if acc == 1.0 and report.epochs_to_convergence < 0:
             report.epochs_to_convergence = epoch + 1
 
@@ -196,10 +180,8 @@ def train(dataset, config):
 
 def evaluate(bundle, X, y):
     """(accuracy, macro-F1, confusion) of a bundle on raw gestures."""
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    stats = (bundle.norm_mean, bundle.norm_std)
-    Q = _lift(X, stats, bundle.spec, bundle.rff)
+    Q = lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
     f, _, _ = batch_class_scores(Q, bundle.weights)
     pred = f.argmax(axis=1)
     K = bundle.n_classes

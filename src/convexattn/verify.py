@@ -9,11 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import lift
 from .losses import hinge_loss, one_hot, squared_loss
 from .model import batch_class_scores
 from .numutil import RngStream
 from .projections import simplex_project, squared_distance_to_simplex, softmax_ref
-from .trainer import _lift
 
 CONVEXITY_TOL = 1e-6
 
@@ -59,7 +59,7 @@ def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None,
     rng = rng or RngStream(0)
     loss_kind = loss_kind or bundle.loss_kind
     y = np.asarray(y, dtype=int)
-    Q = _lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
+    Q = lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
     A0 = bundle.weights
     violations = np.empty(trials)
     for t in range(trials):

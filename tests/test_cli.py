@@ -201,3 +201,25 @@ def test_eval_kfold_mode(workdir, capsys):
     assert code == 0
     assert "stratified 2-fold" in stdout
     assert "+/-" in stdout
+
+
+def test_predict_one_channel_csv_exit_2(workdir, tmp_path, capsys):
+    d, _, _, model = workdir
+    one = tmp_path / "one.csv"
+    rows = [f"0,north,{t},{0.1 * t}" for t in range(10)]
+    one.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n")
+    code, stdout, err = run(capsys, "predict", "--model", str(model),
+                            "--data", str(one))
+    assert code == 2
+    assert "does not match spec" in err
+    assert stdout == ""
+
+
+def test_config_variance_meta_rejected_exit_2(workdir, tmp_path, capsys):
+    d, data, cfg, _ = workdir
+    bad = tmp_path / "old.json"
+    bad.write_text(json.dumps(dict(json.loads(cfg.read_text()), variance_meta=50)))
+    code, _, err = run(capsys, "train", "--data", str(data),
+                       "--config", str(bad), "--out-model", str(d / "m"))
+    assert code == 2
+    assert "variance_meta" in err

@@ -4,7 +4,6 @@ import pytest
 from convexattn.dataio import (
     CLASS_NAMES,
     Dataset,
-    GestureSample,
     RawStream,
     SynthConfig,
     load_csv,
@@ -55,27 +54,28 @@ def test_remove_drift_linear_ramp_bounded():
 
 def test_zscore_fit_apply_round_trip():
     rng = np.random.default_rng(1)
-    samples = [
-        GestureSample(X=rng.normal(3.0, 2.0, size=(4, 10)), label=0)
-        for _ in range(20)
-    ]
-    stats = zscore_fit(samples)
-    stack = np.concatenate([zscore_apply(s.X, stats) for s in samples], axis=1)
-    assert np.allclose(stack.mean(axis=1), 0.0, atol=1e-12)
-    assert np.allclose(stack.std(axis=1), 1.0, atol=1e-12)
+    X = rng.normal(3.0, 2.0, size=(20, 4, 10))
+    stats = zscore_fit(X)
+    Z = zscore_apply(X, stats)
+    assert np.allclose(Z.mean(axis=(0, 2)), 0.0, atol=1e-12)
+    assert np.allclose(Z.std(axis=(0, 2)), 1.0, atol=1e-12)
+    # one gesture at a time normalizes the same way as the stack
+    assert np.array_equal(zscore_apply(X[3], stats), Z[3])
 
 
 def test_zscore_constant_channel_clamped():
-    samples = [GestureSample(X=np.ones((2, 5)), label=0) for _ in range(3)]
-    samples.append(GestureSample(X=np.vstack([np.ones(5), np.arange(5.0)]), label=0))
+    X = np.ones((4, 2, 5))
+    X[3, 1] = np.arange(5.0)
     with pytest.warns(UserWarning):
-        mean, std = zscore_fit(samples)
+        mean, std = zscore_fit(X)
     assert std[0] == 1.0
 
 
 def test_zscore_fit_needs_two_samples():
     with pytest.raises(ValueError):
-        zscore_fit([GestureSample(X=np.ones((2, 5)), label=0)])
+        zscore_fit(np.ones((1, 2, 5)))
+    with pytest.raises(ValueError):
+        zscore_fit(np.ones((2, 5)))
 
 
 def test_segment_finds_single_burst():
@@ -248,3 +248,13 @@ def test_synth_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(kind="tap", samples_per_class=0)
     assert SynthConfig(kind="swipe").frames == 30
+
+
+def test_csv_nonnumeric_fields_report_line(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("gesture_id,class,frame,ch0\n0,north,0,1.0\n0,north,1.5,2.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: frame '1\.5' is not an integer"):
+        load_csv(p)
+    p.write_text("gesture_id,class,frame,ch0\n0,north,0,abc\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:2: .*'abc'"):
+        load_csv(p)

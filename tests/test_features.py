@@ -4,10 +4,10 @@ import pytest
 from convexattn.features import (
     PatchSpec,
     RffMap,
+    lift,
     patchify,
     rff_init,
     rff_transform,
-    unpatchify,
 )
 from convexattn.numutil import RngStream
 
@@ -33,14 +33,20 @@ def test_patchify_small_example():
 
 
 def test_patchify_round_trip():
+    # oracle: patch p holds frames p*fpp..(p+1)*fpp-1, channel-major
+    # within a frame; the inverse reshape/transpose recovers X exactly
     rng = np.random.default_rng(0)
     for _ in range(100):
-        C = rng.integers(1, 6)
-        P = rng.integers(1, 8)
-        T = P * rng.integers(1, 5)
-        spec = PatchSpec(channels=int(C), frames=int(T), patches=int(P))
-        X = rng.normal(size=(C, T))
-        assert np.array_equal(unpatchify(patchify(X, spec), spec), X)
+        C = int(rng.integers(1, 6))
+        P = int(rng.integers(1, 8))
+        fpp = int(rng.integers(1, 5))
+        spec = PatchSpec(channels=C, frames=P * fpp, patches=P)
+        X = rng.normal(size=(C, P * fpp))
+        patches = patchify(X, spec)
+        oracle = X.reshape(C, P, fpp).transpose(1, 2, 0).reshape(P, fpp * C)
+        assert np.array_equal(patches, oracle)
+        back = patches.reshape(P, fpp, C).transpose(2, 0, 1).reshape(C, P * fpp)
+        assert np.array_equal(back, X)
 
 
 def test_patchify_rejects_mismatch():
@@ -142,3 +148,27 @@ def test_transform_rejects_wrong_dim():
     rmap = rff_init(spec, 3, 1.0, RngStream(0))
     with pytest.raises(ValueError):
         rff_transform(np.zeros((2, 5)), rmap)
+
+
+def test_lift_matches_per_gesture_pipeline():
+    spec = PatchSpec(channels=4, frames=10, patches=5)
+    rmap = rff_init(spec, 6, 0.7, RngStream(4))
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(7, 4, 10))
+    mean, std = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
+    Q = lift(X, (mean, std), spec, rmap)
+    assert Q.shape == (7, 5, 6)
+    for i in range(7):
+        Xn = (X[i] - mean[:, None]) / std[:, None]
+        assert np.array_equal(Q[i], rff_transform(patchify(Xn, spec), rmap))
+
+
+def test_lift_rejects_channel_mismatch():
+    # checked before normalization, which would broadcast one channel
+    # against the per-channel stats
+    spec = PatchSpec(channels=4, frames=10, patches=10)
+    rmap = rff_init(spec, 3, 1.0, RngStream(0))
+    stats = (np.zeros(4), np.ones(4))
+    for shape in ((3, 1, 10), (3, 10), (3, 4, 12)):
+        with pytest.raises(ValueError, match="does not match spec"):
+            lift(np.ones(shape), stats, spec, rmap)

@@ -1,3 +1,6 @@
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,16 +8,12 @@ from convexattn.features import PatchSpec, rff_init
 from convexattn.model import (
     ModelBundle,
     ModelFormatError,
-    attend,
-    attention_scores,
-    attention_weights,
     batch_class_scores,
     class_scores,
     deserialize,
     param_count,
     predict,
     serialize,
-    with_weights,
 )
 from convexattn.numutil import RngStream
 from convexattn.projections import simplex_project
@@ -36,16 +35,26 @@ def make_bundle(K=4, C=4, T=10, P=10, m=3, seed=0, loss_kind="hinge"):
     )
 
 
+def raw_scores(Q, A):
+    """Score rows s (K, P) of one feature matrix Q (P, m)."""
+    return batch_class_scores(Q[None], A)[2][0]
+
+
+def attention(Q, A):
+    """Attention rows alpha (K, P) of one feature matrix Q (P, m)."""
+    return batch_class_scores(Q[None], A)[1][0]
+
+
 def test_scores_zero_weights():
     Q = np.random.default_rng(0).normal(size=(5, 3))
-    assert np.array_equal(attention_scores(Q, np.zeros((2, 5, 3))), np.zeros((2, 5)))
+    assert np.array_equal(raw_scores(Q, np.zeros((2, 5, 3))), np.zeros((2, 5)))
 
 
 def test_scores_self_inner_product():
     rng = np.random.default_rng(1)
     Q = rng.normal(size=(4, 3))
     A = np.broadcast_to(Q, (2, 4, 3)).copy()
-    s = attention_scores(Q, A)
+    s = raw_scores(Q, A)
     expect = np.sum(Q * Q, axis=1) / np.sqrt(3)
     assert np.allclose(s, np.stack([expect, expect]))
 
@@ -54,7 +63,7 @@ def test_scores_triple_loop_oracle():
     rng = np.random.default_rng(2)
     Q = rng.normal(size=(2, 3))
     A = rng.normal(size=(2, 2, 3))
-    s = attention_scores(Q, A)
+    s = raw_scores(Q, A)
     for k in range(2):
         for p in range(2):
             ref = sum(Q[p, j] * A[k, p, j] for j in range(3)) / np.sqrt(3)
@@ -62,13 +71,14 @@ def test_scores_triple_loop_oracle():
 
 
 def test_attention_weights_uniform_row():
-    s = np.full((1, 5), 3.7)
-    assert np.allclose(attention_weights(s), np.full((1, 5), 0.2))
+    # m = 1 and unit features: the score row is the weight row itself
+    alpha = attention(np.ones((5, 1)), np.full((1, 5, 1), 3.7))
+    assert np.allclose(alpha, np.full((1, 5), 0.2))
 
 
 def test_attention_weights_match_projection():
-    s = np.array([[2.0, 0.0]])
-    assert np.allclose(attention_weights(s), [[1.0, 0.0]])
+    alpha = attention(np.ones((2, 1)), np.array([[[2.0], [0.0]]]))
+    assert np.allclose(alpha, [[1.0, 0.0]])
 
 
 def test_attention_shift_invariance():
@@ -77,27 +87,6 @@ def test_attention_shift_invariance():
         s = rng.uniform(-3, 3, size=8)
         c = rng.uniform(-5, 5)
         assert np.max(np.abs(simplex_project(s + c) - simplex_project(s))) <= 1e-12
-
-
-def test_attend_one_hot_selects_patch():
-    rng = np.random.default_rng(4)
-    Q = rng.normal(size=(6, 3))
-    alpha = np.zeros((2, 6))
-    alpha[0, 2] = 1.0
-    alpha[1] = 1.0 / 6
-    out = attend(Q, alpha)
-    assert np.allclose(out[0], Q[2])
-    assert np.allclose(out[1], Q.mean(axis=0))
-
-
-def test_attend_convex_combination_bound():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        Q = rng.normal(size=(7, 4))
-        alpha = attention_weights(rng.normal(size=(3, 7)))
-        out = attend(Q, alpha)
-        lo, hi = Q.min(axis=0), Q.max(axis=0)
-        assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
 
 def test_class_scores_zero_weights():
@@ -110,8 +99,7 @@ def test_class_scores_identity():
     rng = np.random.default_rng(7)
     Q = rng.normal(size=(2, 3))
     A = rng.normal(size=(2, 2, 3))
-    s = attention_scores(Q, A)
-    alpha = attention_weights(s)
+    s, alpha = raw_scores(Q, A), attention(Q, A)
     f = class_scores(Q, A)
     assert np.max(np.abs(f - np.sqrt(3) * np.sum(alpha * s, axis=1))) <= 1e-12
 
@@ -122,12 +110,12 @@ def test_batch_class_scores_matches_single():
     A = rng.normal(size=(4, 5, 3))
     f, alpha, s = batch_class_scores(Q, A)
     for i in range(9):
-        assert np.allclose(f[i], class_scores(Q[i], A), atol=1e-12)
+        assert np.array_equal(f[i], class_scores(Q[i], A))
 
 
 def test_predict_tie_breaks_low():
     bundle = make_bundle()
-    zero = with_weights(bundle, np.zeros_like(bundle.weights))
+    zero = replace(bundle, weights=np.zeros_like(bundle.weights))
     label, f = predict(np.zeros((4, 10)), zero)
     assert label == 0
     assert np.allclose(f, 0.0)
@@ -141,13 +129,22 @@ def test_predict_constructed_dominance():
     Q = features_for(X, bundle)
     A = np.zeros((4, 10, 3))
     A[2] = Q  # class 2 aligns perfectly on every patch
-    label, _ = predict(X, with_weights(bundle, A))
+    label, _ = predict(X, replace(bundle, weights=A))
     assert label == 2
 
 
 def test_predict_rejects_bad_dims():
     with pytest.raises(ValueError):
         predict(np.zeros((4, 12)), make_bundle())
+
+
+def test_predict_rejects_channel_broadcast():
+    # a 1-channel or 1-d gesture would broadcast against the 4 per-channel
+    # norm stats; it must be rejected, not classified
+    bundle = make_bundle()
+    for X in (np.ones((1, 10)), np.ones(10)):
+        with pytest.raises(ValueError, match="does not match spec"):
+            predict(X, bundle)
 
 
 def test_param_counts():
@@ -205,6 +202,15 @@ def test_deserialize_diagnostics():
     bad_dim[8:12] = (2**31 - 1).to_bytes(4, "little")  # K field
     with pytest.raises(ModelFormatError, match="overflow"):
         deserialize(bytes(bad_dim))
+    bad_patches = bytearray(data)
+    bad_patches[20:24] = (3).to_bytes(4, "little")  # P field; 3 does not divide T=10
+    with pytest.raises(ModelFormatError, match="must divide"):
+        deserialize(bytes(bad_patches))
+    for gamma in (np.nan, 0.0):
+        bad_gamma = bytearray(data)
+        bad_gamma[28:36] = struct.pack("<d", gamma)  # gamma field
+        with pytest.raises(ModelFormatError, match="gamma"):
+            deserialize(bytes(bad_gamma))
 
 
 def test_score_scaling_identity():
@@ -213,4 +219,23 @@ def test_score_scaling_identity():
     Q = rng.normal(size=(5, 3))
     A = rng.normal(size=(2, 5, 3))
     for c in (0.5, 2.0, 7.3):
-        assert np.allclose(attention_scores(Q, c * A), c * attention_scores(Q, A))
+        assert np.allclose(raw_scores(Q, c * A), c * raw_scores(Q, A))
+
+
+def test_deserialize_rejects_nonfinite_payload():
+    bundle = make_bundle()
+    for field, value in (("weights", np.nan), ("norm_mean", np.inf)):
+        bad = getattr(bundle, field).copy()
+        bad.flat[1] = value
+        data = serialize(replace(bundle, **{field: bad}))
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            deserialize(data)
+
+
+def test_deserialize_rejects_nonpositive_norm_std():
+    bundle = make_bundle()
+    for value in (0.0, -1.0):
+        std = bundle.norm_std.copy()
+        std[2] = value
+        with pytest.raises(ModelFormatError, match="norm_std"):
+            deserialize(serialize(replace(bundle, norm_std=std)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convexattn.numutil import RngStream, gauss_sample, svd_thin, uniform_sample
+from convexattn.numutil import RngStream, svd_thin
 
 
 def test_svd_identity():
@@ -48,31 +48,31 @@ def test_svd_rejects_nonfinite():
 
 
 def test_gauss_clt_bound():
-    x = gauss_sample(RngStream(1), 10000, 0.0, 1.0)
+    x = RngStream(1).gauss(10000, 0.0, 1.0)
     assert -0.05 <= x.mean() <= 0.05
     assert x.shape == (10000,)
 
 
 def test_gauss_single_value():
-    x = gauss_sample(RngStream(9), 1, 3.0, 0.5)
+    x = RngStream(9).gauss(1, 3.0, 0.5)
     assert x.shape == (1,) and np.isfinite(x[0])
 
 
 def test_gauss_rejects_bad_stddev():
     with pytest.raises(ValueError):
-        gauss_sample(RngStream(0), 10, 0.0, 0.0)
+        RngStream(0).gauss(10, 0.0, 0.0)
 
 
 def test_uniform_range_and_mean():
-    x = uniform_sample(RngStream(3), 1000, 0.0, 2 * np.pi)
+    x = RngStream(3).uniform(1000, 0.0, 2 * np.pi)
     assert np.all((x >= 0) & (x < 2 * np.pi))
-    y = uniform_sample(RngStream(4), 100000, 0.0, 1.0)
+    y = RngStream(4).uniform(100000, 0.0, 1.0)
     assert 0.49 <= y.mean() <= 0.51
 
 
 def test_uniform_rejects_bad_range():
     with pytest.raises(ValueError):
-        uniform_sample(RngStream(0), 5, 1.0, 1.0)
+        RngStream(0).uniform(5, 1.0, 1.0)
 
 
 def test_rng_reproducible():

@@ -196,3 +196,12 @@ def test_split_evaluate_easy_data():
     assert out["sizes"] == (60, 20, 20)
     assert out["test_accuracy"] >= 0.95
     assert out["confusion"].sum() == 20
+
+
+def test_evaluate_rejects_channel_mismatch():
+    # one channel would otherwise broadcast against the 4 norm stats
+    ds = tap_dataset(10)
+    bundle, _ = train(ds, tiny_config(epochs=2))
+    X, y = ds.stacked()
+    with pytest.raises(ValueError, match="does not match spec"):
+        evaluate(bundle, X[:, :1, :], y)

@@ -1,11 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from convexattn.dataio import SynthConfig, preprocess, synth_generate
-from convexattn.features import PatchSpec
-from convexattn.model import with_weights
+from convexattn.features import PatchSpec, lift
 from convexattn.numutil import RngStream
-from convexattn.trainer import TrainConfig, _lift, train
+from convexattn.trainer import TrainConfig, train
 from convexattn.verify import (
     convexity_check,
     nonexpansiveness_sweep,
@@ -33,7 +34,7 @@ def trained():
 
 def test_pipeline_loss_matches_direct(trained):
     bundle, X, y = trained
-    Q = _lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
+    Q = lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
     # zero weights: hinge loss is exactly 1 (all margins violated equally)
     assert pipeline_loss(np.zeros_like(bundle.weights), Q, y, "hinge") == pytest.approx(1.0)
 
@@ -72,7 +73,7 @@ def test_convexity_check_rejects(trained):
     with pytest.raises(ValueError):
         convexity_check(bundle, X, y, trials=0)
     with pytest.raises(ValueError, match="untrained"):
-        convexity_check(with_weights(bundle, np.zeros_like(bundle.weights)), X, y)
+        convexity_check(replace(bundle, weights=np.zeros_like(bundle.weights)), X, y)
     with pytest.raises(ValueError):
         convexity_check(bundle, X[:0], y[:0])
 
