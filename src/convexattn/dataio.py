@@ -110,18 +110,20 @@ class SynthConfig:
             self.frames = 10 if self.kind == "tap" else 30
 
 
+def _trailing_mean(X, window):
+    """Mean of the last `window` frames up to each frame along the last
+    axis (fewer frames at the start)."""
+    zero = np.zeros(X.shape[:-1] + (1,))
+    csum = np.cumsum(np.concatenate([zero, X], axis=-1), axis=-1)
+    hi = np.arange(1, X.shape[-1] + 1)
+    lo = np.maximum(0, hi - window)
+    return (csum[..., hi] - csum[..., lo]) / (hi - lo)
+
+
 def _rolling_var(x, window):
-    """Trailing rolling variance of a 1-d signal (prefix at the edges)."""
-    n = x.size
-    out = np.empty(n)
-    csum = np.cumsum(np.concatenate([[0.0], x]))
-    csq = np.cumsum(np.concatenate([[0.0], x * x]))
-    for t in range(n):
-        lo = max(0, t + 1 - window)
-        w = t + 1 - lo
-        mean = (csum[t + 1] - csum[lo]) / w
-        out[t] = (csq[t + 1] - csq[lo]) / w - mean * mean
-    return np.maximum(out, 0.0)
+    """Trailing rolling variance along the last axis (prefix at the edges)."""
+    mean = _trailing_mean(x, window)
+    return np.maximum(_trailing_mean(x * x, window) - mean * mean, 0.0)
 
 
 def segment(stream, window_ms=200.0):
@@ -137,7 +139,7 @@ def segment(stream, window_ms=200.0):
     X = stream.samples
     if X.shape[1] < window:
         raise ValueError("stream shorter than the baseline window")
-    var = np.mean([_rolling_var(ch, window) for ch in X], axis=0)
+    var = _rolling_var(X, window).mean(axis=0)
     baseline = float(np.mean([np.var(ch[:window]) for ch in X]))
     onset_thr = 2.5 * baseline
     offset_thr = 1.5 * baseline
@@ -164,13 +166,7 @@ def remove_drift(X, window_ms=200.0, sample_rate=250.0):
     """Subtract a trailing rolling mean per channel (baseline drift)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     window = max(1, int(round(window_ms / 1000.0 * sample_rate)))
-    out = np.empty_like(X)
-    for c, ch in enumerate(X):
-        csum = np.cumsum(np.concatenate([[0.0], ch]))
-        for t in range(ch.size):
-            lo = max(0, t + 1 - window)
-            out[c, t] = ch[t] - (csum[t + 1] - csum[lo]) / (t + 1 - lo)
-    return out
+    return X - _trailing_mean(X, window)
 
 
 def smooth(X):
@@ -337,7 +333,8 @@ def load_csv(path):
         sample_rate = 250.0
         extra = {}
 
-    rows = {}  # gesture_id -> (label, [(frame, values)])
+    rows = {}  # gesture_id -> (label, [frame], [row of values])
+    values = []
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 3 + C:
@@ -352,20 +349,25 @@ def load_csv(path):
         if cname not in class_names:
             raise ValueError(f"{path}:{ln}: unknown class label {cname!r}")
         try:
-            vals = [float(v) for v in parts[3:]]
+            values.append([float(v) for v in parts[3:]])
         except ValueError as e:
             raise ValueError(f"{path}:{ln}: {e}") from None
-        rows.setdefault(gid, (cname, []))[1].append((frame, vals))
-        if rows[gid][0] != cname:
+        label, frames, at = rows.setdefault(gid, (cname, [], []))
+        if label != cname:
             raise ValueError(f"{path}:{ln}: class changes within gesture {gid}")
+        frames.append(frame)
+        at.append(len(values) - 1)
 
+    values = np.array(values, dtype=float).reshape(len(values), C)
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}:{int(bad.argmax()) + 2}: non-finite value")
     samples = []
     frame_counts = set()
-    for gid, (cname, frames) in rows.items():
-        idxs = [f for f, _ in frames]
-        if idxs != list(range(len(idxs))):
+    for gid, (cname, frames, at) in rows.items():
+        if frames != list(range(len(frames))):
             raise ValueError(f"{path}: gap in frame indices for gesture {gid}")
-        X = np.array([v for _, v in frames]).T
+        X = values[at].T
         frame_counts.add(X.shape[1])
         samples.append(
             GestureSample(X=X, label=class_names.index(cname), meta=str(gid))

@@ -7,6 +7,9 @@ through the scores only.
 
 import numpy as np
 
+# order fixes the loss-kind index in the serialized model header
+LOSS_KINDS = ("hinge", "squared")
+
 
 def one_hot(labels, n_classes):
     labels = np.asarray(labels, dtype=int)
@@ -27,9 +30,8 @@ def hinge_loss(f, labels):
     if labels.shape != (n,):
         raise ValueError("labels length must match score rows")
     idx = np.arange(n)
-    true = f[idx, labels]
-    rival = np.where(one_hot(labels, K) > 0, -np.inf, f).max(axis=1)
-    return float(np.maximum(0.0, 1.0 - true + rival).mean())
+    margin = 1.0 - f[idx, labels] + f[idx, _rival_argmax(f, labels)]
+    return float(np.maximum(0.0, margin).mean())
 
 
 def _rival_argmax(f, labels):
@@ -92,3 +94,14 @@ def squared_gradient(Q, Y, A, alpha):
     f = np.sqrt(m) * np.einsum("nkp,nkp->nk", alpha, s)
     r = 2.0 * (f - Y)
     return np.einsum("nk,nkp,npm->kpm", r, alpha, Q) / n
+
+
+def loss_functions(kind):
+    """(loss, gradient, target) of a kind in LOSS_KINDS; target(labels, K)
+    is the labels for hinge and their one-hot rows for squared. Looked up
+    per call, so a wrapper rebound over a module function is returned."""
+    if kind == "hinge":
+        return hinge_loss, hinge_subgradient, lambda labels, n_classes: labels
+    if kind == "squared":
+        return squared_loss, squared_gradient, one_hot
+    raise ValueError(f"unknown loss kind {kind!r}; valid: {list(LOSS_KINDS)}")

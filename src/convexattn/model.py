@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import PatchSpec, RffMap, lift
+from .losses import LOSS_KINDS
 from .projections import simplex_project_rows
 
 MAGIC = b"CVAT"
 FORMAT_VERSION = 1
-LOSS_KINDS = ("hinge", "squared")
 
 # sanity cap on serialized dimensions; catches corrupt headers before
 # any allocation

@@ -7,13 +7,13 @@ split.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import dataio
 from .features import PatchSpec, lift, rff_init
-from .losses import hinge_loss, hinge_subgradient, one_hot, squared_gradient, squared_loss
+from .losses import loss_functions
 from .model import ModelBundle, batch_class_scores
 from .numutil import RngStream, check_finite
 from .projections import nuclear_ball_project, nuclear_norm
@@ -34,6 +34,7 @@ class TrainConfig:
     spec: PatchSpec = None
 
     def __post_init__(self):
+        loss_functions(self.loss_kind)  # rejects an unknown kind
         ok = (
             self.nuclear_radius > 0
             and self.gamma > 0
@@ -46,6 +47,29 @@ class TrainConfig:
         )
         if not ok:
             raise ValueError("invalid TrainConfig")
+
+
+# keys of a flat config (presets, --config JSON): the TrainConfig fields
+# with the patch geometry spelled out
+CONFIG_KEYS = frozenset(
+    {f.name for f in fields(TrainConfig)} - {"spec"} | {"channels", "frames", "patches"}
+)
+
+
+def config_from(values):
+    """Build a TrainConfig from a flat dict of CONFIG_KEYS; channels
+    defaults to 4, frames and patches are required."""
+    unknown = set(values) - CONFIG_KEYS
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
+    v = dict(values)
+    try:
+        spec = PatchSpec(
+            channels=v.pop("channels", 4), frames=v.pop("frames"), patches=v.pop("patches")
+        )
+        return TrainConfig(spec=spec, **v)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"missing or bad config key: {e}") from None
 
 
 # Hyperparameter presets. The plain tap/swipe entries are the default
@@ -75,9 +99,7 @@ def preset_config(name, channels=4, loss_kind="hinge", seed=0):
     count (frames and patch layout come from the preset)."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; valid: {sorted(PRESETS)}")
-    p = dict(PRESETS[name])
-    spec = PatchSpec(channels=channels, frames=p.pop("frames"), patches=p.pop("patches"))
-    return TrainConfig(spec=spec, loss_kind=loss_kind, seed=seed, **p)
+    return config_from(dict(PRESETS[name], channels=channels, loss_kind=loss_kind, seed=seed))
 
 
 @dataclass
@@ -90,7 +112,10 @@ class TrainReport:
     wall_time_s: float = 0.0
 
 
-def _validate_dataset(X, y, config):
+def _validate_dataset(dataset, config):
+    """(X, y) of a dataio.Dataset or an (X, y) pair, checked against the
+    config's geometry and class count."""
+    X, y = dataset.stacked() if isinstance(dataset, dataio.Dataset) else dataset
     X = check_finite(X, "dataset")
     y = np.asarray(y, dtype=int)
     if X.ndim != 3 or X.shape[0] == 0:
@@ -116,11 +141,7 @@ def train(dataset, config):
     config seed; the returned bundle carries train-set normalization
     stats so inference consumes raw segmented gestures.
     """
-    if isinstance(dataset, dataio.Dataset):
-        X, y = dataset.stacked()
-    else:
-        X, y = dataset
-    X, y = _validate_dataset(X, y, config)
+    X, y = _validate_dataset(dataset, config)
     n = X.shape[0]
     K = config.n_classes
     spec = config.spec
@@ -136,7 +157,8 @@ def train(dataset, config):
     mean, std = dataio.zscore_fit(X)
     Q = lift(X, (mean, std), spec, rff)
 
-    Y = one_hot(y, K) if config.loss_kind == "squared" else None
+    loss_fn, grad_fn, target = loss_functions(config.loss_kind)
+    Y = target(y, K)
     report = TrainReport()
     flat = lambda a: a.reshape(K * spec.patches, config.m)
 
@@ -145,20 +167,12 @@ def train(dataset, config):
             idx = batch_rng.integers(config.batch_size, n)
             Qb = Q[idx]
             _, alpha, _ = batch_class_scores(Qb, A)
-            if config.loss_kind == "hinge":
-                g = hinge_subgradient(Qb, y[idx], A, alpha)
-            else:
-                g = squared_gradient(Qb, Y[idx], A, alpha)
-            A = A - config.eta * g
+            A = A - config.eta * grad_fn(Qb, Y[idx], A, alpha)
         A = nuclear_ball_project(flat(A), config.nuclear_radius).reshape(A.shape)
 
         f, _, _ = batch_class_scores(Q, A)
-        if config.loss_kind == "hinge":
-            loss = hinge_loss(f, y)
-        else:
-            loss = squared_loss(f, Y)
         acc = float((f.argmax(axis=1) == y).mean())
-        report.epoch_loss.append(loss)
+        report.epoch_loss.append(loss_fn(f, Y))
         report.epoch_accuracy.append(acc)
         report.epoch_nuclear_norm.append(nuclear_norm(flat(A)))
         if acc == 1.0 and report.epochs_to_convergence < 0:
@@ -197,12 +211,8 @@ def macro_f1(confusion):
     if confusion.sum() == 0:
         raise ValueError("empty confusion matrix")
     tp = np.diag(confusion).astype(float)
-    pred_tot = confusion.sum(axis=0)
-    true_tot = confusion.sum(axis=1)
-    f1 = np.zeros(confusion.shape[0])
-    for k in range(confusion.shape[0]):
-        denom = pred_tot[k] + true_tot[k]
-        f1[k] = 2.0 * tp[k] / denom if denom > 0 else 0.0
+    denom = confusion.sum(axis=0) + confusion.sum(axis=1)
+    f1 = np.divide(2.0 * tp, denom, out=np.zeros(tp.size), where=denom > 0)
     return float(f1.mean())
 
 
@@ -261,11 +271,7 @@ def kfold_evaluate(dataset, config, folds=10, jobs=1):
         raise ValueError("folds must be >= 2")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if isinstance(dataset, dataio.Dataset):
-        X, y = dataset.stacked()
-    else:
-        X, y = dataset
-    X, y = _validate_dataset(X, y, config)
+    X, y = _validate_dataset(dataset, config)
     assign = _stratified_folds(y, folds, RngStream(config.seed).derive(100))
     work = [(X, y, assign, fold, config) for fold in range(folds)]
     if jobs == 1:
@@ -301,11 +307,7 @@ def _stratified_split(y, fractions, rng):
 def split_evaluate(dataset, config, fractions=(0.6, 0.2, 0.2)):
     """Stratified 60-20-20 split; trains on the train portion only and
     reports held-out test accuracy and macro-F1."""
-    if isinstance(dataset, dataio.Dataset):
-        X, y = dataset.stacked()
-    else:
-        X, y = dataset
-    X, y = _validate_dataset(X, y, config)
+    X, y = _validate_dataset(dataset, config)
     tr, va, te = _stratified_split(y, fractions, RngStream(config.seed).derive(200))
     bundle, report = train((X[tr], y[tr]), config)
     acc, f1, confusion = evaluate(bundle, X[te], y[te])

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import lift
-from .losses import hinge_loss, one_hot, squared_loss
+from .losses import loss_functions
 from .model import batch_class_scores
 from .numutil import RngStream
 from .projections import simplex_project, squared_distance_to_simplex, softmax_ref
@@ -35,10 +35,9 @@ class ConvexityTrialReport:
 def pipeline_loss(A, Q, y, loss_kind):
     """Full-pipeline loss at weight tensor A: attention is recomputed
     from A, not frozen at the trained weights."""
+    loss, _, target = loss_functions(loss_kind)
     f, _, _ = batch_class_scores(Q, A)
-    if loss_kind == "hinge":
-        return hinge_loss(f, y)
-    return squared_loss(f, one_hot(np.asarray(y), A.shape[0]))
+    return loss(f, target(y, A.shape[0]))
 
 
 def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None,

@@ -27,8 +27,8 @@ def workdir(tmp_path_factory):
         "frames": 10, "patches": 10,
     }))
     model = d / "taps.model"
-    # squared loss: the verify subcommand checks both losses around this
-    # model, and the squared midpoint margin is widest near its own minimizer
+    # squared loss, so the CLI round trips cover the non-default kind;
+    # verify checks each model's own loss
     assert main(["train", "--data", str(data), "--config", str(cfg),
                  "--loss", "squared", "--out-model", str(model)]) == 0
     return d, data, cfg, model
@@ -107,6 +107,39 @@ def test_unknown_config_key_exit_2(workdir, tmp_path, capsys):
     assert "unknown config keys" in err
 
 
+def test_unknown_loss_kind_exit_2(workdir, tmp_path, capsys):
+    d, data, cfg, _ = workdir
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(json.loads(cfg.read_text()), loss_kind="Hinge")))
+    code, _, err = run(capsys, "train", "--data", str(data),
+                       "--config", str(bad), "--out-model", str(d / "m"))
+    assert code == 2
+    assert "unknown loss kind 'Hinge'" in err
+    assert "Traceback" not in err
+
+
+def test_config_not_an_object_exit_2(workdir, tmp_path, capsys):
+    d, data, _, _ = workdir
+    bad = tmp_path / "bad.json"
+    bad.write_text("5")
+    code, _, err = run(capsys, "train", "--data", str(data),
+                       "--config", str(bad), "--out-model", str(d / "m"))
+    assert code == 2
+    assert "JSON object" in err
+
+
+def test_config_missing_frames_exit_2(workdir, tmp_path, capsys):
+    d, data, cfg, _ = workdir
+    values = json.loads(cfg.read_text())
+    del values["frames"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(values))
+    code, _, err = run(capsys, "train", "--data", str(data),
+                       "--config", str(bad), "--out-model", str(d / "m"))
+    assert code == 2
+    assert "frames" in err
+
+
 def test_unknown_preset_exit_2(workdir, capsys):
     d, data, _, _ = workdir
     # argparse rejects values outside the preset choices
@@ -146,10 +179,22 @@ def test_verify_passes_on_trained_model(workdir, capsys):
     code, stdout, _ = run(capsys, "verify", "--model", str(model),
                           "--data", str(data), "--trials", "20")
     assert code == 0
-    assert "hinge: 20/20" in stdout
     assert "squared: 20/20" in stdout
+    assert "hinge:" not in stdout
     assert "nonexpansiveness" in stdout
     assert "jensen_violated=True" in stdout
+
+
+def test_verify_checks_hinge_model_own_loss(workdir, tmp_path, capsys):
+    d, data, cfg, _ = workdir
+    model = tmp_path / "hinge.model"
+    assert run(capsys, "train", "--data", str(data), "--config", str(cfg),
+               "--loss", "hinge", "--out-model", str(model))[0] == 0
+    code, stdout, _ = run(capsys, "verify", "--model", str(model),
+                          "--data", str(data), "--trials", "20")
+    assert code == 0
+    assert "hinge: 20/20" in stdout
+    assert "squared:" not in stdout
 
 
 def test_verify_deterministic(workdir, capsys):

@@ -6,6 +6,7 @@ from convexattn.dataio import (
     Dataset,
     RawStream,
     SynthConfig,
+    _rolling_var,
     load_csv,
     preprocess,
     remove_drift,
@@ -50,6 +51,31 @@ def test_remove_drift_linear_ramp_bounded():
     X = rate * np.arange(300)[None, :]
     out = remove_drift(X, window_ms=200.0, sample_rate=250.0)
     assert np.abs(out[0, 100:]).max() <= rate * 50 * 0.5 + 1e-9
+
+
+def _trailing_loop(ch, window):
+    """Per-frame trailing mean and variance of one channel."""
+    csum = np.cumsum(np.concatenate([[0.0], ch]))
+    csq = np.cumsum(np.concatenate([[0.0], ch * ch]))
+    mean, var = np.empty(ch.size), np.empty(ch.size)
+    for t in range(ch.size):
+        lo = max(0, t + 1 - window)
+        w = t + 1 - lo
+        mean[t] = (csum[t + 1] - csum[lo]) / w
+        var[t] = (csq[t + 1] - csq[lo]) / w - mean[t] * mean[t]
+    return mean, np.maximum(var, 0.0)
+
+
+@pytest.mark.parametrize("frames,window", [(30, 1), (30, 50), (1, 50), (1, 1), (300, 50)])
+def test_trailing_window_matches_loop(frames, window):
+    # window_ms=200 at 250 Hz is a 50-frame window
+    X = np.random.default_rng(frames + window).normal(2.0, 1.5, size=(3, frames))
+    rate = window * 1000.0 / 200.0
+    drift = np.array([ch - _trailing_loop(ch, window)[0] for ch in X])
+    assert np.array_equal(remove_drift(X, window_ms=200.0, sample_rate=rate), drift)
+    var = np.array([_trailing_loop(ch, window)[1] for ch in X])
+    assert np.array_equal(_rolling_var(X, window), var)
+    assert np.array_equal(_rolling_var(X[0], window), var[0])
 
 
 def test_zscore_fit_apply_round_trip():
@@ -257,4 +283,16 @@ def test_csv_nonnumeric_fields_report_line(tmp_path):
         load_csv(p)
     p.write_text("gesture_id,class,frame,ch0\n0,north,0,abc\n")
     with pytest.raises(ValueError, match=r"bad\.csv:2: .*'abc'"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_nonfinite_value_reports_line(tmp_path, value):
+    p = tmp_path / "bad.csv"
+    p.write_text("gesture_id,class,frame,ch0\n0,north,0,nan\n".replace("nan", value))
+    with pytest.raises(ValueError, match=r"bad\.csv:2: non-finite value"):
+        load_csv(p)
+    p.write_text("gesture_id,class,frame,ch0,ch1\n0,north,0,1,2\n1,south,0,3,4\n"
+                 f"0,north,1,5,6\n1,south,1,{value},8\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:5: non-finite value"):
         load_csv(p)

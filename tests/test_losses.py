@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from convexattn.losses import (
+    LOSS_KINDS,
     hinge_loss,
     hinge_subgradient,
+    loss_functions,
     one_hot,
     squared_gradient,
     squared_loss,
@@ -190,3 +192,17 @@ def test_shape_mismatch_rejected():
         squared_gradient(Q, np.zeros((3, 2)), A, np.zeros((2, 2, 3)))
     with pytest.raises(ValueError):
         squared_loss(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+def test_loss_functions_table():
+    labels = np.array([0, 2, 1])
+    f = np.array([[2.0, 0.0, 0.0], [0.5, 0.0, 1.0], [0.0, 0.0, 0.3]])
+    for kind in LOSS_KINDS:
+        loss, _, target = loss_functions(kind)
+        Y = target(labels, 3)
+        direct = hinge_loss(f, labels) if kind == "hinge" else squared_loss(f, one_hot(labels, 3))
+        assert loss(f, Y) == direct
+    assert loss_functions("hinge")[1] is hinge_subgradient
+    assert loss_functions("squared")[1] is squared_gradient
+    with pytest.raises(ValueError, match="unknown loss kind 'Hinge'"):
+        loss_functions("Hinge")

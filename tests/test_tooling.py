@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -14,3 +15,22 @@ def test_perfbench_selftest():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selftest: ok" in proc.stdout
+
+
+def test_no_unused_imports():
+    # __init__.py is skipped: its imports are the package's re-exports
+    unused = []
+    for path in sorted((ROOT / "src" / "convexattn").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{ln}: {name}" for name, ln in imported.items()
+                   if name not in used]
+    assert not unused, unused

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from convexattn.trainer import (
     TrainConfig,
     _stratified_folds,
     _stratified_split,
+    config_from,
     evaluate,
     kfold_evaluate,
     macro_f1,
@@ -51,6 +54,31 @@ def test_preset_names_and_values():
     assert cfg.spec.patches == 30 and cfg.spec.frames == 30
     with pytest.raises(ValueError):
         preset_config("pinch")
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+@pytest.mark.parametrize("loss_kind,seed", [("hinge", 0), ("squared", 3)])
+def test_config_from_matches_preset(name, loss_kind, seed):
+    values = dict(PRESETS[name], channels=4, loss_kind=loss_kind, seed=seed)
+    assert config_from(values) == preset_config(name, 4, loss_kind, seed)
+
+
+def test_config_from_rejects_unknown_and_missing_keys():
+    with pytest.raises(ValueError, match="unknown config keys"):
+        config_from(dict(PRESETS["tap"], learning_rate=0.1))
+    values = dict(PRESETS["tap"])
+    del values["frames"]
+    with pytest.raises(ValueError, match="frames"):
+        config_from(values)
+    with pytest.raises(ValueError, match="m"):
+        config_from(dict(PRESETS["tap"], m="nine"))
+
+
+def test_config_rejects_unknown_loss_kind():
+    with pytest.raises(ValueError, match="unknown loss kind"):
+        replace(preset_config("tap"), loss_kind="l2")
+    with pytest.raises(ValueError, match="unknown loss kind"):
+        config_from(dict(PRESETS["tap"], loss_kind="Hinge"))
 
 
 def test_config_validation():
