@@ -205,6 +205,8 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
+    if args.iters < 1:
+        raise UsageError(f"--iters must be >= 1, got {args.iters}")
     bundle = _load_bundle(args.model)
     ds = _load_dataset(args.data)
     X0 = ds.samples[0].X
@@ -217,7 +219,7 @@ def cmd_bench(args):
         predict(s, bundle)
         times[i] = time.perf_counter_ns() - t0
     mean_us = times.mean() / 1000.0
-    std_us = times.std() / 1000.0 if args.iters > 1 else 0.0
+    std_us = times.std() / 1000.0
     size = len(Path(args.model).read_bytes())
     print(f"latency: mean {mean_us:.2f} us, std {std_us:.2f} us over {args.iters} runs")
     # preprocessing cost measured separately; inference latency above

@@ -358,7 +358,9 @@ def load_csv(path):
         frames.append(frame)
         at.append(len(values) - 1)
 
-    values = np.array(values, dtype=float).reshape(len(values), C)
+    if not rows:
+        raise ValueError(f"{path}: no gesture rows")
+    values = np.array(values, dtype=float)
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         raise ValueError(f"{path}:{int(bad.argmax()) + 2}: non-finite value")

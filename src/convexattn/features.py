@@ -59,8 +59,8 @@ class RffMap:
 def patchify(X, spec):
     """Split X (channels x frames) into spec.patches patch vectors.
 
-    Returns an array of shape (patches, patch_dim). Each patch vector is
-    flattened channel-major within a frame, frames in temporal order.
+    Returns (patches, patch_dim) rows, channel-major within a frame and
+    frames in temporal order; a view of X when each patch is one frame.
     """
     X = np.atleast_2d(check_finite(X, "gesture"))
     if X.shape != (spec.channels, spec.frames):
@@ -68,11 +68,8 @@ def patchify(X, spec):
             f"gesture shape {X.shape} does not match spec "
             f"({spec.channels}, {spec.frames})"
         )
-    fpp = spec.frames_per_patch
-    out = np.empty((spec.patches, spec.patch_dim))
-    for p in range(spec.patches):
-        out[p] = X[:, p * fpp:(p + 1) * fpp].T.ravel()
-    return out
+    fpp, P = spec.frames_per_patch, spec.patches
+    return X.reshape(spec.channels, P, fpp).transpose(1, 2, 0).reshape(P, spec.patch_dim)
 
 
 def rff_init(spec, m, gamma, rng):
@@ -117,8 +114,7 @@ def lift(X, stats, spec, rff):
             f"gesture shape {X.shape[1:]} does not match spec "
             f"({spec.channels}, {spec.frames})"
         )
-    Xn = zscore_apply(X, stats)
     Q = np.empty((X.shape[0], spec.patches, rff.m))
-    for i in range(X.shape[0]):
-        Q[i] = rff_transform(patchify(Xn[i], spec), rff)
+    for i, x in enumerate(zscore_apply(X, stats)):
+        Q[i] = rff_transform(patchify(x, spec), rff)
     return Q

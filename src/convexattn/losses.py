@@ -40,31 +40,37 @@ def _rival_argmax(f, labels):
     return masked.argmax(axis=1)
 
 
-def hinge_subgradient(Q, labels, A, alpha):
+def _fixed_attention(Q, A, alpha, f):
+    """(Q, alpha, f) as float arrays, alpha checked against Q and A; f as
+    given, else with model._score's arithmetic sqrt(m) <alpha, QA/sqrt(m)>."""
+    Q = np.asarray(Q, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != Q.shape[:1] + A.shape[:2]:
+        raise ValueError(f"alpha shape {alpha.shape} != {Q.shape[:1] + A.shape[:2]}")
+    if f is None:
+        root_m = np.sqrt(Q.shape[2])
+        f = root_m * np.einsum("nkp,nkp->nk", alpha, np.einsum("npm,kpm->nkp", Q, A) / root_m)
+    return Q, alpha, f
+
+
+def hinge_subgradient(Q, labels, A, alpha, f=None):
     """Subgradient of the hinge loss w.r.t. the weight tensor.
 
-    Q: (n, P, m) features, alpha: (n, K, P) fixed attention. For each
-    violating sample the rival block gains alpha*Q_p and the true-class
-    block loses it; non-violating samples (margin <= 0) contribute the
-    zero subgradient.
+    Q: (n, P, m) features; alpha (n, K, P) and f (n, K) as returned by
+    model.batch_class_scores (f is recomputed when omitted). Per violating
+    sample the rival block gains alpha*Q_p and the true-class block loses
+    it; samples with margin <= 0 contribute the zero subgradient.
     """
-    Q = np.asarray(Q, dtype=float)
+    Q, alpha, f = _fixed_attention(Q, A, alpha, f)
     labels = np.asarray(labels, dtype=int)
-    alpha = np.asarray(alpha, dtype=float)
-    n, P, m = Q.shape
-    K = A.shape[0]
-    if alpha.shape != (n, K, P):
-        raise ValueError(f"alpha shape {alpha.shape} != {(n, K, P)}")
-    s = np.einsum("npm,kpm->nkp", Q, A)  # sqrt(m) * scores, scaling cancels
-    f = np.einsum("nkp,nkp->nk", alpha, s)
+    n, K = f.shape
     idx = np.arange(n)
     rival = _rival_argmax(f, labels)
-    margin = 1.0 - f[idx, labels] + f[idx, rival]
-    viol = margin > 0
+    viol = 1.0 - f[idx, labels] + f[idx, rival] > 0  # positive margin
     coeff = np.zeros((n, K))
     coeff[idx[viol], rival[viol]] = 1.0
     coeff[idx[viol], labels[viol]] -= 1.0
-    return np.einsum("nk,nkp,npm->kpm", coeff, alpha, Q) / n
+    return np.einsum("nkp,npm->kpm", coeff[:, :, None] * alpha, Q) / n
 
 
 def squared_loss(f, Y):
@@ -77,23 +83,18 @@ def squared_loss(f, Y):
     return float(np.einsum("nk,nk->", r, r) / f.shape[0])
 
 
-def squared_gradient(Q, Y, A, alpha):
+def squared_gradient(Q, Y, A, alpha, f=None):
     """Gradient of the squared loss w.r.t. the weight tensor.
 
     Block (k, p) receives 2 (f_k - Y_k) alpha[k, p] Q_p per sample,
-    averaged over the batch.
+    averaged over the batch; f is as in hinge_subgradient.
     """
-    Q = np.asarray(Q, dtype=float)
+    Q, alpha, f = _fixed_attention(Q, A, alpha, f)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    alpha = np.asarray(alpha, dtype=float)
-    n, P, m = Q.shape
-    K = A.shape[0]
-    if alpha.shape != (n, K, P) or Y.shape != (n, K):
-        raise ValueError("shape mismatch in squared_gradient")
-    s = np.einsum("npm,kpm->nkp", Q, A) / np.sqrt(m)
-    f = np.sqrt(m) * np.einsum("nkp,nkp->nk", alpha, s)
+    if Y.shape != f.shape:
+        raise ValueError(f"target shape {Y.shape} != scores {f.shape}")
     r = 2.0 * (f - Y)
-    return np.einsum("nk,nkp,npm->kpm", r, alpha, Q) / n
+    return np.einsum("nkp,npm->kpm", r[:, :, None] * alpha, Q) / Q.shape[0]
 
 
 def loss_functions(kind):

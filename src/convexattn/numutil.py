@@ -49,7 +49,7 @@ class RngStream:
 
 def check_finite(a, name="input"):
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 

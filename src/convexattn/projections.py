@@ -19,9 +19,8 @@ def _threshold_rows(S, radius):
     """
     n, p = S.shape
     U = np.sort(S, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1) - radius
-    j = np.arange(1, p + 1)
-    rho = np.count_nonzero(U - css / j > 0, axis=1)
+    css = U.cumsum(axis=1) - radius
+    rho = (U - css / np.arange(1, p + 1) > 0).sum(axis=1)
     theta = css[np.arange(n), rho - 1] / rho
     return np.maximum(S - theta[:, None], 0.0)
 

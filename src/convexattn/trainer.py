@@ -166,8 +166,8 @@ def train(dataset, config):
         for _ in range(config.batches_per_epoch):
             idx = batch_rng.integers(config.batch_size, n)
             Qb = Q[idx]
-            _, alpha, _ = batch_class_scores(Qb, A)
-            A = A - config.eta * grad_fn(Qb, Y[idx], A, alpha)
+            f, alpha, _ = batch_class_scores(Qb, A)
+            A = A - config.eta * grad_fn(Qb, Y[idx], A, alpha, f)
         A = nuclear_ball_project(flat(A), config.nuclear_radius).reshape(A.shape)
 
         f, _, _ = batch_class_scores(Q, A)

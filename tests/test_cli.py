@@ -268,3 +268,26 @@ def test_config_variance_meta_rejected_exit_2(workdir, tmp_path, capsys):
                        "--config", str(bad), "--out-model", str(d / "m"))
     assert code == 2
     assert "variance_meta" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "bench", "export"])
+def test_header_only_csv_exit_2(workdir, tmp_path, capsys, command):
+    d, _, _, model = workdir
+    empty = tmp_path / "empty.csv"
+    empty.write_text("gesture_id,class,frame,ch0,ch1,ch2,ch3\n")
+    extra = ["--out", str(tmp_path / "m32")] if command == "export" else []
+    code, stdout, err = run(capsys, command, "--model", str(model),
+                            "--data", str(empty), *extra)
+    assert code == 2
+    assert "no gesture rows" in err
+    assert "label parity" not in stdout
+
+
+@pytest.mark.parametrize("iters", ["0", "-1"])
+def test_bench_nonpositive_iters_exit_2(workdir, capsys, iters):
+    d, data, _, model = workdir
+    code, stdout, err = run(capsys, "bench", "--model", str(model),
+                            "--data", str(data), "--iters", iters)
+    assert code == 2
+    assert "--iters must be >= 1" in err
+    assert stdout == ""

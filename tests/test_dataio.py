@@ -232,6 +232,13 @@ def test_csv_bad_class_rejected(tmp_path):
         load_csv(p)
 
 
+def test_csv_header_only_rejected(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_text("gesture_id,class,frame,ch0,ch1\n")
+    with pytest.raises(ValueError, match=r"empty\.csv: no gesture rows"):
+        load_csv(p)
+
+
 def test_csv_frame_gap_rejected(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text(

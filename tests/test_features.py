@@ -32,9 +32,26 @@ def test_patchify_small_example():
     assert np.array_equal(patches, [[1.0, 2.0], [3.0, 4.0]])
 
 
+def _patchify_loop(X, spec):
+    # reference: patch p holds frames p*fpp..(p+1)*fpp-1, channel-major
+    # within a frame
+    fpp = spec.frames_per_patch
+    out = np.empty((spec.patches, spec.patch_dim))
+    for p in range(spec.patches):
+        out[p] = X[:, p * fpp:(p + 1) * fpp].T.ravel()
+    return out
+
+
+@pytest.mark.parametrize("C,T,P", [(4, 10, 10), (4, 30, 30), (4, 30, 10), (1, 12, 4)])
+def test_patchify_matches_loop(C, T, P):
+    spec = PatchSpec(channels=C, frames=T, patches=P)
+    X = np.random.default_rng(T + P).normal(size=(C, T))
+    assert np.array_equal(patchify(X, spec), _patchify_loop(X, spec))
+
+
 def test_patchify_round_trip():
-    # oracle: patch p holds frames p*fpp..(p+1)*fpp-1, channel-major
-    # within a frame; the inverse reshape/transpose recovers X exactly
+    # the loop reference on random geometries; the inverse
+    # reshape/transpose recovers X exactly
     rng = np.random.default_rng(0)
     for _ in range(100):
         C = int(rng.integers(1, 6))
@@ -43,8 +60,7 @@ def test_patchify_round_trip():
         spec = PatchSpec(channels=C, frames=P * fpp, patches=P)
         X = rng.normal(size=(C, P * fpp))
         patches = patchify(X, spec)
-        oracle = X.reshape(C, P, fpp).transpose(1, 2, 0).reshape(P, fpp * C)
-        assert np.array_equal(patches, oracle)
+        assert np.array_equal(patches, _patchify_loop(X, spec))
         back = patches.reshape(P, fpp, C).transpose(2, 0, 1).reshape(C, P * fpp)
         assert np.array_equal(back, X)
 

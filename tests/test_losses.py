@@ -183,6 +183,23 @@ def test_squared_convex_along_lines():
         assert l0 + l2 - 2 * l1 >= -1e-9
 
 
+@pytest.mark.parametrize("P,m", [(10, 9), (30, 3)])
+def test_gradients_reuse_forward_scores(P, m):
+    # the 5-argument form with the forward pass's f gives the same bits
+    # as the 4-argument form, which recomputes f
+    rng = np.random.default_rng(P)
+    n, K = 16, 4
+    Q = np.sqrt(2.0 / m) * np.cos(rng.normal(size=(n, P, m)))
+    A = rng.normal(scale=0.3, size=(K, P, m))
+    labels = rng.integers(0, K, size=n)
+    f, alpha, _ = batch_class_scores(Q, A)
+    assert np.array_equal(hinge_subgradient(Q, labels, A, alpha, f),
+                          hinge_subgradient(Q, labels, A, alpha))
+    Y = one_hot(labels, K)
+    assert np.array_equal(squared_gradient(Q, Y, A, alpha, f),
+                          squared_gradient(Q, Y, A, alpha))
+
+
 def test_shape_mismatch_rejected():
     Q = np.zeros((2, 3, 2))
     A = np.zeros((2, 3, 2))

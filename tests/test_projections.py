@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from convexattn.projections import (
+    _threshold_rows,
     l1_ball_project_nonneg,
     nuclear_ball_project,
     nuclear_norm,
@@ -49,6 +50,29 @@ def test_oracle_equivalence():
         p = rng.integers(2, 31)
         s = rng.uniform(-5, 5, size=p)
         assert np.max(np.abs(simplex_project(s) - simplex_qp_oracle(s))) <= 1e-9
+
+
+def _threshold_rows_count_nonzero(S, radius):
+    # reference: the kernel as first written, rho counted by count_nonzero
+    n, p = S.shape
+    U = np.sort(S, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1) - radius
+    j = np.arange(1, p + 1)
+    rho = np.count_nonzero(U - css / j > 0, axis=1)
+    theta = css[np.arange(n), rho - 1] / rho
+    return np.maximum(S - theta[:, None], 0.0)
+
+
+@pytest.mark.parametrize("width", [3, 10, 30])
+@pytest.mark.parametrize("radius", [1.0, 5.158])
+def test_threshold_rows_matches_reference(width, radius):
+    rng = np.random.default_rng(width)
+    S = np.concatenate([
+        rng.uniform(-5, 5, size=(200, width)),
+        rng.integers(-2, 3, size=(200, width)) * 0.5,  # ties and duplicates
+        np.repeat(rng.normal(size=(20, 1)), width, axis=1),  # constant rows
+    ])
+    assert np.array_equal(_threshold_rows(S, radius), _threshold_rows_count_nonzero(S, radius))
 
 
 def test_rows_matches_single():
