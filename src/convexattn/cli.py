@@ -78,7 +78,9 @@ def cmd_synth(args):
             seed=args.seed if args.seed is not None else 0,
         )
     except ValueError as e:
-        raise UsageError(f"{e}; valid kinds: tap, swipe")
+        if args.kind in dataio.GESTURE_KINDS:
+            raise UsageError(str(e))
+        raise UsageError(f"{e}; valid kinds: {', '.join(dataio.GESTURE_KINDS)}")
     ds = dataio.synth_generate(cfg)
     dataio.save_csv(ds, args.out)
     print(f"wrote {len(ds.samples)} samples ({len(ds.class_names)} classes) to {args.out}")
@@ -168,6 +170,10 @@ def cmd_predict(args):
 
 
 def cmd_verify(args):
+    # zero noise makes both midpoint endpoints the trained weights, so
+    # every trial would pass without testing anything
+    if not args.noise > 0:
+        raise UsageError(f"--noise must be > 0, got {args.noise}")
     bundle = _load_bundle(args.model)
     ds = _load_dataset(args.data)
     X, y = ds.stacked()
@@ -218,17 +224,13 @@ def cmd_bench(args):
         t0 = time.perf_counter_ns()
         predict(s, bundle)
         times[i] = time.perf_counter_ns() - t0
-    mean_us = times.mean() / 1000.0
-    std_us = times.std() / 1000.0
+    us = times / 1000.0
+    p50, p99 = np.percentile(us, [50, 99])
     size = len(Path(args.model).read_bytes())
-    print(f"latency: mean {mean_us:.2f} us, std {std_us:.2f} us over {args.iters} runs")
-    # preprocessing cost measured separately; inference latency above
-    # deliberately excludes it
-    t0 = time.perf_counter_ns()
-    for _ in range(10):
-        dataio.smooth(dataio.remove_drift(X0, sample_rate=ds.sample_rate))
-    pp_us = (time.perf_counter_ns() - t0) / 10 / 1000.0 / X0.shape[1]
-    print(f"preprocessing: {pp_us:.2f} us per frame (excluded from latency)")
+    print(
+        f"latency: mean {us.mean():.2f} us, p50 {p50:.2f} us, p99 {p99:.2f} us, "
+        f"std {us.std():.2f} us over {args.iters} runs"
+    )
     print(f"model size: {size} bytes")
     return 0
 

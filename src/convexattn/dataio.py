@@ -15,6 +15,7 @@ import numpy as np
 from .numutil import RngStream, check_finite
 
 CLASS_NAMES = ("north", "south", "east", "west")
+GESTURE_KINDS = ("tap", "swipe")
 
 # unit-square electrode corners, in channel order
 ELECTRODE_CORNERS = np.array(
@@ -92,7 +93,7 @@ class RawStream:
 
 @dataclass
 class SynthConfig:
-    kind: str  # "tap" or "swipe"
+    kind: str  # one of GESTURE_KINDS
     samples_per_class: int = 100
     noise_stddev: float = 0.05
     amplitude: float = 1.0
@@ -102,10 +103,14 @@ class SynthConfig:
     quantize_12bit: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("tap", "swipe"):
+        if self.kind not in GESTURE_KINDS:
             raise ValueError(f"unknown gesture kind {self.kind!r}")
-        if self.samples_per_class < 1 or self.noise_stddev < 0:
-            raise ValueError("bad SynthConfig")
+        if self.samples_per_class < 1:
+            raise ValueError(
+                f"samples_per_class must be >= 1, got {self.samples_per_class}"
+            )
+        if self.noise_stddev < 0:
+            raise ValueError(f"noise_stddev must be >= 0, got {self.noise_stddev}")
         if self.frames == 0:
             self.frames = 10 if self.kind == "tap" else 30
 
@@ -206,30 +211,35 @@ def zscore_apply(X, stats):
     return (np.asarray(X, dtype=float) - mean[:, None]) / std[:, None]
 
 
-def _tap_gesture(config, anchor, rng):
+def _tap_templates(config, anchor, streams):
+    """(n, C, T) taps: a Gaussian-in-time pulse whose centre takes one
+    uniform draw from each gesture's stream, scaled per channel by the
+    anchor-to-electrode distance."""
     T = config.frames
-    t = np.arange(T)
-    t0 = (T - 1) / 2.0 + rng.uniform(1, -0.05 * T, 0.05 * T)[0]
+    jitter = np.array([g.uniform(1, -0.05 * T, 0.05 * T)[0] for g in streams])
+    t0 = (T - 1) / 2.0 + jitter
     width = T / 3.0
-    env = np.exp(-0.5 * ((t - t0) / width) ** 2)
+    env = np.exp(-0.5 * ((np.arange(T) - t0[:, None]) / width) ** 2)
     d2 = ((ELECTRODE_CORNERS - anchor) ** 2).sum(axis=1)
     amp = config.amplitude * np.exp(-d2 / 0.5)
-    return amp[:, None] * env[None, :]
+    return amp[None, :, None] * env[:, None, :]
 
 
-def _swipe_gesture(config, direction, rng):
+def _swipe_templates(config, direction, streams):
+    """(n, C, T) swipes, start and end points jittered by two uniform
+    draws from each gesture's stream."""
     # the contact point eases in and out (smoothstep), overshooting the
     # surface edge on both ends: the finger lingers near the endpoints,
     # which is where opposing swipe classes differ most
     T = config.frames
     center = np.array([0.5, 0.5])
-    jitter = rng.uniform(2, -0.02, 0.02)
-    start = center - 0.75 * direction + jitter[0]
-    end = center + 0.75 * direction + jitter[1]
+    jitter = np.array([g.uniform(2, -0.02, 0.02) for g in streams])
+    start = center - 0.75 * direction + jitter[:, :1]
+    end = center + 0.75 * direction + jitter[:, 1:]
     u = np.arange(T) / (T - 1)
     frac = 3.0 * u ** 2 - 2.0 * u ** 3
-    path = start[None, :] + frac[:, None] * (end - start)[None, :]
-    d2 = ((path[None, :, :] - ELECTRODE_CORNERS[:, None, :]) ** 2).sum(axis=2)
+    path = start[:, None, :] + frac[None, :, None] * (end - start)[:, None, :]
+    d2 = ((path[:, None] - ELECTRODE_CORNERS[None, :, None]) ** 2).sum(axis=3)
     return config.amplitude * np.exp(-d2 / 0.5)
 
 
@@ -239,26 +249,32 @@ def synth_generate(config):
     Taps are a shared Gaussian-in-time pulse with per-channel amplitude
     set by anchor-to-electrode distance; swipes translate the contact
     point across the surface so channel peaks occur in direction order.
+    Gesture i of class k draws from its own stream ``derive(1 + k*n + i)``
+    (template jitter, then noise), and each class is computed as one
+    (n, C, T) array.
     """
     rng = RngStream(config.seed)
     samples = []
+    n = config.samples_per_class
     C = ELECTRODE_CORNERS.shape[0]
     T = config.frames
     for k, name in enumerate(CLASS_NAMES):
-        for i in range(config.samples_per_class):
-            g = rng.derive(1 + k * config.samples_per_class + i)
-            if config.kind == "tap":
-                X = _tap_gesture(config, CLASS_ANCHORS[k], g)
-            else:
-                X = _swipe_gesture(config, SWIPE_DIRECTIONS[k], g)
-            if config.drift_rate:
-                X = X + config.drift_rate * np.arange(T)[None, :]
-            if config.noise_stddev:
-                X = X + g.gauss(C * T, 0.0, config.noise_stddev).reshape(C, T)
-            if config.quantize_12bit:
-                lim = 2.0 * config.amplitude
-                X = np.round(np.clip(X, -lim, lim) / lim * 2047) * lim / 2047
-            samples.append(GestureSample(X=X, label=k, meta=f"{name}-{i}"))
+        streams = [rng.derive(1 + k * n + i) for i in range(n)]
+        if config.kind == "tap":
+            X = _tap_templates(config, CLASS_ANCHORS[k], streams)
+        else:
+            X = _swipe_templates(config, SWIPE_DIRECTIONS[k], streams)
+        if config.drift_rate:
+            X = X + config.drift_rate * np.arange(T)
+        if config.noise_stddev:
+            noise = [g.gauss(C * T, 0.0, config.noise_stddev) for g in streams]
+            X = X + np.reshape(noise, (n, C, T))
+        if config.quantize_12bit:
+            lim = 2.0 * config.amplitude
+            X = np.round(np.clip(X, -lim, lim) / lim * 2047) * lim / 2047
+        samples += [
+            GestureSample(X=x, label=k, meta=f"{name}-{i}") for i, x in enumerate(X)
+        ]
     return Dataset(
         samples=samples,
         meta={"kind": config.kind, "seed": config.seed, "synthetic": True},
@@ -283,17 +299,28 @@ def preprocess(dataset, window_ms=200.0):
 
 
 def save_csv(dataset, path):
-    """Write gesture_id,class,frame,ch0..chN rows plus a JSON sidecar."""
+    """Write gesture_id,class,frame,ch0..chN rows plus a JSON sidecar.
+
+    Each gesture's rows are written together, frames 0..T-1 in order,
+    gestures numbered 0.. in dataset order. Values use ``%.17g``, which
+    round-trips every double, and a dataset's file is byte-identical
+    across versions. See :func:`load_csv` for what a reader checks.
+    """
     path = Path(path)
     C = dataset.channels
     cols = ",".join(f"ch{c}" for c in range(C))
-    lines = [f"gesture_id,class,frame,{cols}"]
+    blocks = [f"gesture_id,class,frame,{cols}\n"]
     for gid, s in enumerate(dataset.samples):
-        name = dataset.class_names[s.label]
-        for t in range(s.X.shape[1]):
-            vals = ",".join(f"{v:.17g}" for v in s.X[:, t])
-            lines.append(f"{gid},{name},{t},{vals}")
-    path.write_text("\n".join(lines) + "\n")
+        # one format call per gesture: T rows of gid, class, frame, values
+        Cs, T = s.X.shape
+        cells = np.empty((T, 3 + Cs), dtype=object)
+        cells[:, 0] = gid
+        cells[:, 1] = dataset.class_names[s.label]
+        cells[:, 2] = range(T)
+        cells[:, 3:] = s.X.T
+        row = "%d,%s,%d" + ",%.17g" * Cs + "\n"
+        blocks.append(row * T % tuple(cells.ravel()))
+    path.write_text("".join(blocks))
     sidecar = {
         "sample_rate": dataset.sample_rate,
         "channels": C,
@@ -308,10 +335,69 @@ def _sidecar_path(path):
     return Path(path).with_suffix(Path(path).suffix + ".meta.json")
 
 
+def _parse_rows(lines, C):
+    """One parse of CSV data lines into (gesture ids, class names,
+    frames, (n, C) values), or None when a line does not parse.
+
+    Ids and class names stay the lines' exact strings, and frames go
+    through int(). Stricter than the per-field int()/float() reading:
+    a value with '_' or non-ASCII digits, or a frame beyond int64, does
+    not parse. Blank lines are skipped.
+    """
+    dtype = [("gid", object), ("class", object), ("frame", object),
+             ("values", float, (C,))]
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        frame = rows["frame"].astype(np.int64)
+    except (ValueError, OverflowError):
+        return None
+    return rows["gid"], rows["class"], frame, rows["values"]
+
+
+def _check_lines(path, lines, C, class_names):
+    """Raise the diagnostic for the first bad data line, checking line
+    by line in the order the checks apply to a row, with int() and
+    float() reading the numbers. Returns when every line is good."""
+    first_class = {}
+    for ln, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 3 + C:
+            raise ValueError(f"{path}:{ln}: expected {3 + C} fields")
+        gid, cname = parts[0], parts[1]
+        try:
+            int(parts[2])
+        except ValueError:
+            raise ValueError(
+                f"{path}:{ln}: frame {parts[2]!r} is not an integer"
+            ) from None
+        if cname not in class_names:
+            raise ValueError(f"{path}:{ln}: unknown class label {cname!r}")
+        try:
+            [float(v) for v in parts[3:]]
+        except ValueError as e:
+            raise ValueError(f"{path}:{ln}: {e}") from None
+        if first_class.setdefault(gid, cname) != cname:
+            raise ValueError(f"{path}:{ln}: class changes within gesture {gid}")
+
+
 def load_csv(path):
-    """Read a gesture CSV; validates columns, frame contiguity, labels."""
+    """Read a gesture CSV; validates columns, frame contiguity, labels.
+
+    The contract: a ``gesture_id,class,frame,ch0,...`` header, then one
+    row per frame. A gesture's rows carry one class and frames 0..T-1 in
+    order, and every gesture has the same T. Rows are grouped by
+    gesture_id in order of first appearance (a gesture's rows need not
+    be adjacent). A fault in a row is reported as ``path:line:``, the
+    first such line in the file; a frame gap or ragged gestures, which
+    belong to no single row, as ``path:`` with the gesture. Ids and
+    class names are kept as written, frames are read as int() reads
+    them, and values as float() does except that a value with '_' or
+    non-ASCII digits is refused at its line. A file ``save_csv`` wrote
+    loads to the same bits in every version.
+    """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    text = path.read_text()
+    lines = text.splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -333,47 +419,60 @@ def load_csv(path):
         sample_rate = 250.0
         extra = {}
 
-    rows = {}  # gesture_id -> (label, [frame], [row of values])
-    values = []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3 + C:
-            raise ValueError(f"{path}:{ln}: expected {3 + C} fields")
-        gid, cname = parts[0], parts[1]
-        try:
-            frame = int(parts[2])
-        except ValueError:
-            raise ValueError(
-                f"{path}:{ln}: frame {parts[2]!r} is not an integer"
-            ) from None
-        if cname not in class_names:
-            raise ValueError(f"{path}:{ln}: unknown class label {cname!r}")
-        try:
-            values.append([float(v) for v in parts[3:]])
-        except ValueError as e:
-            raise ValueError(f"{path}:{ln}: {e}") from None
-        label, frames, at = rows.setdefault(gid, (cname, [], []))
-        if label != cname:
-            raise ValueError(f"{path}:{ln}: class changes within gesture {gid}")
-        frames.append(frame)
-        at.append(len(values) - 1)
-
-    if not rows:
+    if len(lines) == 1:
         raise ValueError(f"{path}: no gesture rows")
-    values = np.array(values, dtype=float)
+    # a blank line is a fault the parse would skip, and numpy's float
+    # parse strips "\x1f" as whitespace where float() does not
+    rows = None if "" in lines else _parse_rows(lines[1:], C)
+    if rows is None or "\x1f" in text:
+        _check_lines(path, lines, C, class_names)
+    if rows is None:
+        # every line passed int() and float(), so some number is one
+        # only the stricter parse refuses
+        ln = next(ln for ln, line in enumerate(lines[1:], start=2)
+                  if _parse_rows([line], C) is None)
+        raise ValueError(f"{path}:{ln}: numbers must be plain ASCII decimals "
+                         "without '_', and frames below 2**63")
+    gid, cname, frame, values = rows
+    n = len(gid)
+
+    # gestures in order of first appearance; a run is a stretch of rows
+    # with one gesture id, so a file of whole gestures has one per gesture
+    starts = np.flatnonzero(np.r_[True, gid[1:] != gid[:-1]])
+    groups = {}
+    run_group = [groups.setdefault(g, len(groups)) for g in gid[starts].tolist()]
+    group = np.repeat(run_group, np.diff(np.r_[starts, n]))
+    first = starts[np.unique(run_group, return_index=True)[1]]
+
+    # the first row of unknown class or of a class its gesture did not
+    # start with
+    labels = [class_names.index(c) if c in class_names else -1
+              for c in cname[first].tolist()]
+    bad = np.flatnonzero((np.array(labels)[group] < 0) | (cname != cname[first][group]))
+    if bad.size:
+        r = int(bad[0])
+        if cname[r] not in class_names:
+            raise ValueError(f"{path}:{r + 2}: unknown class label {cname[r]!r}")
+        raise ValueError(f"{path}:{r + 2}: class changes within gesture {gid[r]}")
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         raise ValueError(f"{path}:{int(bad.argmax()) + 2}: non-finite value")
-    samples = []
-    frame_counts = set()
-    for gid, (cname, frames, at) in rows.items():
-        if frames != list(range(len(frames))):
-            raise ValueError(f"{path}: gap in frame indices for gesture {gid}")
-        X = values[at].T
-        frame_counts.add(X.shape[1])
-        samples.append(
-            GestureSample(X=X, label=class_names.index(cname), meta=str(gid))
+
+    # rows gesture by gesture, each gesture's in file order
+    order = np.argsort(group, kind="stable")
+    counts = np.bincount(group)
+    expected = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    gap = np.flatnonzero(frame[order] != expected)
+    if gap.size:
+        raise ValueError(
+            f"{path}: gap in frame indices for gesture {gid[order[gap[0]]]}"
         )
+    frame_counts = set(counts.tolist())
     if len(frame_counts) > 1:
         raise ValueError(f"{path}: ragged gestures, frame counts {frame_counts}")
+    X = values[order].reshape(len(counts), counts[0], C)
+    samples = [
+        GestureSample(X=x.T, label=label, meta=g)
+        for x, label, g in zip(X, labels, gid[first].tolist())
+    ]
     return Dataset(samples, class_names, sample_rate, extra)

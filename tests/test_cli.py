@@ -51,6 +51,18 @@ def test_synth_bad_kind_exit_2(tmp_path, capsys):
     assert "valid kinds" in err
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--n-per-class", "0", "samples_per_class must be >= 1, got 0"),
+    ("--noise", "-0.5", "noise_stddev must be >= 0, got -0.5"),
+])
+def test_synth_bad_field_named_exit_2(tmp_path, capsys, flag, value, field):
+    code, _, err = run(capsys, "synth", "--kind", "tap", flag, value,
+                       "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert field in err
+    assert "valid kinds" not in err
+
+
 def test_synth_deterministic_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -215,6 +227,9 @@ def test_bench_reports_latency(workdir, capsys):
                           "--data", str(data), "--iters", "20")
     assert code == 0
     assert "latency: mean" in stdout
+    latency = next(line for line in stdout.splitlines() if line.startswith("latency:"))
+    assert " us, p50 " in latency and " us, p99 " in latency
+    assert "preprocessing" not in stdout
     assert "model size:" in stdout
 
 
@@ -290,4 +305,15 @@ def test_bench_nonpositive_iters_exit_2(workdir, capsys, iters):
                             "--data", str(data), "--iters", iters)
     assert code == 2
     assert "--iters must be >= 1" in err
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("noise", ["0", "-1"])
+def test_verify_nonpositive_noise_exit_2(workdir, capsys, noise):
+    # zero noise would compare the trained weights with themselves
+    d, data, _, model = workdir
+    code, stdout, err = run(capsys, "verify", "--model", str(model),
+                            "--data", str(data), "--noise", noise)
+    assert code == 2
+    assert "--noise must be > 0" in err
     assert stdout == ""

@@ -1,9 +1,19 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from convexattn.dataio import (
+    CLASS_ANCHORS,
     CLASS_NAMES,
+    ELECTRODE_CORNERS,
+    SWIPE_DIRECTIONS,
     Dataset,
+    GestureSample,
     RawStream,
     SynthConfig,
     _rolling_var,
@@ -17,6 +27,7 @@ from convexattn.dataio import (
     zscore_apply,
     zscore_fit,
 )
+from convexattn.numutil import RngStream
 
 
 def test_smooth_hand_case():
@@ -303,3 +314,379 @@ def test_csv_nonfinite_value_reports_line(tmp_path, value):
                  f"0,north,1,5,6\n1,south,1,{value},8\n")
     with pytest.raises(ValueError, match=r"bad\.csv:5: non-finite value"):
         load_csv(p)
+
+
+def test_csv_empty_file_rejected(tmp_path):
+    p = tmp_path / "void.csv"
+    p.write_text("")
+    with pytest.raises(ValueError, match=r"void\.csv: empty file"):
+        load_csv(p)
+
+
+def test_csv_class_change_within_gesture_reports_line(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("gesture_id,class,frame,ch0\n0,north,0,1\n1,east,0,2\n"
+                 "0,south,1,3\n1,east,1,4\n")
+    with pytest.raises(ValueError,
+                       match=r"bad\.csv:4: class changes within gesture 0$"):
+        load_csv(p)
+
+
+def test_csv_blank_line_reports_line(tmp_path):
+    # a blank line is a row with one field, never skipped
+    p = tmp_path / "bad.csv"
+    p.write_text("gesture_id,class,frame,ch0,ch1\n0,north,0,1,2\n\n0,north,1,3,4\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: expected 5 fields$"):
+        load_csv(p)
+    p.write_text("gesture_id,class,frame,ch0,ch1\n\n\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:2: expected 5 fields$"):
+        load_csv(p)
+    p.write_text("gesture_id,class,frame,ch0,ch1\n0,north,0,1,2\n\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: expected 5 fields$"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("0,north,1,1.0,2.0,3.0", "expected 5 fields"),
+    ("0,north,1.0,1.0,2.0", "frame '1.0' is not an integer"),
+    ("0,up,1,1.0,2.0", "unknown class label 'up'"),
+    ("0,north,1,x,2.0", "could not convert string to float: 'x'"),
+    ("0,south,1,1.0,2.0", "class changes within gesture 0"),
+    ("0,north,1,1.0,inf", "non-finite value"),
+])
+def test_csv_fault_past_line_1000_reports_its_line(tmp_path, fault, message):
+    # 1498 good rows on lines 2-1499, gesture 0's first row on line 1500,
+    # then the fault on line 1501
+    rows = [f"{g},north,{t},1.0,2.0" for g in range(1, 750) for t in range(2)]
+    p = tmp_path / "long.csv"
+    p.write_text("\n".join(["gesture_id,class,frame,ch0,ch1", *rows,
+                            "0,north,0,1.0,2.0", fault]) + "\n")
+    with pytest.raises(ValueError, match=rf"long\.csv:1501: {re.escape(message)}$"):
+        load_csv(p)
+
+
+# -- reference I/O: the per-gesture generator, per-value writer and
+# per-line loader that synth_generate, save_csv and load_csv replaced;
+# the array versions must give the same bits, bytes and diagnostics
+
+
+def _reference_synth(config):
+    rng = RngStream(config.seed)
+    samples = []
+    C, T = ELECTRODE_CORNERS.shape[0], config.frames
+    for k, name in enumerate(CLASS_NAMES):
+        for i in range(config.samples_per_class):
+            g = rng.derive(1 + k * config.samples_per_class + i)
+            if config.kind == "tap":
+                t0 = (T - 1) / 2.0 + g.uniform(1, -0.05 * T, 0.05 * T)[0]
+                env = np.exp(-0.5 * ((np.arange(T) - t0) / (T / 3.0)) ** 2)
+                d2 = ((ELECTRODE_CORNERS - CLASS_ANCHORS[k]) ** 2).sum(axis=1)
+                X = (config.amplitude * np.exp(-d2 / 0.5))[:, None] * env[None, :]
+            else:
+                direction = SWIPE_DIRECTIONS[k]
+                jitter = g.uniform(2, -0.02, 0.02)
+                start = np.array([0.5, 0.5]) - 0.75 * direction + jitter[0]
+                end = np.array([0.5, 0.5]) + 0.75 * direction + jitter[1]
+                u = np.arange(T) / (T - 1)
+                frac = 3.0 * u ** 2 - 2.0 * u ** 3
+                path = start[None, :] + frac[:, None] * (end - start)[None, :]
+                d2 = ((path[None, :, :] - ELECTRODE_CORNERS[:, None, :]) ** 2).sum(axis=2)
+                X = config.amplitude * np.exp(-d2 / 0.5)
+            if config.drift_rate:
+                X = X + config.drift_rate * np.arange(T)[None, :]
+            if config.noise_stddev:
+                X = X + g.gauss(C * T, 0.0, config.noise_stddev).reshape(C, T)
+            if config.quantize_12bit:
+                lim = 2.0 * config.amplitude
+                X = np.round(np.clip(X, -lim, lim) / lim * 2047) * lim / 2047
+            samples.append(GestureSample(X=X, label=k, meta=f"{name}-{i}"))
+    return Dataset(samples=samples,
+                   meta={"kind": config.kind, "seed": config.seed, "synthetic": True})
+
+
+def _reference_save(dataset, path):
+    C = dataset.channels
+    lines = ["gesture_id,class,frame," + ",".join(f"ch{c}" for c in range(C))]
+    for gid, s in enumerate(dataset.samples):
+        name = dataset.class_names[s.label]
+        for t in range(s.X.shape[1]):
+            vals = ",".join(f"{v:.17g}" for v in s.X[:, t])
+            lines.append(f"{gid},{name},{t},{vals}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _reference_load(path):
+    path = Path(path)
+    lines = path.read_text().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = lines[0].split(",")
+    if header[:3] != ["gesture_id", "class", "frame"]:
+        raise ValueError(f"{path}:1: missing columns, got {lines[0]!r}")
+    C = len(header) - 3
+    if header[3:] != [f"ch{c}" for c in range(C)] or C == 0:
+        raise ValueError(f"{path}:1: malformed channel columns")
+    sidecar = Path(f"{path}.meta.json")
+    if sidecar.exists():
+        meta = json.loads(sidecar.read_text())
+        class_names, sample_rate = tuple(meta["class_names"]), meta["sample_rate"]
+        extra = meta.get("meta", {})
+    else:
+        class_names, sample_rate, extra = CLASS_NAMES, 250.0, {}
+    rows, values = {}, []
+    for ln, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 3 + C:
+            raise ValueError(f"{path}:{ln}: expected {3 + C} fields")
+        gid, cname = parts[0], parts[1]
+        try:
+            frame = int(parts[2])
+        except ValueError:
+            raise ValueError(f"{path}:{ln}: frame {parts[2]!r} is not an integer") from None
+        if cname not in class_names:
+            raise ValueError(f"{path}:{ln}: unknown class label {cname!r}")
+        try:
+            values.append([float(v) for v in parts[3:]])
+        except ValueError as e:
+            raise ValueError(f"{path}:{ln}: {e}") from None
+        label, frames, at = rows.setdefault(gid, (cname, [], []))
+        if label != cname:
+            raise ValueError(f"{path}:{ln}: class changes within gesture {gid}")
+        frames.append(frame)
+        at.append(len(values) - 1)
+    if not rows:
+        raise ValueError(f"{path}: no gesture rows")
+    values = np.array(values, dtype=float)
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}:{int(bad.argmax()) + 2}: non-finite value")
+    samples, frame_counts = [], set()
+    for gid, (cname, frames, at) in rows.items():
+        if frames != list(range(len(frames))):
+            raise ValueError(f"{path}: gap in frame indices for gesture {gid}")
+        X = values[at].T
+        frame_counts.add(X.shape[1])
+        samples.append(GestureSample(X=X, label=class_names.index(cname), meta=str(gid)))
+    if len(frame_counts) > 1:
+        raise ValueError(f"{path}: ragged gestures, frame counts {frame_counts}")
+    return Dataset(samples, class_names, sample_rate, extra)
+
+
+def _assert_same_dataset(a, b):
+    assert len(a.samples) == len(b.samples)
+    for s, r in zip(a.samples, b.samples):
+        # compared as bits, so the sign of zero counts
+        assert s.X.shape == r.X.shape and s.X.strides == r.X.strides
+        assert np.array_equal(s.X.view(np.uint64), r.X.view(np.uint64))
+        assert (s.label, s.meta) == (r.label, r.meta)
+        assert type(s.label) is type(r.label) and type(s.meta) is type(r.meta)
+    assert (a.class_names, a.sample_rate, a.meta) == (b.class_names, b.sample_rate, b.meta)
+
+
+PARITY_CONFIGS = {
+    "defaults": {},
+    "noiseless": {"noise_stddev": 0.0},
+    "drift": {"drift_rate": 0.05},
+    "quantized": {"quantize_12bit": True},
+    "amplitude": {"amplitude": 2.5},
+    "one-per-class": {"samples_per_class": 1},
+}
+
+
+@pytest.mark.parametrize("kind", ["tap", "swipe"])
+@pytest.mark.parametrize("overrides", PARITY_CONFIGS.values(), ids=PARITY_CONFIGS)
+def test_synth_matches_reference(kind, overrides):
+    cfg = SynthConfig(kind=kind, seed=3, **overrides)
+    _assert_same_dataset(synth_generate(cfg), _reference_synth(cfg))
+
+
+@pytest.mark.parametrize("kind", ["tap", "swipe"])
+@pytest.mark.parametrize("overrides", PARITY_CONFIGS.values(), ids=PARITY_CONFIGS)
+def test_csv_matches_reference(tmp_path, kind, overrides):
+    ds = synth_generate(SynthConfig(kind=kind, seed=3, **overrides))
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    save_csv(ds, ours)
+    _reference_save(ds, ref)
+    assert ours.read_bytes() == ref.read_bytes()
+    _assert_same_dataset(load_csv(ours), _reference_load(ours))
+
+
+def test_quantized_synth_keeps_negative_zero():
+    # the sign-of-zero comparison above has something to compare
+    X, _ = synth_generate(SynthConfig(kind="tap", quantize_12bit=True, seed=3)).stacked()
+    assert np.any((X == 0) & np.signbit(X))
+
+
+# -- properties
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]
+values = st.one_of(st.sampled_from(EDGE_VALUES),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 5))
+    C = draw(st.integers(1, 4))
+    T = draw(st.integers(1, 5))
+    samples = [
+        GestureSample(
+            X=np.array(draw(st.lists(values, min_size=C * T, max_size=C * T))).reshape(C, T),
+            label=draw(st.integers(0, len(CLASS_NAMES) - 1)),
+        )
+        for _ in range(n)
+    ]
+    return Dataset(samples, meta={"seed": draw(st.integers(0, 9))})
+
+
+PROPERTY = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY
+@given(ds=datasets())
+def test_csv_round_trip_property(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("rt") / "g.csv"
+    save_csv(ds, path)
+    ref = path.with_name("ref.csv")
+    _reference_save(ds, ref)
+    assert path.read_bytes() == ref.read_bytes()
+    back = load_csv(path)
+    _assert_same_dataset(back, _reference_load(path))
+    assert [s.meta for s in back.samples] == [str(i) for i in range(len(ds.samples))]
+    for s, r in zip(ds.samples, back.samples):
+        assert np.array_equal(s.X.view(np.uint64), r.X.view(np.uint64))
+        assert s.label == r.label
+
+
+def _outcome(loader, path):
+    try:
+        return loader(path)
+    except ValueError as e:
+        return str(e)
+
+
+def _corrupt(draw, lines, C):
+    """One fault at a random data line; a line an earlier fault left
+    with the wrong field count is not edited again."""
+    if len(lines) < 2:
+        return lines
+    i = draw(st.integers(1, len(lines) - 1))
+    parts = lines[i].split(",")
+    if len(parts) != 3 + C:
+        return lines
+    kind = draw(st.sampled_from([
+        "fields", "frame", "class", "nonfinite", "class-change", "gap",
+        "drop-row", "interleave", "blank", "value-syntax", "gesture-id",
+    ]))
+    if kind == "fields":
+        parts = parts[:-1] if draw(st.booleans()) else parts + ["1"]
+    elif kind == "frame":
+        parts[2] = draw(st.sampled_from(["1.0", "x", "", "1e3", " 0", "+1", "0_0", "١"]))
+    elif kind == "class":
+        parts[1] = draw(st.sampled_from(["up", "North", " north", ""]))
+    elif kind == "nonfinite":
+        parts[3 + draw(st.integers(0, C - 1))] = draw(
+            st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "1e400"]))
+    elif kind == "gesture-id":
+        parts[0] = draw(st.sampled_from(["0", "1", "00", " 1", "a", "\x1f", ""]))
+    elif kind == "class-change":
+        parts[1] = draw(st.sampled_from(CLASS_NAMES))
+    elif kind == "gap":
+        step = draw(st.sampled_from([-1, 1, 2]))
+        parts[2] = str(int(parts[2]) + step) if parts[2].isdigit() else "9"
+    elif kind == "drop-row":
+        return lines[:i] + lines[i + 1:]
+    elif kind == "interleave":
+        j = draw(st.integers(1, len(lines) - 1))
+        lines = list(lines)
+        lines.insert(j, lines.pop(i))
+        return lines
+    elif kind == "blank":
+        return lines[:i] + [draw(st.sampled_from(["", " ", ","]))] + lines[i:]
+    else:
+        parts[3 + draw(st.integers(0, C - 1))] = draw(
+            st.sampled_from([" 1.5", "1.5 ", "+2", ".5", "5.", "1e-400", "\x1f1", "0x10", "1,5"]))
+    return lines[:i] + [",".join(parts)] + lines[i + 1:]
+
+
+@st.composite
+def corrupted_files(draw):
+    n = draw(st.integers(1, 4))
+    C = draw(st.integers(1, 3))
+    T = draw(st.integers(1, 4))
+    lines = ["gesture_id,class,frame," + ",".join(f"ch{c}" for c in range(C))]
+    for g in range(n):
+        name = draw(st.sampled_from(CLASS_NAMES))
+        for t in range(T):
+            vals = draw(st.lists(st.sampled_from(["0", "-1.5", "2.25e-3", "7"]),
+                                 min_size=C, max_size=C))
+            lines.append(",".join([str(g), name, str(t), *vals]))
+    for _ in range(draw(st.integers(1, 3))):
+        lines = _corrupt(draw, lines, C)
+    return "".join(line + "\n" for line in lines)
+
+
+@PROPERTY
+@given(text=corrupted_files())
+def test_load_csv_matches_reference_on_corrupt_files(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("bad") / "g.csv"
+    path.write_text(text)
+    ours, ref = _outcome(load_csv, path), _outcome(_reference_load, path)
+    if isinstance(ref, str):
+        assert ours == ref
+    else:
+        _assert_same_dataset(ours, ref)
+
+
+@pytest.mark.parametrize("value", ["1_0", "١", "1.5١"])
+def test_csv_value_syntax_only_float_takes_is_rejected_with_its_line(tmp_path, value):
+    # float() reads '_' separators and non-ASCII digits; the loader's
+    # parse does not, and names the line
+    p = tmp_path / "odd.csv"
+    p.write_text(f"gesture_id,class,frame,ch0\n0,north,0,1\n0,north,1,{value}\n")
+    assert _reference_load(p).samples[0].X[0, 1] == float(value)
+    with pytest.raises(ValueError, match=r"odd\.csv:3: numbers must be plain ASCII"):
+        load_csv(p)
+
+
+def test_csv_frame_beyond_int64_rejected_with_its_line(tmp_path):
+    # int() reads it and the per-line loader reported a frame gap; the
+    # parse holds frames as int64 and names the line
+    p = tmp_path / "odd.csv"
+    p.write_text("gesture_id,class,frame,ch0\n0,north,0,1\n0,north,9223372036854775808,2\n")
+    with pytest.raises(ValueError, match="gap in frame indices for gesture 0"):
+        _reference_load(p)
+    with pytest.raises(ValueError, match=r"odd\.csv:3: numbers must be plain ASCII"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("frame,expected", [("1_0", 10), ("١٠", 10), (" 10 ", 10)])
+def test_csv_frame_reads_as_int_does(tmp_path, frame, expected):
+    p = tmp_path / "g.csv"
+    rows = [f"0,north,{t},{t}" for t in range(10)] + [f"0,north,{frame},10"]
+    p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n")
+    back = load_csv(p)
+    assert back.samples[0].X.shape == (1, expected + 1)
+    _assert_same_dataset(back, _reference_load(p))
+
+
+@pytest.mark.parametrize("name,rows", [
+    # float() does not strip the unit separator; numpy's parse does
+    ("separator-value", ["0,north,0,1", "0,north,1,\x1f1"]),
+    ("separator-id", ["\x1f,north,0,1", "\x1f,north,1,2"]),
+    # interleaved gestures load in first-appearance order, frames in file order
+    ("interleaved", [f"{g},{c},{t},{g * 100 + t}" for t in range(40)
+                     for g, c in ((7, "west"), (3, "east"))]),
+    # the set of frame counts prints as the per-line loader built it
+    ("ragged", ["0,north,0,1"] + [f"1,south,{t},1" for t in range(9)]),
+])
+def test_csv_edge_files_match_reference(tmp_path, name, rows):
+    p = tmp_path / "g.csv"
+    p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n")
+    ours, ref = _outcome(load_csv, p), _outcome(_reference_load, p)
+    if isinstance(ref, str):
+        assert ours == ref
+    else:
+        _assert_same_dataset(ours, ref)
