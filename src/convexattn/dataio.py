@@ -1,9 +1,4 @@
-"""Gesture dataset ingestion, preprocessing, and synthetic generation.
-
-The preprocessing pipeline runs in a fixed order: segmentation, drift
-removal, (denoising slot, a no-op on synthetic data), moving-average
-smoothing, then z-score normalization with train-set statistics.
-"""
+"""Gesture datasets: synthetic generation, z-score statistics and CSV I/O."""
 
 import json
 import warnings
@@ -12,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numutil import RngStream, check_finite
+from .numutil import RngStream
 
 CLASS_NAMES = ("north", "south", "east", "west")
 GESTURE_KINDS = ("tap", "swipe")
@@ -49,7 +44,7 @@ SWIPE_DIRECTIONS = np.array(
 
 @dataclass
 class GestureSample:
-    """One segmented gesture: channels x frames matrix plus its label."""
+    """One gesture: channels x frames matrix plus its label."""
 
     X: np.ndarray
     label: int
@@ -79,19 +74,6 @@ class Dataset:
 
 
 @dataclass
-class RawStream:
-    """Continuous multi-channel capacitance recording."""
-
-    sample_rate: float
-    samples: np.ndarray  # (C, N)
-
-    def __post_init__(self):
-        self.samples = np.atleast_2d(check_finite(self.samples, "stream"))
-        if self.sample_rate <= 0 or self.samples.shape[1] < 1:
-            raise ValueError("need sample_rate > 0 and at least one frame")
-
-
-@dataclass
 class SynthConfig:
     kind: str  # one of GESTURE_KINDS
     samples_per_class: int = 100
@@ -113,79 +95,6 @@ class SynthConfig:
             raise ValueError(f"noise_stddev must be >= 0, got {self.noise_stddev}")
         if self.frames == 0:
             self.frames = 10 if self.kind == "tap" else 30
-
-
-def _trailing_mean(X, window):
-    """Mean of the last `window` frames up to each frame along the last
-    axis (fewer frames at the start)."""
-    zero = np.zeros(X.shape[:-1] + (1,))
-    csum = np.cumsum(np.concatenate([zero, X], axis=-1), axis=-1)
-    hi = np.arange(1, X.shape[-1] + 1)
-    lo = np.maximum(0, hi - window)
-    return (csum[..., hi] - csum[..., lo]) / (hi - lo)
-
-
-def _rolling_var(x, window):
-    """Trailing rolling variance along the last axis (prefix at the edges)."""
-    mean = _trailing_mean(x, window)
-    return np.maximum(_trailing_mean(x * x, window) - mean * mean, 0.0)
-
-
-def segment(stream, window_ms=200.0):
-    """Variance-threshold gesture segmentation.
-
-    Onset where the channel-averaged rolling variance exceeds 2.5x the
-    baseline (variance of the first window); offset once it stays
-    within 1.5x baseline for at least 100 ms; spans get a 5-frame
-    post-offset buffer and never overlap.
-    """
-    window = max(1, int(round(window_ms / 1000.0 * stream.sample_rate)))
-    hold = max(1, int(round(0.100 * stream.sample_rate)))
-    X = stream.samples
-    if X.shape[1] < window:
-        raise ValueError("stream shorter than the baseline window")
-    var = _rolling_var(X, window).mean(axis=0)
-    baseline = float(np.mean([np.var(ch[:window]) for ch in X]))
-    onset_thr = 2.5 * baseline
-    offset_thr = 1.5 * baseline
-
-    spans = []
-    n = X.shape[1]
-    t = window
-    while t < n:
-        if var[t] > onset_thr:
-            start = t
-            quiet = 0
-            while t < n and quiet < hold:
-                quiet = quiet + 1 if var[t] <= offset_thr else 0
-                t += 1
-            end = min(n, t + 5)
-            spans.append((start, end))
-            t = end
-        else:
-            t += 1
-    return spans
-
-
-def remove_drift(X, window_ms=200.0, sample_rate=250.0):
-    """Subtract a trailing rolling mean per channel (baseline drift)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    window = max(1, int(round(window_ms / 1000.0 * sample_rate)))
-    return X - _trailing_mean(X, window)
-
-
-def smooth(X):
-    """Centered 3-frame moving average; edges average what exists."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    T = X.shape[1]
-    if T == 1:
-        return X.copy()
-    out = np.empty_like(X)
-    out[:, 0] = X[:, :2].mean(axis=1)
-    out[:, -1] = X[:, -2:].mean(axis=1)
-    if T > 2:
-        out[:, 1:-1] = (X[:, :-2] + X[:, 1:-1] + X[:, 2:]) / 3.0
-    return out
 
 
 def zscore_fit(X):
@@ -281,23 +190,6 @@ def synth_generate(config):
     )
 
 
-def preprocess(dataset, window_ms=200.0):
-    """Drift removal + smoothing on every sample (z-score happens at
-    train time with train-set stats). Refuses to run twice."""
-    if dataset.meta.get("preprocessed"):
-        raise ValueError("dataset is already preprocessed")
-    out = [
-        GestureSample(
-            X=smooth(remove_drift(s.X, window_ms, dataset.sample_rate)),
-            label=s.label,
-            meta=s.meta,
-        )
-        for s in dataset.samples
-    ]
-    meta = dict(dataset.meta, preprocessed=True)
-    return Dataset(out, dataset.class_names, dataset.sample_rate, meta)
-
-
 def save_csv(dataset, path):
     """Write gesture_id,class,frame,ch0..chN rows plus a JSON sidecar.
 
@@ -388,12 +280,14 @@ def load_csv(path):
     order, and every gesture has the same T. Rows are grouped by
     gesture_id in order of first appearance (a gesture's rows need not
     be adjacent). A fault in a row is reported as ``path:line:``, the
-    first such line in the file; a frame gap or ragged gestures, which
-    belong to no single row, as ``path:`` with the gesture. Ids and
-    class names are kept as written, frames are read as int() reads
-    them, and values as float() does except that a value with '_' or
-    non-ASCII digits is refused at its line. A file ``save_csv`` wrote
-    loads to the same bits in every version.
+    first such line in the file. A frame gap is reported at the first
+    out-of-sequence row of the first gesture that has one, and ragged
+    gestures at the first row of the first gesture whose frame count
+    differs from the first gesture's. Ids and class names are kept as
+    written, frames are read as int() reads them, and values as float()
+    does except that a value with '_' or non-ASCII digits is refused at
+    its line. A file ``save_csv`` wrote loads to the same bits in every
+    version.
     """
     path = Path(path)
     text = path.read_text()
@@ -464,12 +358,12 @@ def load_csv(path):
     expected = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
     gap = np.flatnonzero(frame[order] != expected)
     if gap.size:
-        raise ValueError(
-            f"{path}: gap in frame indices for gesture {gid[order[gap[0]]]}"
-        )
-    frame_counts = set(counts.tolist())
-    if len(frame_counts) > 1:
-        raise ValueError(f"{path}: ragged gestures, frame counts {frame_counts}")
+        r = int(order[gap[0]])
+        raise ValueError(f"{path}:{r + 2}: gap in frame indices for gesture {gid[r]}")
+    ragged = np.flatnonzero(counts != counts[0])
+    if ragged.size:
+        raise ValueError(f"{path}:{int(first[ragged[0]]) + 2}: ragged gestures, "
+                         f"frame counts {set(counts.tolist())}")
     X = values[order].reshape(len(counts), counts[0], C)
     samples = [
         GestureSample(X=x.T, label=label, meta=g)

@@ -91,7 +91,7 @@ def features_for(X, bundle):
 
 
 def predict(X, bundle):
-    """Classify one raw segmented gesture.
+    """Classify one raw gesture.
 
     Returns (label, scores); ties in the argmax go to the lowest class
     index.

@@ -139,7 +139,7 @@ def train(dataset, config):
 
     Accepts a dataio.Dataset or an (X, y) pair. Deterministic given the
     config seed; the returned bundle carries train-set normalization
-    stats so inference consumes raw segmented gestures.
+    stats so inference consumes raw gestures.
     """
     X, y = _validate_dataset(dataset, config)
     n = X.shape[0]

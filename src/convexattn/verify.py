@@ -50,6 +50,8 @@ def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not noise_stddev > 0:
+        raise ValueError(f"noise_stddev must be > 0, got {noise_stddev}")
     X = np.asarray(X, dtype=float)
     if X.shape[0] == 0:
         raise ValueError("test set must be nonempty")
@@ -63,7 +65,7 @@ def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None,
     violations = np.empty(trials)
     for t in range(trials):
         g = rng.derive(1000 + t)
-        noise = g.gauss(2 * A0.size, 0.0, noise_stddev) if noise_stddev > 0 else np.zeros(2 * A0.size)
+        noise = g.gauss(2 * A0.size, 0.0, noise_stddev)
         A1 = A0 + noise[: A0.size].reshape(A0.shape)
         A2 = A0 + noise[A0.size:].reshape(A0.shape)
         l1 = pipeline_loss(A1, Q, y, loss_kind)

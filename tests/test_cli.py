@@ -229,8 +229,8 @@ def test_bench_reports_latency(workdir, capsys):
     assert "latency: mean" in stdout
     latency = next(line for line in stdout.splitlines() if line.startswith("latency:"))
     assert " us, p50 " in latency and " us, p99 " in latency
-    assert "preprocessing" not in stdout
-    assert "model size:" in stdout
+    # exactly these two lines, and no others
+    assert [line.split(":")[0] for line in stdout.splitlines()] == ["latency", "model size"]
 
 
 def test_export_32_with_parity(workdir, tmp_path, capsys):

@@ -14,79 +14,14 @@ from convexattn.dataio import (
     SWIPE_DIRECTIONS,
     Dataset,
     GestureSample,
-    RawStream,
     SynthConfig,
-    _rolling_var,
     load_csv,
-    preprocess,
-    remove_drift,
     save_csv,
-    segment,
-    smooth,
     synth_generate,
     zscore_apply,
     zscore_fit,
 )
 from convexattn.numutil import RngStream
-
-
-def test_smooth_hand_case():
-    out = smooth(np.array([[0.0, 3.0, 0.0]]))
-    assert np.allclose(out, [[1.5, 1.0, 1.5]])
-
-
-def test_smooth_constant_unchanged():
-    X = np.full((2, 7), 4.2)
-    assert np.allclose(smooth(X), X)
-
-
-def test_smooth_single_frame():
-    assert np.allclose(smooth(np.array([[5.0]])), [[5.0]])
-
-
-def test_smooth_reduces_noise_variance():
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(1, 500))
-    assert smooth(X).var() < X.var()
-
-
-def test_remove_drift_kills_constant_offset():
-    X = np.full((2, 50), 7.0)
-    assert np.allclose(remove_drift(X), 0.0)
-
-
-def test_remove_drift_linear_ramp_bounded():
-    # a slow ramp is mostly removed; the residual stays near the
-    # half-window lag value
-    rate = 0.01
-    X = rate * np.arange(300)[None, :]
-    out = remove_drift(X, window_ms=200.0, sample_rate=250.0)
-    assert np.abs(out[0, 100:]).max() <= rate * 50 * 0.5 + 1e-9
-
-
-def _trailing_loop(ch, window):
-    """Per-frame trailing mean and variance of one channel."""
-    csum = np.cumsum(np.concatenate([[0.0], ch]))
-    csq = np.cumsum(np.concatenate([[0.0], ch * ch]))
-    mean, var = np.empty(ch.size), np.empty(ch.size)
-    for t in range(ch.size):
-        lo = max(0, t + 1 - window)
-        w = t + 1 - lo
-        mean[t] = (csum[t + 1] - csum[lo]) / w
-        var[t] = (csq[t + 1] - csq[lo]) / w - mean[t] * mean[t]
-    return mean, np.maximum(var, 0.0)
-
-
-@pytest.mark.parametrize("frames,window", [(30, 1), (30, 50), (1, 50), (1, 1), (300, 50)])
-def test_trailing_window_matches_loop(frames, window):
-    # window_ms=200 at 250 Hz is a 50-frame window
-    X = np.random.default_rng(frames + window).normal(2.0, 1.5, size=(3, frames))
-    rate = window * 1000.0 / 200.0
-    drift = np.array([ch - _trailing_loop(ch, window)[0] for ch in X])
-    assert np.array_equal(remove_drift(X, window_ms=200.0, sample_rate=rate), drift)
-    var = np.array([_trailing_loop(ch, window)[1] for ch in X])
-    assert np.array_equal(_rolling_var(X, window), var)
-    assert np.array_equal(_rolling_var(X[0], window), var[0])
 
 
 def test_zscore_fit_apply_round_trip():
@@ -113,37 +48,6 @@ def test_zscore_fit_needs_two_samples():
         zscore_fit(np.ones((1, 2, 5)))
     with pytest.raises(ValueError):
         zscore_fit(np.ones((2, 5)))
-
-
-def test_segment_finds_single_burst():
-    rng = np.random.default_rng(2)
-    x = rng.normal(0, 0.01, size=(4, 1000))
-    x[:, 400:480] += 1.0 * np.sin(np.linspace(0, 6 * np.pi, 80))
-    spans = segment(RawStream(sample_rate=250.0, samples=x))
-    assert len(spans) == 1
-    s, e = spans[0]
-    assert 350 <= s <= 410 and 480 <= e <= 620
-
-
-def test_segment_two_bursts_no_overlap():
-    rng = np.random.default_rng(3)
-    x = rng.normal(0, 0.01, size=(2, 2000))
-    for t0 in (500, 1300):
-        x[:, t0:t0 + 60] += np.sin(np.linspace(0, 4 * np.pi, 60))
-    spans = segment(RawStream(sample_rate=250.0, samples=x))
-    assert len(spans) == 2
-    assert spans[0][1] <= spans[1][0]
-
-
-def test_segment_quiet_stream_empty():
-    rng = np.random.default_rng(4)
-    x = rng.normal(0, 0.01, size=(2, 800))
-    assert segment(RawStream(sample_rate=250.0, samples=x)) == []
-
-
-def test_segment_rejects_short_stream():
-    with pytest.raises(ValueError):
-        segment(RawStream(sample_rate=250.0, samples=np.zeros((2, 10))))
 
 
 def test_synth_shapes_and_balance():
@@ -197,25 +101,6 @@ def test_synth_drift_and_quantize():
     assert np.allclose(steps, np.round(steps), atol=1e-9)
 
 
-def test_preprocess_once_only():
-    ds = synth_generate(SynthConfig(kind="tap", samples_per_class=2, seed=0))
-    pp = preprocess(ds)
-    assert pp.meta["preprocessed"]
-    assert ds.meta.get("preprocessed") is None  # input untouched
-    with pytest.raises(ValueError):
-        preprocess(pp)
-
-
-def test_preprocess_removes_drift_component():
-    cfg = SynthConfig(kind="tap", samples_per_class=3, drift_rate=0.05,
-                      noise_stddev=0.0, seed=2)
-    raw, _ = synth_generate(cfg).stacked()
-    pp, _ = preprocess(synth_generate(cfg)).stacked()
-    ramp_raw = raw[:, :, -1].mean() - raw[:, :, 0].mean()
-    ramp_pp = pp[:, :, -1].mean() - pp[:, :, 0].mean()
-    assert abs(ramp_pp) < abs(ramp_raw)
-
-
 def test_csv_round_trip(tmp_path):
     ds = synth_generate(SynthConfig(kind="tap", samples_per_class=3, seed=5))
     path = tmp_path / "gestures.csv"
@@ -255,7 +140,15 @@ def test_csv_frame_gap_rejected(tmp_path):
     p.write_text(
         "gesture_id,class,frame,ch0\n0,north,0,1.0\n0,north,2,1.0\n"
     )
-    with pytest.raises(ValueError, match="gap in frame"):
+    with pytest.raises(ValueError, match=r"bad\.csv:3: gap in frame indices for gesture 0$"):
+        load_csv(p)
+    # gestures are checked in order of first appearance: gesture 5's gap
+    # on line 6 is reported before gesture 3's on line 4
+    p.write_text(
+        "gesture_id,class,frame,ch0\n5,north,0,1\n3,south,0,1\n3,south,2,1\n"
+        "5,north,1,1\n5,north,3,1\n"
+    )
+    with pytest.raises(ValueError, match=r"bad\.csv:6: gap in frame indices for gesture 5$"):
         load_csv(p)
 
 
@@ -272,7 +165,14 @@ def test_csv_ragged_rejected(tmp_path):
         "gesture_id,class,frame,ch0\n"
         "0,north,0,1.0\n0,north,1,1.0\n1,south,0,1.0\n"
     )
-    with pytest.raises(ValueError, match="ragged"):
+    with pytest.raises(ValueError, match=r"bad\.csv:4: ragged gestures"):
+        load_csv(p)
+    # the first gesture sets the count: gesture 1 is reported, not 0
+    p.write_text(
+        "gesture_id,class,frame,ch0\n"
+        "0,north,0,1.0\n1,south,0,1.0\n1,south,1,1.0\n2,east,0,1.0\n2,east,1,1.0\n"
+    )
+    with pytest.raises(ValueError, match=r"bad\.csv:3: ragged gestures"):
         load_csv(p)
 
 
@@ -460,15 +360,18 @@ def _reference_load(path):
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         raise ValueError(f"{path}:{int(bad.argmax()) + 2}: non-finite value")
-    samples, frame_counts = [], set()
+    samples, frame_counts, first_lines = [], set(), []
     for gid, (cname, frames, at) in rows.items():
-        if frames != list(range(len(frames))):
-            raise ValueError(f"{path}: gap in frame indices for gesture {gid}")
+        gap = [j for j, frame in enumerate(frames) if frame != j]
+        if gap:
+            raise ValueError(f"{path}:{at[gap[0]] + 2}: gap in frame indices for gesture {gid}")
         X = values[at].T
         frame_counts.add(X.shape[1])
+        first_lines.append(at[0] + 2)
         samples.append(GestureSample(X=X, label=class_names.index(cname), meta=str(gid)))
-    if len(frame_counts) > 1:
-        raise ValueError(f"{path}: ragged gestures, frame counts {frame_counts}")
+    for s, ln in zip(samples, first_lines):
+        if s.X.shape[1] != samples[0].X.shape[1]:
+            raise ValueError(f"{path}:{ln}: ragged gestures, frame counts {frame_counts}")
     return Dataset(samples, class_names, sample_rate, extra)
 
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,18 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{ln}: {name}" for name, ln in imported.items()
                    if name not in used]
     assert not unused, unused
+
+
+def test_demo_imports_resolve():
+    # a demo runs a full training, so its imports are checked statically:
+    # a name deleted from the package fails here, not when a demo is run
+    missing, checked = [], 0
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "convexattn":
+                module = importlib.import_module(node.module)
+                checked += len(node.names)
+                missing += [f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+                            for alias in node.names if not hasattr(module, alias.name)]
+    assert checked, "no convexattn import found in demos/"
+    assert not missing, missing

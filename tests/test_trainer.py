@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convexattn.dataio import SynthConfig, preprocess, synth_generate, zscore_fit
+from convexattn.dataio import SynthConfig, synth_generate, zscore_fit
 from convexattn.features import PatchSpec, lift, rff_init
 from convexattn.model import ModelBundle, serialize
 from convexattn.projections import nuclear_ball_project, nuclear_norm, simplex_project_rows
@@ -42,7 +42,7 @@ def tiny_config(loss_kind="hinge", seed=0, epochs=60, channels=4, frames=10,
 def tap_dataset(n_per_class=20, seed=0, noise=0.05):
     cfg = SynthConfig(kind="tap", samples_per_class=n_per_class,
                       noise_stddev=noise, seed=seed)
-    return preprocess(synth_generate(cfg))
+    return synth_generate(cfg)
 
 
 def test_preset_names_and_values():
@@ -272,6 +272,14 @@ def test_split_evaluate_easy_data():
     assert out["sizes"] == (60, 20, 20)
     assert out["test_accuracy"] >= 0.95
     assert out["confusion"].sum() == 20
+
+
+def test_split_evaluate_copes_with_drift():
+    # the classifier reads raw frames: a per-frame sensor drift needs no
+    # filter stage in front of train-set z-scoring
+    ds = synth_generate(SynthConfig(kind="tap", samples_per_class=25, drift_rate=0.05, seed=3))
+    out = split_evaluate(ds, replace(preset_config("tap-tuned"), epochs=30))
+    assert out["test_accuracy"] >= 0.99
 
 
 def test_evaluate_rejects_channel_mismatch():

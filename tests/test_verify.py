@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convexattn.dataio import SynthConfig, preprocess, synth_generate
+from convexattn.dataio import SynthConfig, synth_generate
 from convexattn.features import PatchSpec, lift
 from convexattn.numutil import RngStream
 from convexattn.trainer import TrainConfig, train
@@ -61,11 +61,12 @@ def test_convexity_check_deterministic(trained):
     assert a.max_violation == b.max_violation
 
 
-def test_convexity_check_zero_noise_trivial(trained):
+@pytest.mark.parametrize("noise", [0.0, -1.0])
+def test_convexity_check_rejects_nonpositive_noise(trained, noise):
+    # zero noise would compare the trained weights with themselves
     bundle, X, y = trained
-    rep = convexity_check(bundle, X, y, trials=3, noise_stddev=0.0)
-    assert rep.passed
-    assert abs(rep.max_violation) <= 1e-12
+    with pytest.raises(ValueError, match=rf"noise_stddev must be > 0, got {noise}"):
+        convexity_check(bundle, X, y, trials=3, noise_stddev=noise)
 
 
 def test_convexity_check_rejects(trained):
