@@ -129,6 +129,10 @@ def cmd_eval(args):
             print("methodology: stratified 60-20-20 train-validation-test split")
             res = trainer.split_evaluate(ds, cfg)
             print(
+                f"val_accuracy: {res['val_accuracy']:.4f}  "
+                f"val_macro_f1: {res['val_macro_f1']:.4f}"
+            )
+            print(
                 f"accuracy: {res['test_accuracy']:.4f}  "
                 f"macro_f1: {res['test_macro_f1']:.4f}  "
                 f"split sizes: {res['sizes']}"

@@ -5,6 +5,7 @@ temporal patches; each patch vector is lifted with a fixed random cosine
 feature map whose inner products approximate an RBF kernel.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,7 @@ def patchify(X, spec):
     Returns (patches, patch_dim) rows, channel-major within a frame and
     frames in temporal order; a view of X when each patch is one frame.
     """
-    X = np.atleast_2d(check_finite(X, "gesture"))
+    X = check_finite(X, "gesture")
     if X.shape != (spec.channels, spec.frames):
         raise ValueError(
             f"gesture shape {X.shape} does not match spec "
@@ -98,15 +99,19 @@ def rff_transform(patches, rmap):
             f"patch length {patches.shape[1]} does not match map "
             f"patch_dim {rmap.patch_dim}"
         )
-    return np.sqrt(2.0 / rmap.m) * np.cos(patches @ rmap.W + rmap.b)
+    out = patches @ rmap.W
+    out += rmap.b
+    np.cos(out, out=out)
+    out *= math.sqrt(2.0 / rmap.m)
+    return out
 
 
 def lift(X, stats, spec, rff):
-    """Normalize, patchify and RFF-transform a stack of raw gestures.
+    """Normalize a stack of raw gestures, patchify each, RFF-map all rows.
 
     X has shape (n, channels, frames) and stats is the (mean, std) pair
     of per-channel normalization statistics; returns Q of shape
-    (n, patches, m).
+    (n, patches, m), all n * patches rows mapped by one rff_transform.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[1:] != (spec.channels, spec.frames):
@@ -114,7 +119,7 @@ def lift(X, stats, spec, rff):
             f"gesture shape {X.shape[1:]} does not match spec "
             f"({spec.channels}, {spec.frames})"
         )
-    Q = np.empty((X.shape[0], spec.patches, rff.m))
+    rows = np.empty((len(X), spec.patches, spec.patch_dim))
     for i, x in enumerate(zscore_apply(X, stats)):
-        Q[i] = rff_transform(patchify(x, spec), rff)
-    return Q
+        rows[i] = patchify(x, spec)
+    return rff_transform(rows.reshape(-1, spec.patch_dim), rff).reshape(*rows.shape[:2], rff.m)

@@ -11,38 +11,55 @@ import numpy as np
 LOSS_KINDS = ("hinge", "squared")
 
 
+def _as_labels(labels):
+    """labels as an int array; a non-integral label is an error, not
+    truncated (an integer array passes without a numpy pass)."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        as_int = labels.astype(int)
+        bad = as_int != labels
+        if bad.any():
+            raise ValueError(f"labels must be integers, got {labels[bad][0]}")
+        labels = as_int
+    return labels
+
+
 def one_hot(labels, n_classes):
-    labels = np.asarray(labels, dtype=int)
-    if labels.min() < 0 or labels.max() >= n_classes:
+    labels = _as_labels(labels)
+    if labels.ndim > 1:
+        raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError("labels out of range")
     Y = np.zeros((labels.size, n_classes))
     Y[np.arange(labels.size), labels] = 1.0
     return Y
 
 
+def _margins(f, labels):
+    """(one-hot labels Y, best rival per sample with ties to the lowest
+    index, row index, margin 1 - f_true + f_rival) of scores f (n, K)."""
+    n, K = f.shape
+    labels = _as_labels(labels)
+    if labels.shape != (n,):
+        raise ValueError("labels length must match score rows")
+    Y = one_hot(labels, K)
+    rival = np.where(Y > 0, -np.inf, f).argmax(axis=1)
+    idx = np.arange(n)
+    return Y, rival, idx, 1.0 - f[idx, labels] + f[idx, rival]
+
+
 def hinge_loss(f, labels):
     """Mean multi-class hinge: max(0, 1 - f_true + best rival score)."""
     f = np.atleast_2d(np.asarray(f, dtype=float))
-    labels = np.asarray(labels, dtype=int)
-    n, K = f.shape
-    if K < 2:
+    if f.shape[1] < 2:
         raise ValueError("hinge loss needs at least 2 classes")
-    if labels.shape != (n,):
-        raise ValueError("labels length must match score rows")
-    idx = np.arange(n)
-    margin = 1.0 - f[idx, labels] + f[idx, _rival_argmax(f, labels)]
-    return float(np.maximum(0.0, margin).mean())
-
-
-def _rival_argmax(f, labels):
-    """Best rival class per sample, ties to the lowest index."""
-    masked = np.where(one_hot(labels, f.shape[1]) > 0, -np.inf, f)
-    return masked.argmax(axis=1)
+    return float(np.maximum(0.0, _margins(f, labels)[3]).mean())
 
 
 def _fixed_attention(Q, A, alpha, f):
-    """(Q, alpha, f) as float arrays, alpha checked against Q and A; f as
-    given, else with model._score's arithmetic sqrt(m) <alpha, QA/sqrt(m)>."""
+    """(Q, alpha, f) as float arrays, alpha checked against Q and A; f
+    checked when given, else computed with model._score's arithmetic
+    sqrt(m) <alpha, QA/sqrt(m)>."""
     Q = np.asarray(Q, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != Q.shape[:1] + A.shape[:2]:
@@ -50,6 +67,10 @@ def _fixed_attention(Q, A, alpha, f):
     if f is None:
         root_m = np.sqrt(Q.shape[2])
         f = root_m * np.einsum("nkp,nkp->nk", alpha, np.einsum("npm,kpm->nkp", Q, A) / root_m)
+    else:
+        f = np.asarray(f, dtype=float)
+        if f.shape != alpha.shape[:2]:
+            raise ValueError(f"scores shape {f.shape} != {alpha.shape[:2]}")
     return Q, alpha, f
 
 
@@ -62,15 +83,11 @@ def hinge_subgradient(Q, labels, A, alpha, f=None):
     it; samples with margin <= 0 contribute the zero subgradient.
     """
     Q, alpha, f = _fixed_attention(Q, A, alpha, f)
-    labels = np.asarray(labels, dtype=int)
-    n, K = f.shape
-    idx = np.arange(n)
-    rival = _rival_argmax(f, labels)
-    viol = 1.0 - f[idx, labels] + f[idx, rival] > 0  # positive margin
-    coeff = np.zeros((n, K))
-    coeff[idx[viol], rival[viol]] = 1.0
-    coeff[idx[viol], labels[viol]] -= 1.0
-    return np.einsum("nkp,npm->kpm", coeff[:, :, None] * alpha, Q) / n
+    Y, rival, idx, margin = _margins(f, labels)
+    coeff = 0.0 - Y  # +0.0 off the label, as a zero-filled start gives
+    coeff[idx, rival] = 1.0
+    coeff[~(margin > 0)] = 0.0  # margin <= 0: the zero subgradient
+    return np.einsum("nkp,npm->kpm", coeff[:, :, None] * alpha, Q) / len(Q)
 
 
 def squared_loss(f, Y):

@@ -7,6 +7,7 @@ per-patch alignments. The whole trained state serializes to a compact
 binary bundle.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -64,11 +65,9 @@ def _score(Q, A):
     A = np.asarray(A, dtype=float)
     if Q.ndim != 3 or Q.shape[1:] != A.shape[1:]:
         raise ValueError(f"shape mismatch: Q {Q.shape} vs A {A.shape}")
-    n, P, m = Q.shape
-    K = A.shape[0]
-    root_m = np.sqrt(m)
+    root_m = math.sqrt(Q.shape[2])
     s = np.einsum("npm,kpm->nkp", Q, A) / root_m
-    alpha = simplex_project_rows(s.reshape(n * K, P)).reshape(n, K, P)
+    alpha = simplex_project_rows(s.reshape(-1, Q.shape[1])).reshape(s.shape)
     f = root_m * np.einsum("nkp,nkp->nk", alpha, s)
     return f, alpha, s
 
@@ -97,7 +96,7 @@ def predict(X, bundle):
     index.
     """
     f = class_scores(features_for(X, bundle), bundle.weights)
-    return int(np.argmax(f)), f
+    return int(f.argmax()), f
 
 
 def param_count(bundle):

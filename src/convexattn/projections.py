@@ -14,15 +14,14 @@ from .numutil import check_finite, svd_thin
 def _threshold_rows(S, radius):
     """Sort-and-threshold kernel (Duchi et al., ICML 2008), row-wise.
 
-    Sort each row descending, count the j with u_j - (cumsum_j - r)/j > 0
-    as rho, threshold at theta = (cumsum_rho - r)/rho, clip at zero.
+    Sort each row descending, form t_j = (cumsum_j - r)/j, threshold at
+    theta = t_rho with rho = 1 + #{j >= 2 : u_j > t_j}, clip at zero.
     """
     n, p = S.shape
     U = np.sort(S, axis=1)[:, ::-1]
-    css = U.cumsum(axis=1) - radius
-    rho = (U - css / np.arange(1, p + 1) > 0).sum(axis=1)
-    theta = css[np.arange(n), rho - 1] / rho
-    return np.maximum(S - theta[:, None], 0.0)
+    t = (U.cumsum(axis=1) - radius) / np.arange(1.0, p + 1)
+    rho_1 = (U[:, 1:] > t[:, 1:]).sum(axis=1)  # rho - 1: j = 1 holds exactly
+    return np.maximum(S - t[np.arange(n), rho_1][:, None], 0.0)
 
 
 def simplex_project(s):

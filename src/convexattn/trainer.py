@@ -167,7 +167,7 @@ def train(dataset, config):
             idx = batch_rng.integers(config.batch_size, n)
             Qb = Q[idx]
             f, alpha, _ = batch_class_scores(Qb, A)
-            A = A - config.eta * grad_fn(Qb, Y[idx], A, alpha, f)
+            A -= config.eta * grad_fn(Qb, Y[idx], A, alpha, f)
         A = nuclear_ball_project(flat(A), config.nuclear_radius).reshape(A.shape)
 
         f, _, _ = batch_class_scores(Q, A)
@@ -306,14 +306,17 @@ def _stratified_split(y, fractions, rng):
 
 def split_evaluate(dataset, config, fractions=(0.6, 0.2, 0.2)):
     """Stratified 60-20-20 split; trains on the train portion only and
-    reports held-out test accuracy and macro-F1."""
+    reports validation and held-out test accuracy and macro-F1."""
     X, y = _validate_dataset(dataset, config)
     tr, va, te = _stratified_split(y, fractions, RngStream(config.seed).derive(200))
     bundle, report = train((X[tr], y[tr]), config)
+    val_acc, val_f1, _ = evaluate(bundle, X[va], y[va])
     acc, f1, confusion = evaluate(bundle, X[te], y[te])
     return {
         "bundle": bundle,
         "report": report,
+        "val_accuracy": val_acc,
+        "val_macro_f1": val_f1,
         "test_accuracy": acc,
         "test_macro_f1": f1,
         "confusion": confusion,

@@ -250,6 +250,7 @@ def test_eval_split_mode(workdir, tmp_path, capsys):
                           "--config", str(cfg), "--mode", "split")
     assert code == 0
     assert "60-20-20" in stdout
+    assert "val_accuracy:" in stdout and "val_macro_f1:" in stdout
     assert "accuracy:" in stdout
 
 

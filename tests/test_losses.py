@@ -209,6 +209,17 @@ def test_shape_mismatch_rejected():
         squared_gradient(Q, np.zeros((3, 2)), A, np.zeros((2, 2, 3)))
     with pytest.raises(ValueError):
         squared_loss(np.zeros((2, 3)), np.zeros((2, 4)))
+    # a 6-row batch with the forward pass's scores: too few or too many
+    # labels, and scores of the wrong shape, are named, not broadcast
+    n, K = 6, 2
+    Q, alpha, f = np.zeros((n, 3, 2)), np.zeros((n, K, 3)), np.zeros((n, K))
+    for labels in ([0], [0] * 7):
+        with pytest.raises(ValueError, match="labels length must match score rows"):
+            hinge_subgradient(Q, labels, A, alpha, f)
+    for grad, target in ((hinge_subgradient, [0] * n), (squared_gradient, np.zeros((n, K)))):
+        for bad in (np.zeros((n, K + 1)), np.zeros((n - 1, K)), np.zeros(n)):
+            with pytest.raises(ValueError, match="scores shape"):
+                grad(Q, target, A, alpha, bad)
 
 
 def test_loss_functions_table():
@@ -223,3 +234,16 @@ def test_loss_functions_table():
     assert loss_functions("squared")[1] is squared_gradient
     with pytest.raises(ValueError, match="unknown loss kind 'Hinge'"):
         loss_functions("Hinge")
+
+
+def test_one_hot_edge_labels():
+    assert one_hot([], 4).shape == (0, 4)
+    assert np.array_equal(one_hot([1.0, 3.0], 4), one_hot(np.array([1, 3]), 4))
+    for labels in ([1.7], np.array([0.0, 2.5])):
+        with pytest.raises(ValueError, match=r"labels must be integers, got (1\.7|2\.5)"):
+            one_hot(labels, 4)
+    with pytest.raises(ValueError, match=r"got 1\.7"):
+        hinge_loss(np.zeros((1, 4)), [1.7])
+    # a label column would index a 2-hot block per row
+    with pytest.raises(ValueError, match=r"1-d, got shape \(2, 1\)"):
+        one_hot(np.array([[1], [2]]), 4)

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convexattn.features import PatchSpec, rff_init
+from convexattn.dataio import SynthConfig, synth_generate
+from convexattn.features import PatchSpec, lift, rff_init
 from convexattn.model import (
     ModelBundle,
     ModelFormatError,
@@ -17,6 +18,7 @@ from convexattn.model import (
 )
 from convexattn.numutil import RngStream
 from convexattn.projections import simplex_project
+from convexattn.trainer import preset_config, train
 
 
 def make_bundle(K=4, C=4, T=10, P=10, m=3, seed=0, loss_kind="hinge"):
@@ -239,3 +241,40 @@ def test_deserialize_rejects_nonpositive_norm_std():
         std[2] = value
         with pytest.raises(ModelFormatError, match="norm_std"):
             deserialize(serialize(replace(bundle, norm_std=std)))
+
+
+def _reference_predict_scores(X, bundle):
+    # reference: predict's scores as computed before lift stacked its
+    # patch rows -- one normalize, patch reshape and cosine map per
+    # gesture, then the scorer with rho counted by count_nonzero
+    spec, rff, A = bundle.spec, bundle.rff, bundle.weights
+    K, P, m = A.shape
+    Xn = (X - bundle.norm_mean[:, None]) / bundle.norm_std[:, None]
+    rows = Xn.reshape(spec.channels, P, spec.frames_per_patch).transpose(1, 2, 0)
+    Q = np.sqrt(2.0 / m) * np.cos(rows.reshape(P, spec.patch_dim) @ rff.W + rff.b)
+    s = np.einsum("npm,kpm->nkp", Q[None], A) / np.sqrt(m)
+    S = s.reshape(K, P)
+    U = np.sort(S, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1) - 1.0
+    rho = np.count_nonzero(U - css / np.arange(1, P + 1) > 0, axis=1)
+    theta = css[np.arange(K), rho - 1] / rho
+    alpha = np.maximum(S - theta[:, None], 0.0).reshape(1, K, P)
+    return (np.sqrt(m) * np.einsum("nkp,nkp->nk", alpha, s))[0]
+
+
+@pytest.mark.parametrize("kind,preset", [("tap", "tap-tuned"), ("swipe", "swipe-tuned")])
+def test_predict_matches_reference_path(kind, preset):
+    ds = synth_generate(SynthConfig(kind=kind, samples_per_class=20, seed=0))
+    bundle, _ = train(ds, replace(preset_config(preset), epochs=2))
+    X, _ = synth_generate(SynthConfig(kind=kind, samples_per_class=13, seed=1)).stacked()
+    X = X[:50]
+    scores = []
+    for x in X:
+        label, f = predict(x, bundle)
+        ref = _reference_predict_scores(x, bundle)
+        assert np.array_equal(f, ref)
+        assert label == int(np.argmax(ref))
+        scores.append(f)
+    # and predict is the batch path's bits, one gesture at a time
+    Q = lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
+    assert np.array_equal(np.stack(scores), batch_class_scores(Q, bundle.weights)[0])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from convexattn.projections import (
     _threshold_rows,
@@ -73,6 +75,64 @@ def test_threshold_rows_matches_reference(width, radius):
         np.repeat(rng.normal(size=(20, 1)), width, axis=1),  # constant rows
     ])
     assert np.array_equal(_threshold_rows(S, radius), _threshold_rows_count_nonzero(S, radius))
+
+
+# -- properties
+
+PROPERTY = settings(max_examples=200, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+bounded = st.floats(-100.0, 100.0)
+
+
+@st.composite
+def score_rows(draw):
+    """(S, radius): rows of width 1-40, each continuous, drawn from a
+    half-step grid (ties and duplicates) or one repeated value."""
+    width = draw(st.integers(1, 40))
+    grid = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["continuous", "grid", "constant"]),
+                              min_size=1, max_size=6)):
+        if kind == "constant":
+            rows.append([draw(bounded)] * width)
+        else:
+            values = bounded if kind == "continuous" else grid
+            rows.append(draw(st.lists(values, min_size=width, max_size=width)))
+    return np.array(rows), draw(st.floats(0.0, 10.0, exclude_min=True))
+
+
+@PROPERTY
+@given(case=score_rows())
+def test_threshold_rows_property(case):
+    S, radius = case
+    top = S.max(axis=1)
+    # a radius below half an ulp of a row's maximum leaves the reference
+    # no j with a positive margin, and it divides by rho = 0
+    assume(np.all(top - radius < top))
+    got = _threshold_rows(S, radius)
+    assert np.array_equal(got.view(np.uint64),
+                          _threshold_rows_count_nonzero(S, radius).view(np.uint64))
+
+
+@PROPERTY
+@given(s=st.integers(1, 40).flatmap(lambda w: st.lists(bounded, min_size=w, max_size=w)),
+       c=bounded)
+def test_simplex_project_property(s, c):
+    s = np.array(s)
+    a = simplex_project(s)
+    assert np.max(np.abs(a - simplex_qp_oracle(s))) <= 1e-9
+    assert np.max(np.abs(simplex_project(a) - a)) <= 1e-12  # idempotent
+    assert np.max(np.abs(simplex_project(s + c) - a)) <= 1e-9  # shift-invariant
+
+
+def test_threshold_rows_radius_below_ulp():
+    # j = 1 counts even when the radius vanishes against the row maximum:
+    # the threshold rounds to that maximum, as in the oracle, instead of
+    # a division by rho = 0
+    for s in ([1e17, -1e17], [1e17, 0.0]):
+        s = np.array(s)
+        assert np.array_equal(simplex_project(s), simplex_qp_oracle(s))
 
 
 def test_rows_matches_single():

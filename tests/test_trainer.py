@@ -270,6 +270,7 @@ def test_split_evaluate_easy_data():
     ds = tap_dataset(25, noise=0.02)
     out = split_evaluate(ds, tiny_config(epochs=80))
     assert out["sizes"] == (60, 20, 20)
+    assert out["val_accuracy"] >= 0.95 and 0.0 <= out["val_macro_f1"] <= 1.0
     assert out["test_accuracy"] >= 0.95
     assert out["confusion"].sum() == 20
 
