@@ -81,7 +81,6 @@ class SynthConfig:
     amplitude: float = 1.0
     drift_rate: float = 0.0
     seed: int = 0
-    frames: int = 0  # 0 -> kind default (10 tap, 30 swipe)
     quantize_12bit: bool = False
 
     def __post_init__(self):
@@ -93,8 +92,10 @@ class SynthConfig:
             )
         if self.noise_stddev < 0:
             raise ValueError(f"noise_stddev must be >= 0, got {self.noise_stddev}")
-        if self.frames == 0:
-            self.frames = 10 if self.kind == "tap" else 30
+
+    @property
+    def frames(self):
+        return 10 if self.kind == "tap" else 30
 
 
 def zscore_fit(X):
@@ -246,10 +247,11 @@ def _parse_rows(lines, C):
     return rows["gid"], rows["class"], frame, rows["values"]
 
 
-def _check_lines(path, lines, C, class_names):
+def _check_lines(path, lines, C, class_names, strict):
     """Raise the diagnostic for the first bad data line, checking line
     by line in the order the checks apply to a row, with int() and
-    float() reading the numbers. Returns when every line is good."""
+    float() reading the numbers, then, when strict, the stricter parse
+    of _parse_rows. Returns when every line is good."""
     first_class = {}
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -270,6 +272,9 @@ def _check_lines(path, lines, C, class_names):
             raise ValueError(f"{path}:{ln}: {e}") from None
         if first_class.setdefault(gid, cname) != cname:
             raise ValueError(f"{path}:{ln}: class changes within gesture {gid}")
+        if strict and _parse_rows([line], C) is None:
+            raise ValueError(f"{path}:{ln}: numbers must be plain ASCII decimals "
+                             "without '_', and frames below 2**63")
 
 
 def load_csv(path):
@@ -319,14 +324,8 @@ def load_csv(path):
     # parse strips "\x1f" as whitespace where float() does not
     rows = None if "" in lines else _parse_rows(lines[1:], C)
     if rows is None or "\x1f" in text:
-        _check_lines(path, lines, C, class_names)
-    if rows is None:
-        # every line passed int() and float(), so some number is one
-        # only the stricter parse refuses
-        ln = next(ln for ln, line in enumerate(lines[1:], start=2)
-                  if _parse_rows([line], C) is None)
-        raise ValueError(f"{path}:{ln}: numbers must be plain ASCII decimals "
-                         "without '_', and frames below 2**63")
+        # raises when the parse failed: some line is bad
+        _check_lines(path, lines, C, class_names, strict=rows is None)
     gid, cname, frame, values = rows
     n = len(gid)
 

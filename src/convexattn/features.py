@@ -50,11 +50,14 @@ class RffMap:
     W: np.ndarray
     b: np.ndarray
     gamma: float
-    m: int
 
     @property
     def patch_dim(self):
         return self.W.shape[0]
+
+    @property
+    def m(self):
+        return self.W.shape[1]
 
 
 def patchify(X, spec):
@@ -84,7 +87,7 @@ def rff_init(spec, m, gamma, rng):
     d = spec.patch_dim
     W = rng.gauss(d * m, 0.0, np.sqrt(2.0 * gamma)).reshape(d, m)
     b = rng.uniform(m, 0.0, 2.0 * np.pi)
-    return RffMap(W=W, b=b, gamma=float(gamma), m=int(m))
+    return RffMap(W=W, b=b, gamma=float(gamma))
 
 
 def rff_transform(patches, rmap):

@@ -11,9 +11,10 @@ import numpy as np
 LOSS_KINDS = ("hinge", "squared")
 
 
-def _as_labels(labels):
-    """labels as an int array; a non-integral label is an error, not
-    truncated (an integer array passes without a numpy pass)."""
+def check_labels(labels, n_classes, n=None):
+    """labels as a 1-d int array of values in 0..n_classes-1, of length
+    n when n is given. A non-integral label is an error, not truncated
+    (an integer array is not compared with its cast)."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
         as_int = labels.astype(int)
@@ -21,15 +22,21 @@ def _as_labels(labels):
         if bad.any():
             raise ValueError(f"labels must be integers, got {labels[bad][0]}")
         labels = as_int
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
+    if n is not None and labels.size != n:
+        raise ValueError(
+            f"labels length must match score rows, got {labels.size} for {n} gestures"
+        )
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        bad = labels[(labels < 0) | (labels >= n_classes)][0]
+        raise ValueError(f"labels must be in 0..{n_classes - 1}, got {bad}")
     return labels
 
 
-def one_hot(labels, n_classes):
-    labels = _as_labels(labels)
-    if labels.ndim > 1:
-        raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError("labels out of range")
+def one_hot(labels, n_classes, n=None):
+    """One-hot rows of labels checked by check_labels (n labels if given)."""
+    labels = check_labels(labels, n_classes, n)
     Y = np.zeros((labels.size, n_classes))
     Y[np.arange(labels.size), labels] = 1.0
     return Y
@@ -39,13 +46,11 @@ def _margins(f, labels):
     """(one-hot labels Y, best rival per sample with ties to the lowest
     index, row index, margin 1 - f_true + f_rival) of scores f (n, K)."""
     n, K = f.shape
-    labels = _as_labels(labels)
-    if labels.shape != (n,):
-        raise ValueError("labels length must match score rows")
-    Y = one_hot(labels, K)
-    rival = np.where(Y > 0, -np.inf, f).argmax(axis=1)
+    Y = one_hot(labels, K, n)
+    true = Y > 0
+    rival = np.where(true, -np.inf, f).argmax(axis=1)
     idx = np.arange(n)
-    return Y, rival, idx, 1.0 - f[idx, labels] + f[idx, rival]
+    return Y, rival, idx, 1.0 - f[true] + f[idx, rival]
 
 
 def hinge_loss(f, labels):

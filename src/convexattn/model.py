@@ -20,6 +20,8 @@ from .projections import simplex_project_rows
 MAGIC = b"CVAT"
 FORMAT_VERSION = 1
 
+_HEADER = struct.Struct("<4sHBB5Id")
+
 # sanity cap on serialized dimensions; catches corrupt headers before
 # any allocation
 _MAX_DIM = 1 << 20
@@ -40,7 +42,6 @@ class ModelBundle:
     norm_mean: np.ndarray  # per channel
     norm_std: np.ndarray
     loss_kind: str
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         K, P, m = self.weights.shape
@@ -120,10 +121,9 @@ def serialize(bundle, precision=64):
         raise ValueError(f"precision must be 32 or 64, got {precision}")
     dtype = "<f4" if precision == 32 else "<f8"
     spec = bundle.spec
-    header = struct.pack(
-        "<4sHBB5Id",
+    header = _HEADER.pack(
         MAGIC,
-        bundle.format_version,
+        FORMAT_VERSION,
         precision,
         LOSS_KINDS.index(bundle.loss_kind),
         bundle.n_classes,
@@ -143,9 +143,6 @@ def serialize(bundle, precision=64):
         ]
     ).astype(dtype)
     return header + payload.tobytes()
-
-
-_HEADER = struct.Struct("<4sHBB5Id")
 
 
 def deserialize(data):
@@ -199,7 +196,7 @@ def deserialize(data):
     b = take(m, (m,))
     W = take(d * m, (d, m))
     A = take(K * P * m, (K, P, m))
-    rff = RffMap(W=W, b=b, gamma=gamma, m=m)
+    rff = RffMap(W=W, b=b, gamma=gamma)
     return ModelBundle(
         rff=rff,
         weights=A,
@@ -208,7 +205,6 @@ def deserialize(data):
         norm_mean=norm_mean,
         norm_std=norm_std,
         loss_kind=LOSS_KINDS[loss_idx],
-        format_version=version,
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import dataio
 from .features import PatchSpec, lift, rff_init
-from .losses import loss_functions
+from .losses import check_labels, loss_functions
 from .model import ModelBundle, batch_class_scores
 from .numutil import RngStream, check_finite
 from .projections import nuclear_ball_project, nuclear_norm
@@ -112,12 +112,13 @@ class TrainReport:
     wall_time_s: float = 0.0
 
 
-def _validate_dataset(dataset, config):
-    """(X, y) of a dataio.Dataset or an (X, y) pair, checked against the
-    config's geometry and class count."""
+def check_dataset(dataset, config):
+    """(X, y) of a dataio.Dataset or an (X, y) pair: X a nonempty,
+    finite (n, C, T) stack matching config.spec and y n labels in
+    0..config.n_classes-1 (losses.check_labels). config is a
+    TrainConfig or a ModelBundle; both carry spec and n_classes."""
     X, y = dataset.stacked() if isinstance(dataset, dataio.Dataset) else dataset
     X = check_finite(X, "dataset")
-    y = np.asarray(y, dtype=int)
     if X.ndim != 3 or X.shape[0] == 0:
         raise ValueError("dataset must be a nonempty (n, C, T) array")
     spec = config.spec
@@ -126,12 +127,7 @@ def _validate_dataset(dataset, config):
             f"dataset shape {X.shape[1:]} does not match spec "
             f"({spec.channels}, {spec.frames})"
         )
-    present = np.unique(y)
-    if not np.array_equal(present, np.arange(config.n_classes)):
-        raise ValueError(
-            f"every class in 0..{config.n_classes - 1} must appear; got {present}"
-        )
-    return X, y
+    return X, check_labels(y, config.n_classes, len(X))
 
 
 def train(dataset, config):
@@ -141,9 +137,12 @@ def train(dataset, config):
     config seed; the returned bundle carries train-set normalization
     stats so inference consumes raw gestures.
     """
-    X, y = _validate_dataset(dataset, config)
+    X, y = check_dataset(dataset, config)
     n = X.shape[0]
     K = config.n_classes
+    present = np.unique(y)
+    if present.size != K:
+        raise ValueError(f"every class in 0..{K - 1} must appear; got {present}")
     spec = config.spec
 
     t_start = time.perf_counter()
@@ -194,7 +193,7 @@ def train(dataset, config):
 
 def evaluate(bundle, X, y):
     """(accuracy, macro-F1, confusion) of a bundle on raw gestures."""
-    y = np.asarray(y, dtype=int)
+    X, y = check_dataset((X, y), bundle)
     Q = lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
     f, _, _ = batch_class_scores(Q, bundle.weights)
     pred = f.argmax(axis=1)
@@ -218,7 +217,6 @@ def macro_f1(confusion):
 
 def _stratified_folds(y, folds, rng):
     """Fold index per sample; per-class counts differ by <= 1."""
-    y = np.asarray(y, dtype=int)
     assign = np.empty(y.size, dtype=int)
     for k in np.unique(y):
         idx = np.nonzero(y == k)[0]
@@ -271,7 +269,7 @@ def kfold_evaluate(dataset, config, folds=10, jobs=1):
         raise ValueError("folds must be >= 2")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    X, y = _validate_dataset(dataset, config)
+    X, y = check_dataset(dataset, config)
     assign = _stratified_folds(y, folds, RngStream(config.seed).derive(100))
     work = [(X, y, assign, fold, config) for fold in range(folds)]
     if jobs == 1:
@@ -289,7 +287,6 @@ def kfold_evaluate(dataset, config, folds=10, jobs=1):
 
 def _stratified_split(y, fractions, rng):
     """Index arrays for a stratified train/val/test split."""
-    y = np.asarray(y, dtype=int)
     parts = ([], [], [])
     for k in np.unique(y):
         idx = rng.shuffled(np.nonzero(y == k)[0])
@@ -307,7 +304,7 @@ def _stratified_split(y, fractions, rng):
 def split_evaluate(dataset, config, fractions=(0.6, 0.2, 0.2)):
     """Stratified 60-20-20 split; trains on the train portion only and
     reports validation and held-out test accuracy and macro-F1."""
-    X, y = _validate_dataset(dataset, config)
+    X, y = check_dataset(dataset, config)
     tr, va, te = _stratified_split(y, fractions, RngStream(config.seed).derive(200))
     bundle, report = train((X[tr], y[tr]), config)
     val_acc, val_f1, _ = evaluate(bundle, X[va], y[va])

@@ -14,6 +14,7 @@ from .losses import loss_functions
 from .model import batch_class_scores
 from .numutil import RngStream
 from .projections import simplex_project, squared_distance_to_simplex, softmax_ref
+from .trainer import check_dataset
 
 CONVEXITY_TOL = 1e-6
 
@@ -52,14 +53,11 @@ def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None,
         raise ValueError("trials must be >= 1")
     if not noise_stddev > 0:
         raise ValueError(f"noise_stddev must be > 0, got {noise_stddev}")
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] == 0:
-        raise ValueError("test set must be nonempty")
+    X, y = check_dataset((X, y), bundle)
     if not np.any(bundle.weights):
         raise ValueError("bundle looks untrained (all-zero weights)")
     rng = rng or RngStream(0)
     loss_kind = loss_kind or bundle.loss_kind
-    y = np.asarray(y, dtype=int)
     Q = lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
     A0 = bundle.weights
     violations = np.empty(trials)

@@ -554,6 +554,17 @@ def test_csv_value_syntax_only_float_takes_is_rejected_with_its_line(tmp_path, v
         load_csv(p)
 
 
+def test_csv_value_syntax_fault_reported_before_a_later_fault(tmp_path):
+    # the first bad line is named even when a later line has a fault
+    # that int() and float() see
+    p = tmp_path / "odd.csv"
+    p.write_text("gesture_id,class,frame,ch0\n0,north,0,1_0\n0,north,1,2\n"
+                 "1,east,0,3\n1,west,1,4\n")
+    with pytest.raises(ValueError, match=r"odd\.csv:2: numbers must be plain ASCII"):
+        load_csv(p)
+    assert _outcome(_reference_load, p) == f"{p}:5: class changes within gesture 1"
+
+
 def test_csv_frame_beyond_int64_rejected_with_its_line(tmp_path):
     # int() reads it and the per-line loader reported a frame gap; the
     # parse holds frames as int64 and names the line

@@ -97,7 +97,7 @@ def test_rff_init_rejects():
 
 def test_transform_zero_input_zero_phase():
     m = 5
-    rmap = RffMap(W=np.ones((3, m)), b=np.zeros(m), gamma=1.0, m=m)
+    rmap = RffMap(W=np.ones((3, m)), b=np.zeros(m), gamma=1.0)
     row = rff_transform(np.zeros((1, 3)), rmap)[0]
     assert np.allclose(row, np.sqrt(2.0 / m))
 

@@ -247,3 +247,6 @@ def test_one_hot_edge_labels():
     # a label column would index a 2-hot block per row
     with pytest.raises(ValueError, match=r"1-d, got shape \(2, 1\)"):
         one_hot(np.array([[1], [2]]), 4)
+    for labels, bad in (([0, 4], "4"), (np.array([-1, 2]), "-1")):
+        with pytest.raises(ValueError, match=rf"labels must be in 0\.\.3, got {bad}$"):
+            one_hot(labels, 4)

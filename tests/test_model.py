@@ -3,9 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from convexattn.dataio import SynthConfig, synth_generate
-from convexattn.features import PatchSpec, lift, rff_init
+from convexattn.features import PatchSpec, RffMap, lift, rff_init
+from convexattn.losses import LOSS_KINDS
 from convexattn.model import (
     ModelBundle,
     ModelFormatError,
@@ -278,3 +282,62 @@ def test_predict_matches_reference_path(kind, preset):
     # and predict is the batch path's bits, one gesture at a time
     Q = lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
     assert np.array_equal(np.stack(scores), batch_class_scores(Q, bundle.weights)[0])
+
+
+PROPERTY = settings(max_examples=200, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def bundles(draw):
+    """Bundles of any small geometry with any finite payload values,
+    -0.0 and subnormals included."""
+    K, C, P, fpp, m = (draw(st.integers(lo, hi)) for lo, hi in
+                       ((2, 5), (1, 4), (1, 4), (1, 3), (1, 4)))
+    spec = PatchSpec(channels=C, frames=P * fpp, patches=P)
+    rff = RffMap(W=draw(arrays(float, (spec.patch_dim, m), elements=finite)),
+                 b=draw(arrays(float, m, elements=finite)), gamma=draw(positive))
+    return ModelBundle(
+        rff=rff,
+        weights=draw(arrays(float, (K, P, m), elements=finite)),
+        spec=spec,
+        n_classes=K,
+        norm_mean=draw(arrays(float, C, elements=finite)),
+        norm_std=draw(arrays(float, C, elements=positive)),
+        loss_kind=draw(st.sampled_from(LOSS_KINDS)),
+    )
+
+
+@PROPERTY
+@given(bundle=bundles())
+def test_serialize_round_trip_property(bundle):
+    data = serialize(bundle, 64)
+    assert serialize(deserialize(data), 64) == data
+
+
+TAP_BYTES = serialize(make_bundle(m=9), 64)
+
+
+def test_every_truncation_is_a_format_error():
+    for n in range(len(TAP_BYTES)):
+        with pytest.raises(ModelFormatError):
+            deserialize(TAP_BYTES[:n])
+
+
+@PROPERTY
+@given(pos=st.integers(0, len(TAP_BYTES) - 1), flip=st.integers(1, 255))
+def test_flipped_model_byte_property(pos, flip):
+    # a tap model with one byte changed loads as finite arrays or fails
+    # with ModelFormatError, never with another exception
+    data = bytearray(TAP_BYTES)
+    data[pos] ^= flip
+    try:
+        bundle = deserialize(bytes(data))
+    except ModelFormatError:
+        return
+    for a in (bundle.rff.W, bundle.rff.b, bundle.weights, bundle.norm_mean, bundle.norm_std):
+        assert np.isfinite(a).all()
+    assert np.isfinite(bundle.rff.gamma)

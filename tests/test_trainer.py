@@ -196,6 +196,61 @@ def test_train_rejects_bad_shapes_and_labels():
         train((X, np.zeros(8, dtype=int)), cfg)  # only class 0 present
 
 
+def test_train_rejects_bad_label_vectors():
+    # 20 gestures: too few labels indexed past y, too many trained a
+    # whole epoch before a broadcast error, and 0.5 trained as class 0
+    X, y = tap_dataset(5).stacked()
+    cfg = tiny_config(epochs=1)
+    for labels, message in (
+        (y[:17], r"labels length must match score rows, got 17 for 20 gestures"),
+        (np.r_[y, 0, 1, 2], r"labels length must match score rows, got 23 for 20 gestures"),
+        (np.where(np.arange(20) == 3, 0.5, y), r"labels must be integers, got 0\.5"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            train((X, labels), cfg)
+
+
+def test_every_class_rule_reaches_cv_and_split():
+    # a missing class is a training fault; each fold or split trains
+    # before any gradient step
+    X, y = tap_dataset(5).stacked()
+    keep = y < 3
+    for run in (lambda d, c: kfold_evaluate(d, c, folds=2), split_evaluate, train):
+        with pytest.raises(ValueError, match=r"every class in 0\.\.3 must appear; got \[0 1 2\]"):
+            run((X[keep], y[keep]), tiny_config())
+
+
+@pytest.fixture(scope="module")
+def small_bundle():
+    ds = tap_dataset(5)
+    return train(ds, tiny_config(epochs=2))[0], *ds.stacked()
+
+
+@pytest.mark.parametrize("labels,message", [
+    ([0, 1, 4], r"labels must be in 0\.\.3, got 4$"),
+    ([0, 1, -1], r"labels must be in 0\.\.3, got -1$"),
+    ([0, 1.5, 2], r"labels must be integers, got 1\.5$"),
+    ([[0], [1], [2]], r"labels must be 1-d, got shape \(3, 1\)$"),
+    ([0], r"labels length must match score rows, got 1 for 3 gestures$"),
+])
+def test_evaluate_rejects_bad_labels(small_bundle, labels, message):
+    # each of these was counted into the confusion matrix, truncated,
+    # broadcast, or failed inside numpy
+    bundle, X, _ = small_bundle
+    with pytest.raises(ValueError, match=message):
+        evaluate(bundle, X[:3], labels)
+
+
+def test_evaluate_rejects_bad_gesture_stacks(small_bundle):
+    bundle, X, y = small_bundle
+    bad = X[:3].copy()
+    bad[1, 2, 4] = np.nan
+    with pytest.raises(ValueError, match="dataset contains non-finite entries"):
+        evaluate(bundle, bad, y[:3])
+    with pytest.raises(ValueError, match=r"dataset must be a nonempty \(n, C, T\) array"):
+        evaluate(bundle, X[:0], y[:0])
+
+
 def test_evaluate_confusion_sums():
     ds = tap_dataset(10)
     bundle, _ = train(ds, tiny_config())

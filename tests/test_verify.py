@@ -75,8 +75,19 @@ def test_convexity_check_rejects(trained):
         convexity_check(bundle, X, y, trials=0)
     with pytest.raises(ValueError, match="untrained"):
         convexity_check(replace(bundle, weights=np.zeros_like(bundle.weights)), X, y)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
         convexity_check(bundle, X[:0], y[:0])
+
+
+def test_convexity_check_rejects_bad_labels(trained):
+    # a 2.7 label was read as class 2
+    bundle, X, _ = trained
+    with pytest.raises(ValueError, match=r"labels must be integers, got 2\.7$"):
+        convexity_check(bundle, X[:3], [0, 2.7, 1], trials=2)
+    with pytest.raises(ValueError, match=r"labels must be in 0\.\.3, got 4$"):
+        convexity_check(bundle, X[:3], [0, 4, 1], trials=2)
+    with pytest.raises(ValueError, match="does not match spec"):
+        convexity_check(bundle, X[:3, :1], [0, 1, 2], trials=2)
 
 
 def test_nonexpansiveness_sweep_passes():
