@@ -26,4 +26,5 @@ for loss_kind in ("hinge", "squared"):
     print(f"{loss_kind:8s}: {rep.satisfied}/{rep.trials} trials satisfied "
           f"[{verdict}]")
     print(f"          mean violation {rep.mean_violation:+.3e} "
-          f"(negative = strict), max {rep.max_violation:+.3e}")
+          f"(negative = strict), min {rep.min_violation:+.3e}, "
+          f"median {rep.median_violation:+.3e}, max {rep.max_violation:+.3e}")

@@ -193,8 +193,8 @@ def cmd_verify(args):
         raise UsageError(str(e))
     print(
         f"{kind}: {rep.satisfied}/{rep.trials} satisfied "
-        f"(mean violation {rep.mean_violation:.3e}, "
-        f"max {rep.max_violation:.3e})"
+        f"(mean violation {rep.mean_violation:.3e}, min {rep.min_violation:.3e}, "
+        f"median {rep.median_violation:.3e}, max {rep.max_violation:.3e})"
     )
     failed = not rep.passed
     sweep = verify.nonexpansiveness_sweep(1000, bundle.spec.patches, rng.derive(7))

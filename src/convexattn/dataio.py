@@ -247,34 +247,52 @@ def _parse_rows(lines, C):
     return rows["gid"], rows["class"], frame, rows["values"]
 
 
+def _line_fault(line, C, class_names, first_class):
+    """The diagnostic for a data line, in the order the checks apply to
+    a row, with int() and float() reading the numbers, or None when the
+    line is good. first_class maps each gesture id seen to its class."""
+    parts = line.split(",")
+    if len(parts) != 3 + C:
+        return f"expected {3 + C} fields"
+    gid, cname = parts[0], parts[1]
+    try:
+        int(parts[2])
+    except ValueError:
+        return f"frame {parts[2]!r} is not an integer"
+    if cname not in class_names:
+        return f"unknown class label {cname!r}"
+    try:
+        [float(v) for v in parts[3:]]
+    except ValueError as e:
+        return str(e)
+    if first_class.setdefault(gid, cname) != cname:
+        return f"class changes within gesture {gid}"
+    return None
+
+
 def _check_lines(path, lines, C, class_names, strict):
-    """Raise the diagnostic for the first bad data line, checking line
-    by line in the order the checks apply to a row, with int() and
-    float() reading the numbers, then, when strict, the stricter parse
-    of _parse_rows. Returns when every line is good."""
+    """Raise the diagnostic for the first bad data line: the first line
+    _line_fault names, unless, when strict, an earlier line fails the
+    stricter parse of _parse_rows. Strict is for a file whose whole
+    parse failed or was skipped for a blank line. The lines before the
+    _line_fault line take one parse, and only when it fails are they
+    parsed one by one. Returns when every line is good."""
     first_class = {}
+    end, fault = len(lines), None
     for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3 + C:
-            raise ValueError(f"{path}:{ln}: expected {3 + C} fields")
-        gid, cname = parts[0], parts[1]
-        try:
-            int(parts[2])
-        except ValueError:
-            raise ValueError(
-                f"{path}:{ln}: frame {parts[2]!r} is not an integer"
-            ) from None
-        if cname not in class_names:
-            raise ValueError(f"{path}:{ln}: unknown class label {cname!r}")
-        try:
-            [float(v) for v in parts[3:]]
-        except ValueError as e:
-            raise ValueError(f"{path}:{ln}: {e}") from None
-        if first_class.setdefault(gid, cname) != cname:
-            raise ValueError(f"{path}:{ln}: class changes within gesture {gid}")
-        if strict and _parse_rows([line], C) is None:
-            raise ValueError(f"{path}:{ln}: numbers must be plain ASCII decimals "
-                             "without '_', and frames below 2**63")
+        fault = _line_fault(line, C, class_names, first_class)
+        if fault:
+            end = ln - 1
+            break
+    before = lines[1:end]
+    # with no _line_fault, the whole-file parse that failed read these lines
+    if strict and before and (fault is None or _parse_rows(before, C) is None):
+        for ln, line in enumerate(before, start=2):
+            if _parse_rows([line], C) is None:
+                raise ValueError(f"{path}:{ln}: numbers must be plain ASCII decimals "
+                                 "without '_', and frames below 2**63")
+    if fault:
+        raise ValueError(f"{path}:{end + 1}: {fault}")
 
 
 def load_csv(path):

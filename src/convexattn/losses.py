@@ -2,7 +2,9 @@
 
 Both gradients treat the attention weights as fixed (stop-gradient):
 attention is recomputed per mini-batch, then the loss is differentiated
-through the scores only.
+through the scores only. Both end in one contraction, _contract, which
+adds the per-sample terms in sample order, as einsum's
+``nkp,npm->kpm`` does, so its bits are einsum's.
 """
 
 import numpy as np
@@ -79,6 +81,21 @@ def _fixed_attention(Q, A, alpha, f):
     return Q, alpha, f
 
 
+def _contract(coeff, alpha, Q):
+    """sum_i coeff[i, k] alpha[i, k, p] Q[i, p, :] / n as a (K, P, m)
+    array. The products form over the flattened P*m axis, so each
+    elementwise call runs K*P*m long instead of m, and the reduction
+    over the leading axis adds the samples in order: the bits equal
+    einsum("nkp,npm->kpm", coeff[:, :, None] * alpha, Q) / n."""
+    n, K, P = alpha.shape
+    m = Q.shape[2]
+    W = np.repeat(coeff[:, :, None] * alpha, m, axis=2)
+    W *= Q.reshape(n, 1, P * m)
+    G = W.sum(axis=0)
+    G /= n
+    return G.reshape(K, P, m)
+
+
 def hinge_subgradient(Q, labels, A, alpha, f=None):
     """Subgradient of the hinge loss w.r.t. the weight tensor.
 
@@ -92,7 +109,7 @@ def hinge_subgradient(Q, labels, A, alpha, f=None):
     coeff = 0.0 - Y  # +0.0 off the label, as a zero-filled start gives
     coeff[idx, rival] = 1.0
     coeff[~(margin > 0)] = 0.0  # margin <= 0: the zero subgradient
-    return np.einsum("nkp,npm->kpm", coeff[:, :, None] * alpha, Q) / len(Q)
+    return _contract(coeff, alpha, Q)
 
 
 def squared_loss(f, Y):
@@ -115,8 +132,7 @@ def squared_gradient(Q, Y, A, alpha, f=None):
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.shape != f.shape:
         raise ValueError(f"target shape {Y.shape} != scores {f.shape}")
-    r = 2.0 * (f - Y)
-    return np.einsum("nkp,npm->kpm", r[:, :, None] * alpha, Q) / Q.shape[0]
+    return _contract(2.0 * (f - Y), alpha, Q)
 
 
 def loss_functions(kind):

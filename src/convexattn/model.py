@@ -61,15 +61,21 @@ def _score(Q, A):
     s[n, k, p] = <Q_np, A[k, p]> / sqrt(m); alpha projects each class's
     score row onto the simplex; f[n, k] = sqrt(m) <alpha_nk, s_nk>.
     Returns (f, alpha, s).
+
+    Both einsums stay: they reduce over the contiguous last axis with
+    SIMD partial sums, an order of addition no other numpy call
+    reproduces, and the model bytes depend on it.
     """
     Q = np.asarray(Q, dtype=float)
     A = np.asarray(A, dtype=float)
     if Q.ndim != 3 or Q.shape[1:] != A.shape[1:]:
         raise ValueError(f"shape mismatch: Q {Q.shape} vs A {A.shape}")
     root_m = math.sqrt(Q.shape[2])
-    s = np.einsum("npm,kpm->nkp", Q, A) / root_m
+    s = np.einsum("npm,kpm->nkp", Q, A)
+    s /= root_m
     alpha = simplex_project_rows(s.reshape(-1, Q.shape[1])).reshape(s.shape)
-    f = root_m * np.einsum("nkp,nkp->nk", alpha, s)
+    f = np.einsum("nkp,nkp->nk", alpha, s)
+    f *= root_m
     return f, alpha, s
 
 

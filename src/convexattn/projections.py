@@ -6,22 +6,41 @@ matrix onto a nuclear-norm ball, and a reference softmax kept only for
 non-convexity demonstrations.
 """
 
+import functools
+
 import numpy as np
 
 from .numutil import check_finite, svd_thin
 
 
+@functools.cache
+def _ranks(p):
+    """1.0 .. p as a read-only float array, shared by every call."""
+    j = np.arange(1.0, p + 1)
+    j.flags.writeable = False
+    return j
+
+
 def _threshold_rows(S, radius):
     """Sort-and-threshold kernel (Duchi et al., ICML 2008), row-wise.
 
-    Sort each row descending, form t_j = (cumsum_j - r)/j, threshold at
-    theta = t_rho with rho = 1 + #{j >= 2 : u_j > t_j}, clip at zero.
+    Sort each row descending into u, form t_j = (cumsum_j - r)/j,
+    threshold at theta = t_rho with rho = 1 + #{j >= 2 : u_j > t_j},
+    clip at zero. Worked on the negated rows v = -u, which sort
+    ascending in place and give w = (cumsum(v) + r)/j = -t exactly
+    (IEEE rounding is symmetric in sign), so the test is v_j < w_j and
+    S - theta is S + w_rho; the clip maps a zero of either sign to +0.
     """
     n, p = S.shape
-    U = np.sort(S, axis=1)[:, ::-1]
-    t = (U.cumsum(axis=1) - radius) / np.arange(1.0, p + 1)
-    rho_1 = (U[:, 1:] > t[:, 1:]).sum(axis=1)  # rho - 1: j = 1 holds exactly
-    return np.maximum(S - t[np.arange(n), rho_1][:, None], 0.0)
+    V = np.negative(S)
+    V.sort(axis=1)
+    w = V.cumsum(axis=1)
+    w += radius
+    w /= _ranks(p)
+    rho_1 = (V[:, 1:] < w[:, 1:]).sum(axis=1)  # rho - 1: j = 1 holds exactly
+    rho_1 += np.arange(0, n * p, p)  # flat index of w_rho
+    np.add(S, w.ravel()[rho_1][:, None], out=V)
+    return np.maximum(V, 0.0, out=V)
 
 
 def simplex_project(s):

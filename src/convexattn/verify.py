@@ -24,6 +24,8 @@ class ConvexityTrialReport:
     trials: int
     satisfied: int
     mean_violation: float  # negative = strictly satisfied
+    min_violation: float
+    median_violation: float
     max_violation: float
     loss_kind: str
     noise_stddev: float
@@ -75,6 +77,8 @@ def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None,
         trials=trials,
         satisfied=satisfied,
         mean_violation=float(violations.mean()),
+        min_violation=float(violations.min()),
+        median_violation=float(np.median(violations)),
         max_violation=float(violations.max()),
         loss_kind=loss_kind,
         noise_stddev=noise_stddev,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,10 @@ def test_verify_passes_on_trained_model(workdir, capsys):
     assert code == 0
     assert "squared: 20/20" in stdout
     assert "hinge:" not in stdout
+    # the violation spread: min <= median <= max, the mean inside [min, max]
+    spread = re.search(r"mean violation (\S+), min (\S+), median (\S+), max (\S+)\)", stdout)
+    mean, lo, mid, hi = map(float, spread.groups())
+    assert lo <= mid <= hi and lo <= mean <= hi
     assert "nonexpansiveness" in stdout
     assert "jensen_violated=True" in stdout
 

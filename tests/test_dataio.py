@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from convexattn import dataio
 from convexattn.dataio import (
     CLASS_ANCHORS,
     CLASS_NAMES,
@@ -263,6 +264,44 @@ def test_csv_fault_past_line_1000_reports_its_line(tmp_path, fault, message):
                             "0,north,0,1.0,2.0", fault]) + "\n")
     with pytest.raises(ValueError, match=rf"long\.csv:1501: {re.escape(message)}$"):
         load_csv(p)
+
+
+def _counting_parse(monkeypatch):
+    """Count dataio._parse_rows calls from here on."""
+    calls = []
+    parse = dataio._parse_rows
+
+    def counted(lines, C):
+        calls.append(len(lines))
+        return parse(lines, C)
+
+    monkeypatch.setattr(dataio, "_parse_rows", counted)
+    return calls
+
+
+def test_csv_late_fault_parses_the_lines_before_it_once(tmp_path, monkeypatch):
+    # a blank line before the last of 30000 rows: the lines before it
+    # take one parse, not one per line
+    rows = [f"{g},north,{t},1.0,2.0,3.0,4.0" for g in range(3000) for t in range(10)]
+    p = tmp_path / "late.csv"
+    p.write_text("\n".join(["gesture_id,class,frame,ch0,ch1,ch2,ch3",
+                            *rows[:-1], "", rows[-1]]) + "\n")
+    calls = _counting_parse(monkeypatch)
+    with pytest.raises(ValueError, match=r"late\.csv:30001: expected 7 fields$"):
+        load_csv(p)
+    assert calls == [29999]
+
+
+def test_csv_strict_fault_before_a_blank_line_is_found_line_by_line(tmp_path, monkeypatch):
+    # the one parse of the lines before the blank fails, so they are
+    # parsed one by one up to the first that fails
+    p = tmp_path / "odd.csv"
+    p.write_text("gesture_id,class,frame,ch0\n0,north,0,1\n0,north,1,1_0\n"
+                 "0,north,2,2\n\n0,north,3,3\n")
+    calls = _counting_parse(monkeypatch)
+    with pytest.raises(ValueError, match=r"odd\.csv:3: numbers must be plain ASCII"):
+        load_csv(p)
+    assert calls == [3, 1, 1]
 
 
 # -- reference I/O: the per-gesture generator, per-value writer and

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from convexattn.losses import (
     LOSS_KINDS,
@@ -11,6 +13,8 @@ from convexattn.losses import (
     squared_loss,
 )
 from convexattn.model import batch_class_scores
+
+import reference_kernels
 
 
 def fixed_alpha_scores(Q, A, alpha):
@@ -250,3 +254,52 @@ def test_one_hot_edge_labels():
     for labels, bad in (([0, 4], "4"), (np.array([-1, 2]), "-1")):
         with pytest.raises(ValueError, match=rf"labels must be in 0\.\.3, got {bad}$"):
             one_hot(labels, 4)
+
+
+@st.composite
+def gradient_cases(draw):
+    """(Q, labels, A, alpha, f) for n 1-40, K 2-5, P 1-30 and m 1-9,
+    with entries of Q and alpha set to 0.0 or -0.0 and scores f on a
+    grid of ties, zero margins and both zeros, or continuous."""
+    n, K, P, m = (draw(st.integers(lo, hi)) for lo, hi in ((1, 40), (2, 5), (1, 30), (1, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.8]))
+
+    def with_zeros(a):
+        hit = rng.random(a.shape) < zeros
+        a[hit] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[hit]
+        return a
+
+    Q = with_zeros(np.sqrt(2.0 / m) * np.cos(rng.normal(size=(n, P, m))))
+    alpha = with_zeros(rng.dirichlet(np.ones(P), size=(n, K)))
+    if draw(st.booleans()):
+        f = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(n, K))
+    else:
+        f = rng.normal(size=(n, K))
+    A = np.zeros((K, P, m))  # only its shape is read when f is given
+    return Q, rng.integers(0, K, n), A, alpha, f
+
+
+GRADIENT_PROPERTY = settings(max_examples=300, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+@GRADIENT_PROPERTY
+@given(case=gradient_cases())
+def test_hinge_subgradient_matches_einsum_bitwise(case):
+    Q, labels, A, alpha, f = case
+    got = hinge_subgradient(Q, labels, A, alpha, f)
+    want = reference_kernels.hinge_subgradient(Q, labels, alpha, f)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@GRADIENT_PROPERTY
+@given(case=gradient_cases())
+def test_squared_gradient_matches_einsum_bitwise(case):
+    Q, labels, A, alpha, f = case
+    # one-hot targets give coefficients 2 (f - Y) of -0.0 where f is
+    # -0.0 off the label, and 0.0 where f equals its target
+    Y = one_hot(labels, f.shape[1])
+    got = squared_gradient(Q, Y, A, alpha, f)
+    want = reference_kernels.squared_gradient(Q, Y, alpha, f)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -24,6 +24,8 @@ from convexattn.numutil import RngStream
 from convexattn.projections import simplex_project
 from convexattn.trainer import preset_config, train
 
+import reference_kernels
+
 
 def make_bundle(K=4, C=4, T=10, P=10, m=3, seed=0, loss_kind="hinge"):
     spec = PatchSpec(channels=C, frames=T, patches=P)
@@ -341,3 +343,27 @@ def test_flipped_model_byte_property(pos, flip):
     for a in (bundle.rff.W, bundle.rff.b, bundle.weights, bundle.norm_mean, bundle.norm_std):
         assert np.isfinite(a).all()
     assert np.isfinite(bundle.rff.gamma)
+
+
+@st.composite
+def score_cases(draw):
+    """(Q, A) for n 1-40, K 2-5, P 1-30 and m 1-9, some entries 0.0
+    or -0.0."""
+    n, K, P, m = (draw(st.integers(lo, hi)) for lo, hi in ((1, 40), (2, 5), (1, 30), (1, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q = np.sqrt(2.0 / m) * np.cos(rng.normal(size=(n, P, m)))
+    A = rng.normal(scale=draw(st.sampled_from([0.01, 0.3, 3.0])), size=(K, P, m))
+    for a in (Q, A):
+        hit = rng.random(a.shape) < draw(st.sampled_from([0.0, 0.3]))
+        a[hit] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[hit]
+    return Q, A
+
+
+@PROPERTY
+@given(case=score_cases())
+def test_batch_class_scores_matches_einsum_bitwise(case):
+    # the scorer scales in place; its bits are einsum / sqrt(m) and
+    # sqrt(m) * einsum with the count_nonzero threshold between them
+    Q, A = case
+    for got, want in zip(batch_class_scores(Q, A), reference_kernels.scores(Q, A)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -13,6 +13,7 @@ from convexattn.projections import (
     softmax_ref,
     squared_distance_to_simplex,
 )
+from reference_kernels import threshold_rows as _threshold_rows_count_nonzero
 
 
 def simplex_qp_oracle(s):
@@ -54,17 +55,6 @@ def test_oracle_equivalence():
         assert np.max(np.abs(simplex_project(s) - simplex_qp_oracle(s))) <= 1e-9
 
 
-def _threshold_rows_count_nonzero(S, radius):
-    # reference: the kernel as first written, rho counted by count_nonzero
-    n, p = S.shape
-    U = np.sort(S, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1) - radius
-    j = np.arange(1, p + 1)
-    rho = np.count_nonzero(U - css / j > 0, axis=1)
-    theta = css[np.arange(n), rho - 1] / rho
-    return np.maximum(S - theta[:, None], 0.0)
-
-
 @pytest.mark.parametrize("width", [3, 10, 30])
 @pytest.mark.parametrize("radius", [1.0, 5.158])
 def test_threshold_rows_matches_reference(width, radius):
@@ -88,9 +78,10 @@ bounded = st.floats(-100.0, 100.0)
 @st.composite
 def score_rows(draw):
     """(S, radius): rows of width 1-40, each continuous, drawn from a
-    half-step grid (ties and duplicates) or one repeated value."""
+    half-step grid (ties, duplicates and both zeros) or one repeated
+    value."""
     width = draw(st.integers(1, 40))
-    grid = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    grid = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
     rows = []
     for kind in draw(st.lists(st.sampled_from(["continuous", "grid", "constant"]),
                               min_size=1, max_size=6)):

@@ -61,6 +61,17 @@ def test_convexity_check_deterministic(trained):
     assert a.max_violation == b.max_violation
 
 
+def test_convexity_check_reports_violation_spread(trained):
+    bundle, X, y = trained
+    rep = convexity_check(bundle, X, y, trials=9, rng=RngStream(3))
+    assert rep.min_violation <= rep.median_violation <= rep.max_violation
+    assert rep.min_violation <= rep.mean_violation <= rep.max_violation
+    # more than one distinct violation, so the spread is not a single value
+    assert rep.min_violation < rep.max_violation
+    one = convexity_check(bundle, X, y, trials=1, rng=RngStream(3))
+    assert one.min_violation == one.median_violation == one.max_violation == one.mean_violation
+
+
 @pytest.mark.parametrize("noise", [0.0, -1.0])
 def test_convexity_check_rejects_nonpositive_noise(trained, noise):
     # zero noise would compare the trained weights with themselves
