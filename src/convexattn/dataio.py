@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .losses import check_labels
 from .numutil import RngStream
 
 CLASS_NAMES = ("north", "south", "east", "west")
@@ -121,13 +122,12 @@ def zscore_apply(X, stats):
     return (np.asarray(X, dtype=float) - mean[:, None]) / std[:, None]
 
 
-def _tap_templates(config, anchor, streams):
-    """(n, C, T) taps: a Gaussian-in-time pulse whose centre takes one
-    uniform draw from each gesture's stream, scaled per channel by the
+def _tap_templates(config, anchor, jitter):
+    """(n, C, T) taps: a Gaussian-in-time pulse whose centre is moved by
+    each gesture's one jitter draw, scaled per channel by the
     anchor-to-electrode distance."""
     T = config.frames
-    jitter = np.array([g.uniform(1, -0.05 * T, 0.05 * T)[0] for g in streams])
-    t0 = (T - 1) / 2.0 + jitter
+    t0 = (T - 1) / 2.0 + jitter[:, 0]
     width = T / 3.0
     env = np.exp(-0.5 * ((np.arange(T) - t0[:, None]) / width) ** 2)
     d2 = ((ELECTRODE_CORNERS - anchor) ** 2).sum(axis=1)
@@ -135,15 +135,14 @@ def _tap_templates(config, anchor, streams):
     return amp[None, :, None] * env[:, None, :]
 
 
-def _swipe_templates(config, direction, streams):
-    """(n, C, T) swipes, start and end points jittered by two uniform
-    draws from each gesture's stream."""
+def _swipe_templates(config, direction, jitter):
+    """(n, C, T) swipes, start and end points moved by each gesture's
+    two jitter draws."""
     # the contact point eases in and out (smoothstep), overshooting the
     # surface edge on both ends: the finger lingers near the endpoints,
     # which is where opposing swipe classes differ most
     T = config.frames
     center = np.array([0.5, 0.5])
-    jitter = np.array([g.uniform(2, -0.02, 0.02) for g in streams])
     start = center - 0.75 * direction + jitter[:, :1]
     end = center + 0.75 * direction + jitter[:, 1:]
     u = np.arange(T) / (T - 1)
@@ -159,26 +158,33 @@ def synth_generate(config):
     Taps are a shared Gaussian-in-time pulse with per-channel amplitude
     set by anchor-to-electrode distance; swipes translate the contact
     point across the surface so channel peaks occur in direction order.
-    Gesture i of class k draws from its own stream ``derive(1 + k*n + i)``
-    (template jitter, then noise), and each class is computed as one
-    (n, C, T) array.
+    Gesture i of class k draws from stream ``derive(1 + k*n + i)``
+    (template jitter, then noise), the class's streams in turn through
+    one re-keyed generator, and each class is computed as one (n, C, T)
+    array.
     """
     rng = RngStream(config.seed)
     samples = []
     n = config.samples_per_class
     C = ELECTRODE_CORNERS.shape[0]
     T = config.frames
+    # a tap's pulse centre takes one draw, a swipe's start and end two
+    draws, reach = (1, 0.05 * T) if config.kind == "tap" else (2, 0.02)
     for k, name in enumerate(CLASS_NAMES):
-        streams = [rng.derive(1 + k * n + i) for i in range(n)]
+        jitter = np.empty((n, draws))
+        noise = np.empty((n, C * T))
+        for i, g in enumerate(rng.derive_each(range(1 + k * n, 1 + (k + 1) * n))):
+            jitter[i] = g.uniform(draws, -reach, reach)
+            if config.noise_stddev:
+                noise[i] = g.gauss(C * T, 0.0, config.noise_stddev)
         if config.kind == "tap":
-            X = _tap_templates(config, CLASS_ANCHORS[k], streams)
+            X = _tap_templates(config, CLASS_ANCHORS[k], jitter)
         else:
-            X = _swipe_templates(config, SWIPE_DIRECTIONS[k], streams)
+            X = _swipe_templates(config, SWIPE_DIRECTIONS[k], jitter)
         if config.drift_rate:
             X = X + config.drift_rate * np.arange(T)
         if config.noise_stddev:
-            noise = [g.gauss(C * T, 0.0, config.noise_stddev) for g in streams]
-            X = X + np.reshape(noise, (n, C, T))
+            X = X + noise.reshape(n, C, T)
         if config.quantize_12bit:
             lim = 2.0 * config.amplitude
             X = np.round(np.clip(X, -lim, lim) / lim * 2047) * lim / 2047
@@ -191,6 +197,10 @@ def synth_generate(config):
     )
 
 
+# gestures per formatted block of save_csv: bounds its memory, not its bytes
+CSV_CHUNK = 256
+
+
 def save_csv(dataset, path):
     """Write gesture_id,class,frame,ch0..chN rows plus a JSON sidecar.
 
@@ -198,26 +208,41 @@ def save_csv(dataset, path):
     gestures numbered 0.. in dataset order. Values use ``%.17g``, which
     round-trips every double, and a dataset's file is byte-identical
     across versions. See :func:`load_csv` for what a reader checks.
+
+    Before the file is opened, the dataset must be nonempty, its labels
+    must index ``class_names``, and every gesture must have gesture 0's
+    (C, T) shape. Rows go to the file CSV_CHUNK gestures at a time.
     """
     path = Path(path)
-    C = dataset.channels
-    cols = ",".join(f"ch{c}" for c in range(C))
-    blocks = [f"gesture_id,class,frame,{cols}\n"]
-    for gid, s in enumerate(dataset.samples):
-        # one format call per gesture: T rows of gid, class, frame, values
-        Cs, T = s.X.shape
-        cells = np.empty((T, 3 + Cs), dtype=object)
-        cells[:, 0] = gid
-        cells[:, 1] = dataset.class_names[s.label]
-        cells[:, 2] = range(T)
-        cells[:, 3:] = s.X.T
-        row = "%d,%s,%d" + ",%.17g" * Cs + "\n"
-        blocks.append(row * T % tuple(cells.ravel()))
-    path.write_text("".join(blocks))
+    samples = dataset.samples
+    if not samples:
+        raise ValueError("cannot save an empty dataset")
+    labels = check_labels([s.label for s in samples], len(dataset.class_names))
+    shape = samples[0].X.shape
+    for i, s in enumerate(samples):
+        if s.X.shape != shape or len(shape) != 2:
+            raise ValueError(f"gesture {i} has shape {s.X.shape}, "
+                             f"need (C, T) like gesture 0's {shape}")
+    C, T = shape
+    names = np.array(dataset.class_names, dtype=object)[labels]
+    row = "%d,%s,%d" + ",%.17g" * C + "\n"
+    with open(path, "w") as f:
+        f.write("gesture_id,class,frame," + ",".join(f"ch{c}" for c in range(C)) + "\n")
+        for lo in range(0, len(samples), CSV_CHUNK):
+            # one format call per chunk: T rows per gesture of gid,
+            # class, frame, values
+            X = np.stack([s.X for s in samples[lo:lo + CSV_CHUNK]])
+            g = len(X)
+            cells = np.empty((g, T, 3 + C), dtype=object)
+            cells[:, :, 0] = np.arange(lo, lo + g)[:, None]
+            cells[:, :, 1] = names[lo:lo + g, None]
+            cells[:, :, 2] = range(T)
+            cells[:, :, 3:] = X.transpose(0, 2, 1)
+            f.write(row * (g * T) % tuple(cells.ravel()))
     sidecar = {
         "sample_rate": dataset.sample_rate,
         "channels": C,
-        "frames": dataset.frames,
+        "frames": T,
         "class_names": list(dataset.class_names),
         "meta": dataset.meta,
     }
@@ -275,8 +300,9 @@ def _check_lines(path, lines, C, class_names, strict):
     _line_fault names, unless, when strict, an earlier line fails the
     stricter parse of _parse_rows. Strict is for a file whose whole
     parse failed or was skipped for a blank line. The lines before the
-    _line_fault line take one parse, and only when it fails are they
-    parsed one by one. Returns when every line is good."""
+    _line_fault line take one parse, and only when it fails is the first
+    line that fails it found by bisection: a parse fails exactly when
+    one of its lines does. Returns when every line is good."""
     first_class = {}
     end, fault = len(lines), None
     for ln, line in enumerate(lines[1:], start=2):
@@ -287,10 +313,16 @@ def _check_lines(path, lines, C, class_names, strict):
     before = lines[1:end]
     # with no _line_fault, the whole-file parse that failed read these lines
     if strict and before and (fault is None or _parse_rows(before, C) is None):
-        for ln, line in enumerate(before, start=2):
-            if _parse_rows([line], C) is None:
-                raise ValueError(f"{path}:{ln}: numbers must be plain ASCII decimals "
-                                 "without '_', and frames below 2**63")
+        # before[:lo] parses and before[lo:hi] holds a line that does not
+        lo, hi = 0, len(before)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _parse_rows(before[lo:mid], C) is None:
+                hi = mid
+            else:
+                lo = mid
+        raise ValueError(f"{path}:{lo + 2}: numbers must be plain ASCII decimals "
+                         "without '_', and frames below 2**63")
     if fault:
         raise ValueError(f"{path}:{end + 1}: {fault}")
 

@@ -13,18 +13,30 @@ class RngStream:
     """
 
     def __init__(self, seed, stream=0):
-        seed = int(seed)
-        stream = int(stream)
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-        self.seed = seed
-        self.stream = stream
-        key = np.array([seed, stream % 2**64], dtype=np.uint64)
+        self.seed = int(seed)
+        self.stream = int(stream)
+        key = _key(self.seed, self.stream)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def derive(self, offset):
         """Independent stream keyed by (seed, offset)."""
         return RngStream(self.seed, offset)
+
+    def derive_each(self, offsets):
+        """Yield ``derive(o)`` for each offset in turn, all through one
+        Philox: before each, it is reset to the state a new Philox starts
+        in (counter 0, empty buffers) with the key of ``derive(o)``, so
+        each draws exactly what ``derive(o)`` draws. The same object is
+        yielded every time, so a stream is live only until the next one
+        is yielded."""
+        g = RngStream(self.seed)
+        bits = g._gen.bit_generator
+        start = bits.state
+        for o in offsets:
+            g.stream = int(o)
+            start["state"]["key"] = _key(self.seed, g.stream)
+            bits.state = start
+            yield g
 
     def gauss(self, n, mean=0.0, stddev=1.0):
         if stddev <= 0:
@@ -45,6 +57,16 @@ class RngStream:
         x = np.asarray(x).copy()
         self._gen.shuffle(x)
         return x
+
+
+def _key(seed, stream):
+    """The Philox key of stream ``stream`` of ``seed``; both must fit in
+    64 bits."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+    if not 0 <= stream < 2**64:
+        raise ValueError(f"stream must fit in 64 bits, got {stream}")
+    return np.array([seed, stream], dtype=np.uint64)
 
 
 def check_finite(a, name="input"):

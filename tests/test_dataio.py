@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -292,9 +293,9 @@ def test_csv_late_fault_parses_the_lines_before_it_once(tmp_path, monkeypatch):
     assert calls == [29999]
 
 
-def test_csv_strict_fault_before_a_blank_line_is_found_line_by_line(tmp_path, monkeypatch):
-    # the one parse of the lines before the blank fails, so they are
-    # parsed one by one up to the first that fails
+def test_csv_strict_fault_before_a_blank_line_is_found_by_bisection(tmp_path, monkeypatch):
+    # the one parse of the three lines before the blank fails; then the
+    # first line parses and the second does not
     p = tmp_path / "odd.csv"
     p.write_text("gesture_id,class,frame,ch0\n0,north,0,1\n0,north,1,1_0\n"
                  "0,north,2,2\n\n0,north,3,3\n")
@@ -302,6 +303,55 @@ def test_csv_strict_fault_before_a_blank_line_is_found_line_by_line(tmp_path, mo
     with pytest.raises(ValueError, match=r"odd\.csv:3: numbers must be plain ASCII"):
         load_csv(p)
     assert calls == [3, 1, 1]
+
+
+def test_csv_strict_fault_on_the_last_row_takes_a_bisection(tmp_path, monkeypatch):
+    # float() reads '4_0' but the strict parse does not: the whole-file
+    # parse fails, then a bisection finds the line, not one parse per line
+    rows = [f"{g},north,{t},1.0,2.0,3.0,4.0" for g in range(3000) for t in range(10)]
+    rows[-1] = rows[-1].replace("4.0", "4_0")
+    p = tmp_path / "late.csv"
+    p.write_text("\n".join(["gesture_id,class,frame,ch0,ch1,ch2,ch3", *rows]) + "\n")
+    calls = _counting_parse(monkeypatch)
+    with pytest.raises(ValueError, match=r"late\.csv:30001: numbers must be plain ASCII"):
+        load_csv(p)
+    assert len(calls) <= 2 * math.ceil(math.log2(len(rows))) + 2
+
+
+def _tap_set():
+    return synth_generate(SynthConfig(kind="tap", samples_per_class=3, seed=1))
+
+
+@pytest.mark.parametrize("spoil,message", [
+    (lambda ds: setattr(ds.samples[4], "label", -1), r"labels must be in 0\.\.3, got -1$"),
+    (lambda ds: setattr(ds.samples[4], "label", 7), r"labels must be in 0\.\.3, got 7$"),
+    (lambda ds: ds.samples.clear(), r"cannot save an empty dataset$"),
+    (lambda ds: setattr(ds.samples[1], "X", ds.samples[1].X[:3]),
+     r"gesture 1 has shape \(3, 10\), need \(C, T\) like gesture 0's \(4, 10\)$"),
+], ids=["label-minus-1", "label-7", "empty", "fewer-channels"])
+def test_save_csv_refuses_a_bad_dataset_before_opening_the_file(tmp_path, spoil, message):
+    p = tmp_path / "kept.csv"
+    save_csv(_tap_set(), p)
+    kept = p.read_bytes(), dataio._sidecar_path(p).read_bytes()
+    ds = _tap_set()
+    spoil(ds)
+    with pytest.raises(ValueError, match=message):
+        save_csv(ds, p)
+    assert (p.read_bytes(), dataio._sidecar_path(p).read_bytes()) == kept
+
+
+def test_synth_builds_one_generator_per_class(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    ds = synth_generate(SynthConfig(kind="tap", samples_per_class=50))
+    assert len(ds.samples) == 200
+    assert len(built) <= 1 + len(CLASS_NAMES)
 
 
 # -- reference I/O: the per-gesture generator, per-value writer and
@@ -442,10 +492,20 @@ def test_synth_matches_reference(kind, overrides):
     _assert_same_dataset(synth_generate(cfg), _reference_synth(cfg))
 
 
+# the writer formats dataio.CSV_CHUNK gestures at a time: a dataset of
+# one gesture fewer, exactly that many and one more
+CHUNK_CASES = {f"chunk{d:+d}": dataio.CSV_CHUNK + d for d in (-1, 0, 1)}
+
+
 @pytest.mark.parametrize("kind", ["tap", "swipe"])
-@pytest.mark.parametrize("overrides", PARITY_CONFIGS.values(), ids=PARITY_CONFIGS)
-def test_csv_matches_reference(tmp_path, kind, overrides):
+@pytest.mark.parametrize(
+    "overrides,gestures",
+    [*((o, None) for o in PARITY_CONFIGS.values()),
+     *(({"samples_per_class": dataio.CSV_CHUNK // 4 + 1}, g) for g in CHUNK_CASES.values())],
+    ids=[*PARITY_CONFIGS, *CHUNK_CASES])
+def test_csv_matches_reference(tmp_path, kind, overrides, gestures):
     ds = synth_generate(SynthConfig(kind=kind, seed=3, **overrides))
+    ds.samples = ds.samples[:gestures]
     ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
     save_csv(ds, ours)
     _reference_save(ds, ref)

@@ -87,3 +87,36 @@ def test_derived_streams_differ():
     assert not np.array_equal(root.derive(1).gauss(10), root.derive(2).gauss(10))
     # deriving is itself reproducible
     assert np.array_equal(RngStream(7).derive(1).gauss(10), RngStream(7).derive(1).gauss(10))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_derive_each_draws_what_derive_draws(seed):
+    # repeated and unsorted offsets, and a different number of draws per
+    # stream: an odd count of small integers leaves half a 64-bit word
+    # buffered, which must not reach the next stream
+    offsets = [2**63, 0, 1, 2**64 - 1, 0, 2**63, 1]
+
+    def draws(g, j):
+        return [g.uniform(j + 1, -2.0, 3.0), g.integers(2 * j + 1, 7),
+                g.gauss(j + 3, 1.0, 0.5), g.shuffled(np.arange(j + 2)),
+                g.integers(j + 1, 2**40)]
+
+    seen = []
+    for j, g in enumerate(RngStream(seed).derive_each(offsets)):
+        seen.append(g.stream)
+        ref = draws(RngStream(seed).derive(offsets[j]), j)
+        for got, want in zip(draws(g, j), ref):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert seen == offsets
+
+
+@pytest.mark.parametrize("stream", [-1, 2**64])
+def test_streams_outside_64_bits_rejected(stream):
+    # -1 would wrap to stream 2**64 - 1 and 2**64 to stream 0
+    with pytest.raises(ValueError, match="stream must fit in 64 bits"):
+        RngStream(5).derive(stream)
+    with pytest.raises(ValueError, match="stream must fit in 64 bits"):
+        RngStream(5, stream)
+    with pytest.raises(ValueError, match="stream must fit in 64 bits"):
+        list(RngStream(5).derive_each([3, stream]))
