@@ -1,7 +1,13 @@
 """Command-line front end.
 
 Subcommands: synth, train, eval, predict, verify, bench, export.
-Exit codes: 0 success, 1 check/assertion failure, 2 usage/config error.
+
+Exit codes: 0 success; 1 a check failed (a ``verify`` check or export
+label parity), and nothing else; 2 an input fault: a missing or
+unreadable file, a bad CSV, model or config, data that does not fit the
+model, or an output that cannot be written. The library raises
+ValueError for bad input and the OS raises OSError; :func:`main` is the
+one place that turns either into a single ``error:`` line and exit 2.
 Diagnostics go to stderr; data goes to stdout or files.
 """
 
@@ -15,56 +21,30 @@ import numpy as np
 
 from . import dataio, trainer, verify
 from .losses import LOSS_KINDS
-from .model import (
-    ModelFormatError,
-    load_model,
-    param_count,
-    predict,
-    save_model,
-)
+from .model import load_model, param_count, predict, save_model
 from .numutil import RngStream
-
-
-class UsageError(Exception):
-    pass
 
 
 def _load_config(args):
     """Build a TrainConfig from --preset and/or --config plus overrides."""
     values = dict(trainer.PRESETS[args.preset]) if args.preset else {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text())
+            loaded = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as e:
-            raise UsageError(f"{path}: invalid JSON: {e}")
+            raise ValueError(f"{args.config}: invalid JSON: {e}") from None
         if not isinstance(loaded, dict):
-            raise UsageError(f"{path}: config must be a JSON object")
+            raise ValueError(f"{args.config}: config must be a JSON object")
         values.update(loaded)
     if not values:
-        raise UsageError("need --preset or --config")
+        raise ValueError("need --preset or --config")
     if args.seed is not None:
         values["seed"] = args.seed
     if args.loss:
         values["loss_kind"] = args.loss
-    try:
-        cfg = trainer.config_from(values)
-    except ValueError as e:
-        raise UsageError(f"bad configuration: {e}")
+    cfg = trainer.config_from(values)
     print(f"config: {cfg}", file=sys.stderr)
     return cfg
-
-
-def _load_dataset(path):
-    path = Path(path)
-    if not path.exists():
-        raise UsageError(f"data file not found: {path}")
-    try:
-        return dataio.load_csv(path)
-    except ValueError as e:
-        raise UsageError(str(e))
 
 
 def cmd_synth(args):
@@ -79,8 +59,8 @@ def cmd_synth(args):
         )
     except ValueError as e:
         if args.kind in dataio.GESTURE_KINDS:
-            raise UsageError(str(e))
-        raise UsageError(f"{e}; valid kinds: {', '.join(dataio.GESTURE_KINDS)}")
+            raise
+        raise ValueError(f"{e}; valid kinds: {', '.join(dataio.GESTURE_KINDS)}") from None
     ds = dataio.synth_generate(cfg)
     dataio.save_csv(ds, args.out)
     print(f"wrote {len(ds.samples)} samples ({len(ds.class_names)} classes) to {args.out}")
@@ -89,11 +69,7 @@ def cmd_synth(args):
 
 def cmd_train(args):
     cfg = _load_config(args)
-    ds = _load_dataset(args.data)
-    try:
-        bundle, report = trainer.train(ds, cfg)
-    except ValueError as e:
-        raise UsageError(str(e))
+    bundle, report = trainer.train(dataio.load_csv(args.data), cfg)
     trainable, fixed = param_count(bundle)
     print(f"trainable={trainable} fixed={fixed} total={trainable + fixed}")
     print(
@@ -116,45 +92,32 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = _load_config(args)
-    ds = _load_dataset(args.data)
-    try:
-        if args.mode == "kfold":
-            print(f"methodology: stratified {args.folds}-fold cross-validation")
-            res = trainer.kfold_evaluate(ds, cfg, folds=args.folds, jobs=args.jobs)
-            print(
-                f"accuracy: {res.mean_accuracy:.4f} +/- {res.std_accuracy:.4f}  "
-                f"macro_f1: {res.mean_f1:.4f} +/- {res.std_f1:.4f}"
-            )
-        else:
-            print("methodology: stratified 60-20-20 train-validation-test split")
-            res = trainer.split_evaluate(ds, cfg)
-            print(
-                f"val_accuracy: {res['val_accuracy']:.4f}  "
-                f"val_macro_f1: {res['val_macro_f1']:.4f}"
-            )
-            print(
-                f"accuracy: {res['test_accuracy']:.4f}  "
-                f"macro_f1: {res['test_macro_f1']:.4f}  "
-                f"split sizes: {res['sizes']}"
-            )
-    except ValueError as e:
-        raise UsageError(str(e))
+    ds = dataio.load_csv(args.data)
+    if args.mode == "kfold":
+        print(f"methodology: stratified {args.folds}-fold cross-validation")
+        res = trainer.kfold_evaluate(ds, cfg, folds=args.folds, jobs=args.jobs)
+        print(
+            f"accuracy: {res.mean_accuracy:.4f} +/- {res.std_accuracy:.4f}  "
+            f"macro_f1: {res.mean_f1:.4f} +/- {res.std_f1:.4f}"
+        )
+    else:
+        print("methodology: stratified 60-20-20 train-validation-test split")
+        res = trainer.split_evaluate(ds, cfg)
+        print(
+            f"val_accuracy: {res['val_accuracy']:.4f}  "
+            f"val_macro_f1: {res['val_macro_f1']:.4f}"
+        )
+        print(
+            f"accuracy: {res['test_accuracy']:.4f}  "
+            f"macro_f1: {res['test_macro_f1']:.4f}  "
+            f"split sizes: {res['sizes']}"
+        )
     return 0
 
 
-def _load_bundle(path):
-    path = Path(path)
-    if not path.exists():
-        raise UsageError(f"model file not found: {path}")
-    try:
-        return load_model(path)
-    except ModelFormatError as e:
-        raise UsageError(f"{path}: {e}")
-
-
 def cmd_predict(args):
-    bundle = _load_bundle(args.model)
-    ds = _load_dataset(args.data)
+    bundle = load_model(args.model)
+    ds = dataio.load_csv(args.data)
     lines = ["gesture_id,predicted_class," + ",".join(
         f"score_{c}" for c in ds.class_names[: bundle.n_classes]
     )]
@@ -162,7 +125,7 @@ def cmd_predict(args):
         try:
             label, f = predict(s.X, bundle)
         except ValueError as e:
-            raise UsageError(f"sample {s.meta}: {e}")
+            raise ValueError(f"sample {s.meta}: {e}") from None
         scores = ",".join(f"{v:.9g}" for v in f)
         lines.append(f"{s.meta},{ds.class_names[label]},{scores}")
     out = "\n".join(lines) + "\n"
@@ -177,20 +140,16 @@ def cmd_verify(args):
     # zero noise makes both midpoint endpoints the trained weights, so
     # every trial would pass without testing anything
     if not args.noise > 0:
-        raise UsageError(f"--noise must be > 0, got {args.noise}")
-    bundle = _load_bundle(args.model)
-    ds = _load_dataset(args.data)
-    X, y = ds.stacked()
+        raise ValueError(f"--noise must be > 0, got {args.noise}")
+    bundle = load_model(args.model)
+    X, y = dataio.load_csv(args.data).stacked()
     rng = RngStream(args.seed if args.seed is not None else 0)
     # the bundle's own loss, with the stream each kind has always used
     kind = bundle.loss_kind
-    try:
-        rep = verify.convexity_check(
-            bundle, X, y, trials=args.trials, noise_stddev=args.noise,
-            rng=rng.derive(10 + LOSS_KINDS.index(kind)),
-        )
-    except ValueError as e:
-        raise UsageError(str(e))
+    rep = verify.convexity_check(
+        bundle, X, y, trials=args.trials, noise_stddev=args.noise,
+        rng=rng.derive(10 + LOSS_KINDS.index(kind)),
+    )
     print(
         f"{kind}: {rep.satisfied}/{rep.trials} satisfied "
         f"(mean violation {rep.mean_violation:.3e}, min {rep.min_violation:.3e}, "
@@ -216,9 +175,9 @@ def cmd_verify(args):
 
 def cmd_bench(args):
     if args.iters < 1:
-        raise UsageError(f"--iters must be >= 1, got {args.iters}")
-    bundle = _load_bundle(args.model)
-    ds = _load_dataset(args.data)
+        raise ValueError(f"--iters must be >= 1, got {args.iters}")
+    bundle = load_model(args.model)
+    ds = dataio.load_csv(args.data)
     X0 = ds.samples[0].X
     for _ in range(10):
         predict(X0, bundle)
@@ -240,11 +199,14 @@ def cmd_bench(args):
 
 
 def cmd_export(args):
-    bundle = _load_bundle(args.model)
+    bundle = load_model(args.model)
+    # the parity dataset must fit the model before --out is written
+    ds = dataio.load_csv(args.data) if args.data else None
+    if ds is not None:
+        trainer.check_dataset(ds, bundle)
     nbytes = save_model(bundle, args.out, precision=args.precision)
     print(f"wrote {args.precision}-bit model ({nbytes} bytes) to {args.out}")
-    if args.data:
-        ds = _load_dataset(args.data)
+    if ds is not None:
         exported = load_model(args.out)
         mismatch = sum(
             predict(s.X, bundle)[0] != predict(s.X, exported)[0]
@@ -333,9 +295,13 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except OSError as e:
+        reason = "not found" if isinstance(e, FileNotFoundError) else e.strerror
+        message = f"{e.filename}: {reason}" if e.filename else str(e)
+    except ValueError as e:
+        message = str(e)
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

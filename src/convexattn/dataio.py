@@ -210,8 +210,9 @@ def save_csv(dataset, path):
     across versions. See :func:`load_csv` for what a reader checks.
 
     Before the file is opened, the dataset must be nonempty, its labels
-    must index ``class_names``, and every gesture must have gesture 0's
-    (C, T) shape. Rows go to the file CSV_CHUNK gestures at a time.
+    must index ``class_names``, and every gesture must be finite, with
+    gesture 0's (C, T) shape. Rows go to the file CSV_CHUNK gestures at
+    a time.
     """
     path = Path(path)
     samples = dataset.samples
@@ -223,6 +224,8 @@ def save_csv(dataset, path):
         if s.X.shape != shape or len(shape) != 2:
             raise ValueError(f"gesture {i} has shape {s.X.shape}, "
                              f"need (C, T) like gesture 0's {shape}")
+        if not np.isfinite(s.X).all():
+            raise ValueError(f"gesture {i} has a non-finite value")
     C, T = shape
     names = np.array(dataset.class_names, dtype=object)[labels]
     row = "%d,%s,%d" + ",%.17g" * C + "\n"

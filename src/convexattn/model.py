@@ -222,6 +222,10 @@ def save_model(bundle, path, precision=64):
 
 
 def load_model(path):
+    """Read a bundle from a file; a ModelFormatError names the path."""
     with open(path, "rb") as fh:
-        return deserialize(fh.read())
+        try:
+            return deserialize(fh.read())
+        except ModelFormatError as e:
+            raise ModelFormatError(f"{path}: {e}") from None
 

@@ -1,11 +1,19 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from convexattn import cli
 from convexattn.cli import main
 from convexattn.model import load_model
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -323,3 +331,90 @@ def test_verify_nonpositive_noise_exit_2(workdir, capsys, noise):
     assert code == 2
     assert "--noise must be > 0" in err
     assert stdout == ""
+
+
+@pytest.fixture(scope="module")
+def swipe_csv(tmp_path_factory):
+    """A swipe dataset: (4, 30) gestures, which the (4, 10) tap model
+    in workdir cannot take."""
+    out = tmp_path_factory.mktemp("swipe") / "swipe.csv"
+    assert main(["synth", "--kind", "swipe", "--n-per-class", "3", "--out", str(out)]) == 0
+    return out
+
+
+# (argv, what the one error line must name, whether the command did work
+# and printed it before the fault); {nope} is a file that does not exist,
+# {missing} a path in a directory that does not exist, {dir} a directory
+@pytest.mark.parametrize("argv,named,worked", [
+    ("predict --model {nope} --data {data}", "{nope}: not found", False),
+    ("bench --model {model} --data {nope}", "{nope}: not found", False),
+    ("bench --model {model} --data {swipe}", "shape (4, 30)", False),
+    ("export --model {model} --out {out} --data {swipe}", "shape (4, 30)", False),
+    ("predict --model {model} --data {swipe}", "shape (4, 30)", False),
+    ("verify --model {model} --data {swipe} --trials 2", "shape (4, 30)", False),
+    ("synth --kind tap --n-per-class 1 --out {missing}", "{missing}", False),
+    ("synth --kind tap --amplitude nan --out {out}", "gesture 0 has a non-finite value", False),
+    ("synth --kind tap --noise nan --out {out}", "gesture 0 has a non-finite value", False),
+    ("train --data {data} --config {cfg} --out-model {missing}", "{missing}", True),
+    ("train --data {data} --config {cfg} --out-model {out} --report {missing}", "{missing}", True),
+    ("predict --model {model} --data {data} --out {missing}", "{missing}", False),
+    ("export --model {model} --out {missing}", "{missing}", False),
+    ("train --data {dir} --config {cfg} --out-model {out}", "{dir}", False),
+    ("train --data {data} --config {dir} --out-model {out}", "{dir}", False),
+    ("predict --model {dir} --data {data}", "{dir}", False),
+], ids=[
+    "model-not-found", "data-not-found", "bench-mismatched-data",
+    "export-mismatched-data", "predict-mismatched-data", "verify-mismatched-data",
+    "synth-out-missing-dir", "synth-nan-amplitude", "synth-nan-noise",
+    "train-out-model-missing-dir", "train-report-missing-dir",
+    "predict-out-missing-dir", "export-out-missing-dir",
+    "data-is-a-dir", "config-is-a-dir", "model-is-a-dir",
+])
+def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, tmp_path, capsys,
+                                                 argv, named, worked):
+    d, data, cfg, model = workdir
+    paths = dict(model=model, data=data, cfg=cfg, swipe=swipe_csv, dir=tmp_path / "d",
+                 out=tmp_path / "out", nope=tmp_path / "nope", missing=tmp_path / "no" / "out")
+    paths["dir"].mkdir()
+    code, stdout, err = run(capsys, *(a.format(**paths) for a in argv.split()))
+    assert code == 2
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    assert named.format(**paths) in errors[0]
+    assert "Traceback" not in err
+    assert bool(stdout) == worked
+    # only the report fault comes after an output was written
+    assert paths["out"].exists() == ("--report" in argv)
+    assert not paths["out"].with_suffix(".meta.json").exists()
+
+
+def test_export_parity_mismatch_writes_and_exits_1(workdir, tmp_path, capsys, monkeypatch):
+    d, data, _, model = workdir
+    out = tmp_path / "compact.model"
+
+    def reload(path):
+        bundle = load_model(path)
+        if Path(path) != out:
+            return bundle
+        # the reloaded export gets its class weights rolled, so every label moves
+        return replace(bundle, weights=np.roll(bundle.weights, 1, axis=0))
+
+    monkeypatch.setattr(cli, "load_model", reload)
+    code, stdout, err = run(capsys, "export", "--model", str(model),
+                            "--out", str(out), "--data", str(data))
+    assert code == 1
+    assert "label parity: 0/40 match" in stdout
+    assert out.exists()
+    assert err == ""
+
+
+def test_entry_point_exits_2_without_traceback(tmp_path):
+    # the in-process tests call main(); this runs the module's sys.exit path
+    proc = subprocess.run(
+        [sys.executable, "-m", "convexattn.cli", "train", "--data", str(tmp_path / "nope.csv"),
+         "--preset", "tap", "--out-model", str(tmp_path / "m")],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{tmp_path / 'nope.csv'}: not found" in proc.stderr

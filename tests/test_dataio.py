@@ -328,7 +328,9 @@ def _tap_set():
     (lambda ds: ds.samples.clear(), r"cannot save an empty dataset$"),
     (lambda ds: setattr(ds.samples[1], "X", ds.samples[1].X[:3]),
      r"gesture 1 has shape \(3, 10\), need \(C, T\) like gesture 0's \(4, 10\)$"),
-], ids=["label-minus-1", "label-7", "empty", "fewer-channels"])
+    (lambda ds: np.put(ds.samples[5].X, 27, np.nan), r"gesture 5 has a non-finite value$"),
+    (lambda ds: np.put(ds.samples[11].X, 0, -np.inf), r"gesture 11 has a non-finite value$"),
+], ids=["label-minus-1", "label-7", "empty", "fewer-channels", "nan", "minus-inf"])
 def test_save_csv_refuses_a_bad_dataset_before_opening_the_file(tmp_path, spoil, message):
     p = tmp_path / "kept.csv"
     save_csv(_tap_set(), p)

@@ -16,6 +16,7 @@ from convexattn.model import (
     batch_class_scores,
     class_scores,
     deserialize,
+    load_model,
     param_count,
     predict,
     serialize,
@@ -219,6 +220,14 @@ def test_deserialize_diagnostics():
         bad_gamma[28:36] = struct.pack("<d", gamma)  # gamma field
         with pytest.raises(ModelFormatError, match="gamma"):
             deserialize(bytes(bad_gamma))
+
+
+def test_load_model_names_its_path(tmp_path):
+    junk = tmp_path / "junk.model"
+    junk.write_bytes(b"not a model at all")
+    with pytest.raises(ModelFormatError) as e:
+        load_model(junk)
+    assert str(e.value) == f"{junk}: truncated payload: header incomplete"
 
 
 def test_score_scaling_identity():
