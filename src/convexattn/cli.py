@@ -48,19 +48,14 @@ def _load_config(args):
 
 
 def cmd_synth(args):
-    try:
-        cfg = dataio.SynthConfig(
-            kind=args.kind,
-            samples_per_class=args.n_per_class,
-            noise_stddev=args.noise,
-            amplitude=args.amplitude,
-            drift_rate=args.drift,
-            seed=args.seed if args.seed is not None else 0,
-        )
-    except ValueError as e:
-        if args.kind in dataio.GESTURE_KINDS:
-            raise
-        raise ValueError(f"{e}; valid kinds: {', '.join(dataio.GESTURE_KINDS)}") from None
+    cfg = dataio.SynthConfig(
+        kind=args.kind,
+        samples_per_class=args.n_per_class,
+        noise_stddev=args.noise,
+        amplitude=args.amplitude,
+        drift_rate=args.drift,
+        seed=args.seed if args.seed is not None else 0,
+    )
     ds = dataio.synth_generate(cfg)
     dataio.save_csv(ds, args.out)
     print(f"wrote {len(ds.samples)} samples ({len(ds.class_names)} classes) to {args.out}")
@@ -69,6 +64,10 @@ def cmd_synth(args):
 
 def cmd_train(args):
     cfg = _load_config(args)
+    # an output that cannot be written fails before the training, not after
+    for out in (args.out_model, args.report):
+        if out and not Path(out).parent.is_dir():
+            raise ValueError(f"{out}: not found")
     bundle, report = trainer.train(dataio.load_csv(args.data), cfg)
     trainable, fixed = param_count(bundle)
     print(f"trainable={trainable} fixed={fixed} total={trainable + fixed}")

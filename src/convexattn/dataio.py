@@ -86,7 +86,8 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.kind not in GESTURE_KINDS:
-            raise ValueError(f"unknown gesture kind {self.kind!r}")
+            raise ValueError(f"unknown gesture kind {self.kind!r}; "
+                             f"valid kinds: {', '.join(GESTURE_KINDS)}")
         if self.samples_per_class < 1:
             raise ValueError(
                 f"samples_per_class must be >= 1, got {self.samples_per_class}"
@@ -256,6 +257,28 @@ def _sidecar_path(path):
     return Path(path).with_suffix(Path(path).suffix + ".meta.json")
 
 
+def _read_sidecar(path):
+    """(class_names, sample_rate, meta) from the CSV's sidecar, or the
+    defaults without one. Anything but a JSON object with a class_names
+    list of strings and a sample_rate is a ValueError naming the sidecar."""
+    sidecar = _sidecar_path(path)
+    if not sidecar.exists():
+        return CLASS_NAMES, 250.0, {}
+    try:
+        meta = json.loads(sidecar.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{sidecar}: invalid JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: sidecar must be a JSON object")
+    missing = [k for k in ("class_names", "sample_rate") if k not in meta]
+    if missing:
+        raise ValueError(f"{sidecar}: missing keys {missing}")
+    names = meta["class_names"]
+    if not (isinstance(names, list) and all(isinstance(c, str) for c in names)):
+        raise ValueError(f"{sidecar}: class_names must be a list of strings")
+    return tuple(names), meta["sample_rate"], meta.get("meta", {})
+
+
 def _parse_rows(lines, C):
     """One parse of CSV data lines into (gesture ids, class names,
     frames, (n, C) values), or None when a line does not parse.
@@ -360,16 +383,7 @@ def load_csv(path):
     if chan_cols != [f"ch{c}" for c in range(C)] or C == 0:
         raise ValueError(f"{path}:1: malformed channel columns")
 
-    sidecar = _sidecar_path(path)
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-        class_names = tuple(meta["class_names"])
-        sample_rate = meta["sample_rate"]
-        extra = meta.get("meta", {})
-    else:
-        class_names = CLASS_NAMES
-        sample_rate = 250.0
-        extra = {}
+    class_names, sample_rate, extra = _read_sidecar(path)
 
     if len(lines) == 1:
         raise ValueError(f"{path}: no gesture rows")

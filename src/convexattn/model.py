@@ -187,25 +187,13 @@ def deserialize(data):
     vals = np.frombuffer(data, dtype=dtype, offset=_HEADER.size).astype(float)
     if not np.all(np.isfinite(vals)):
         raise ModelFormatError("non-finite value in payload")
-    pos = 0
-
-    def take(n, shape):
-        nonlocal pos
-        out = vals[pos : pos + n].reshape(shape)
-        pos += n
-        return out
-
-    norm_mean = take(C, (C,))
-    norm_std = take(C, (C,))
+    norm_mean, norm_std, b, W, A = np.split(vals, np.cumsum([C, C, m, d * m]))
     if np.any(norm_std <= 0):
         raise ModelFormatError("norm_std must be > 0")
-    b = take(m, (m,))
-    W = take(d * m, (d, m))
-    A = take(K * P * m, (K, P, m))
-    rff = RffMap(W=W, b=b, gamma=gamma)
+    rff = RffMap(W=W.reshape(d, m), b=b, gamma=gamma)
     return ModelBundle(
         rff=rff,
-        weights=A,
+        weights=A.reshape(K, P, m),
         spec=spec,
         n_classes=K,
         norm_mean=norm_mean,

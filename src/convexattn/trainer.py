@@ -107,9 +107,16 @@ class TrainReport:
     epoch_loss: list = field(default_factory=list)
     epoch_accuracy: list = field(default_factory=list)
     epoch_nuclear_norm: list = field(default_factory=list)
-    epochs_to_convergence: int = -1  # first epoch at 100% train accuracy
-    final_nuclear_norm: float = 0.0
     wall_time_s: float = 0.0
+
+    @property
+    def epochs_to_convergence(self):
+        """First epoch (from 1) at 100% train accuracy, or -1."""
+        return next((e for e, a in enumerate(self.epoch_accuracy, 1) if a == 1.0), -1)
+
+    @property
+    def final_nuclear_norm(self):
+        return self.epoch_nuclear_norm[-1] if self.epoch_nuclear_norm else 0.0
 
 
 def check_dataset(dataset, config):
@@ -161,7 +168,7 @@ def train(dataset, config):
     report = TrainReport()
     flat = lambda a: a.reshape(K * spec.patches, config.m)
 
-    for epoch in range(config.epochs):
+    for _ in range(config.epochs):
         for _ in range(config.batches_per_epoch):
             idx = batch_rng.integers(config.batch_size, n)
             Qb = Q[idx]
@@ -170,14 +177,10 @@ def train(dataset, config):
         A = nuclear_ball_project(flat(A), config.nuclear_radius).reshape(A.shape)
 
         f, _, _ = batch_class_scores(Q, A)
-        acc = float((f.argmax(axis=1) == y).mean())
         report.epoch_loss.append(loss_fn(f, Y))
-        report.epoch_accuracy.append(acc)
+        report.epoch_accuracy.append(float((f.argmax(axis=1) == y).mean()))
         report.epoch_nuclear_norm.append(nuclear_norm(flat(A)))
-        if acc == 1.0 and report.epochs_to_convergence < 0:
-            report.epochs_to_convergence = epoch + 1
 
-    report.final_nuclear_norm = report.epoch_nuclear_norm[-1]
     report.wall_time_s = time.perf_counter() - t_start
     bundle = ModelBundle(
         rff=rff,

@@ -342,26 +342,55 @@ def swipe_csv(tmp_path_factory):
     return out
 
 
-# (argv, what the one error line must name, whether the command did work
-# and printed it before the fault); {nope} is a file that does not exist,
-# {missing} a path in a directory that does not exist, {dir} a directory
-@pytest.mark.parametrize("argv,named,worked", [
-    ("predict --model {nope} --data {data}", "{nope}: not found", False),
-    ("bench --model {model} --data {nope}", "{nope}: not found", False),
-    ("bench --model {model} --data {swipe}", "shape (4, 30)", False),
-    ("export --model {model} --out {out} --data {swipe}", "shape (4, 30)", False),
-    ("predict --model {model} --data {swipe}", "shape (4, 30)", False),
-    ("verify --model {model} --data {swipe} --trials 2", "shape (4, 30)", False),
-    ("synth --kind tap --n-per-class 1 --out {missing}", "{missing}", False),
-    ("synth --kind tap --amplitude nan --out {out}", "gesture 0 has a non-finite value", False),
-    ("synth --kind tap --noise nan --out {out}", "gesture 0 has a non-finite value", False),
-    ("train --data {data} --config {cfg} --out-model {missing}", "{missing}", True),
-    ("train --data {data} --config {cfg} --out-model {out} --report {missing}", "{missing}", True),
-    ("predict --model {model} --data {data} --out {missing}", "{missing}", False),
-    ("export --model {model} --out {missing}", "{missing}", False),
-    ("train --data {dir} --config {cfg} --out-model {out}", "{dir}", False),
-    ("train --data {data} --config {dir} --out-model {out}", "{dir}", False),
-    ("predict --model {dir} --data {data}", "{dir}", False),
+@pytest.fixture(scope="module")
+def bad_sidecars(workdir, tmp_path_factory):
+    """Copies of the tap CSV, each with a sidecar load_csv must refuse,
+    by the placeholder name the fault table uses."""
+    d = tmp_path_factory.mktemp("sidecars")
+    sidecars = {
+        "meta_garbled": "{", "meta_list": "[1]",
+        "meta_no_names": '{"sample_rate": 250}',
+        "meta_no_rate": '{"class_names": ["north", "south", "east", "west"]}',
+        "meta_bad_names": '{"class_names": "nsew", "sample_rate": 250}',
+    }
+    csvs = {}
+    for name, text in sidecars.items():
+        csvs[name] = d / f"{name}.csv"
+        csvs[name].write_bytes(workdir[1].read_bytes())
+        Path(f"{csvs[name]}.meta.json").write_text(text)
+    return csvs
+
+
+# (argv, what the one error line must name); {nope} is a file that does
+# not exist, {missing} a path in a directory that does not exist, {dir} a
+# directory, {meta_*} a CSV with a bad sidecar. Each fault comes before
+# any output is printed or written.
+@pytest.mark.parametrize("argv,named", [
+    ("predict --model {nope} --data {data}", "{nope}: not found"),
+    ("bench --model {model} --data {nope}", "{nope}: not found"),
+    ("bench --model {model} --data {swipe}", "shape (4, 30)"),
+    ("export --model {model} --out {out} --data {swipe}", "shape (4, 30)"),
+    ("predict --model {model} --data {swipe}", "shape (4, 30)"),
+    ("verify --model {model} --data {swipe} --trials 2", "shape (4, 30)"),
+    ("synth --kind tap --n-per-class 1 --out {missing}", "{missing}"),
+    ("synth --kind tap --amplitude nan --out {out}", "gesture 0 has a non-finite value"),
+    ("synth --kind tap --noise nan --out {out}", "gesture 0 has a non-finite value"),
+    ("train --data {data} --config {cfg} --out-model {missing}", "{missing}: not found"),
+    ("train --data {data} --config {cfg} --out-model {out} --report {missing}",
+     "{missing}: not found"),
+    ("predict --model {model} --data {data} --out {missing}", "{missing}"),
+    ("export --model {model} --out {missing}", "{missing}"),
+    ("train --data {dir} --config {cfg} --out-model {out}", "{dir}"),
+    ("train --data {data} --config {dir} --out-model {out}", "{dir}"),
+    ("predict --model {dir} --data {data}", "{dir}"),
+    ("predict --model {model} --data {meta_garbled}", "{meta_garbled}.meta.json: invalid JSON"),
+    ("predict --model {model} --data {meta_list}", "{meta_list}.meta.json: sidecar must be"),
+    ("predict --model {model} --data {meta_no_names}",
+     "{meta_no_names}.meta.json: missing keys ['class_names']"),
+    ("train --data {meta_no_rate} --config {cfg} --out-model {out}",
+     "{meta_no_rate}.meta.json: missing keys ['sample_rate']"),
+    ("verify --model {model} --data {meta_bad_names}",
+     "{meta_bad_names}.meta.json: class_names must be a list of strings"),
 ], ids=[
     "model-not-found", "data-not-found", "bench-mismatched-data",
     "export-mismatched-data", "predict-mismatched-data", "verify-mismatched-data",
@@ -369,12 +398,15 @@ def swipe_csv(tmp_path_factory):
     "train-out-model-missing-dir", "train-report-missing-dir",
     "predict-out-missing-dir", "export-out-missing-dir",
     "data-is-a-dir", "config-is-a-dir", "model-is-a-dir",
+    "sidecar-invalid-json", "sidecar-not-an-object", "sidecar-without-class-names",
+    "sidecar-without-sample-rate", "sidecar-class-names-not-strings",
 ])
-def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, tmp_path, capsys,
-                                                 argv, named, worked):
+def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, bad_sidecars, tmp_path,
+                                                 capsys, argv, named):
     d, data, cfg, model = workdir
     paths = dict(model=model, data=data, cfg=cfg, swipe=swipe_csv, dir=tmp_path / "d",
-                 out=tmp_path / "out", nope=tmp_path / "nope", missing=tmp_path / "no" / "out")
+                 out=tmp_path / "out", nope=tmp_path / "nope", missing=tmp_path / "no" / "out",
+                 **bad_sidecars)
     paths["dir"].mkdir()
     code, stdout, err = run(capsys, *(a.format(**paths) for a in argv.split()))
     assert code == 2
@@ -382,9 +414,8 @@ def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, tmp_path, c
     assert len(errors) == 1, err
     assert named.format(**paths) in errors[0]
     assert "Traceback" not in err
-    assert bool(stdout) == worked
-    # only the report fault comes after an output was written
-    assert paths["out"].exists() == ("--report" in argv)
+    assert stdout == ""
+    assert not paths["out"].exists()
     assert not paths["out"].with_suffix(".meta.json").exists()
 
 

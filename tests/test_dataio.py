@@ -188,8 +188,31 @@ def test_csv_without_sidecar_uses_defaults(tmp_path):
     assert back.class_names == CLASS_NAMES
 
 
+@pytest.mark.parametrize("text,fault", [
+    ("{", "invalid JSON"),
+    ("", "invalid JSON"),
+    ("[1]", "sidecar must be a JSON object"),
+    ('"north"', "sidecar must be a JSON object"),
+    ('{"sample_rate": 250}', "missing keys ['class_names']"),
+    ('{"class_names": ["north", "south", "east", "west"]}', "missing keys ['sample_rate']"),
+    ("{}", "missing keys ['class_names', 'sample_rate']"),
+    ('{"class_names": "nsew", "sample_rate": 250}', "class_names must be a list of strings"),
+    ('{"class_names": ["north", 1], "sample_rate": 250}', "class_names must be a list of strings"),
+    ('{"class_names": {"north": 0}, "sample_rate": 250}', "class_names must be a list of strings"),
+], ids=["truncated", "empty", "list", "string", "no-class-names", "no-sample-rate",
+        "no-keys", "names-a-string", "names-not-strings", "names-a-dict"])
+def test_csv_bad_sidecar_names_its_path(tmp_path, text, fault):
+    ds = synth_generate(SynthConfig(kind="tap", samples_per_class=2, seed=6))
+    path = tmp_path / "g.csv"
+    save_csv(ds, path)
+    (tmp_path / "g.csv.meta.json").write_text(text)
+    with pytest.raises(ValueError) as e:
+        load_csv(path)
+    assert str(e.value).startswith(f"{tmp_path / 'g.csv.meta.json'}: {fault}")
+
+
 def test_synth_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown gesture kind 'pinch'; valid kinds: tap, swipe$"):
         SynthConfig(kind="pinch")
     with pytest.raises(ValueError):
         SynthConfig(kind="tap", samples_per_class=0)

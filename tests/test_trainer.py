@@ -10,6 +10,7 @@ from convexattn.projections import nuclear_norm
 from convexattn.trainer import (
     PRESETS,
     TrainConfig,
+    TrainReport,
     _stratified_folds,
     _stratified_split,
     config_from,
@@ -121,6 +122,22 @@ def test_final_bundle_feasible():
     K, P, m = bundle.weights.shape
     assert nuclear_norm(bundle.weights.reshape(K * P, m)) <= cfg.nuclear_radius + 1e-9
     assert report.final_nuclear_norm == report.epoch_nuclear_norm[-1]
+
+
+def test_train_report_summaries_come_from_its_series():
+    rep = TrainReport(epoch_accuracy=[0.5, 1.0, 0.9, 1.0], epoch_nuclear_norm=[3.0, 5.1, 4.2])
+    assert rep.epochs_to_convergence == 2
+    assert rep.final_nuclear_norm == 4.2
+    assert TrainReport(epoch_accuracy=[0.25, 0.5, 0.99]).epochs_to_convergence == -1
+    assert TrainReport().epochs_to_convergence == -1
+    assert TrainReport().final_nuclear_norm == 0.0
+    with pytest.raises(AttributeError):
+        rep.epochs_to_convergence = 1
+    with pytest.raises(AttributeError):
+        rep.final_nuclear_norm = 0.0
+    # a series that changes later is what the summaries report
+    rep.epoch_nuclear_norm.append(5.0)
+    assert rep.final_nuclear_norm == 5.0
 
 
 def test_train_bitwise_deterministic():

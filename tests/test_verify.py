@@ -3,11 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from convexattn import verify
 from convexattn.dataio import SynthConfig, synth_generate
 from convexattn.features import PatchSpec, lift
 from convexattn.numutil import RngStream
+from convexattn.projections import simplex_project
 from convexattn.trainer import TrainConfig, train
 from convexattn.verify import (
+    NonexpansivenessReport,
     convexity_check,
     nonexpansiveness_sweep,
     pipeline_loss,
@@ -112,6 +115,78 @@ def test_nonexpansiveness_sweep_passes():
 def test_nonexpansiveness_various_dims():
     for dim in (2, 5, 30):
         assert nonexpansiveness_sweep(pairs=200, dim=dim, rng=RngStream(dim)).passed
+
+
+def _loop_sweep(pairs, dim, rng):
+    """The sweep as a per-pair loop: one draw and two projections per
+    pair, a running max ratio, a skip counter and a firm flag."""
+    max_ratio, skipped, firm_ok = 0.0, 0, True
+    for _ in range(pairs):
+        vw = rng.uniform(2 * dim, -5.0, 5.0)
+        v, w = vw[:dim], vw[dim:]
+        dvw = np.linalg.norm(v - w)
+        diff = simplex_project(v) - simplex_project(w)
+        if np.linalg.norm(diff) ** 2 > float(diff @ (v - w)) + 1e-12:
+            firm_ok = False
+        if dvw < 1e-12:
+            skipped += 1
+            continue
+        max_ratio = max(max_ratio, np.linalg.norm(diff) / dvw)
+    return NonexpansivenessReport(pairs, skipped, float(max_ratio), firm_ok)
+
+
+def _assert_same_sweep(got, want):
+    assert (got.pairs, got.skipped, got.firm_ok) == (want.pairs, want.skipped, want.firm_ok)
+    assert abs(got.max_ratio - want.max_ratio) <= 2 * np.spacing(want.max_ratio)
+
+
+@pytest.mark.parametrize("pairs,dim,seed", [
+    (1, 1, 0), (50, 1, 3), (1, 10, 7), (300, 2, 1), (1000, 10, 0),
+    (200, 5, 11), (250, 30, 30), (40, 30, 2**64 - 1),
+])
+def test_nonexpansiveness_sweep_matches_per_pair_loop(pairs, dim, seed):
+    _assert_same_sweep(nonexpansiveness_sweep(pairs, dim, RngStream(seed)),
+                       _loop_sweep(pairs, dim, RngStream(seed)))
+
+
+class _TwinRng:
+    """Uniform draws in which every even-numbered pair has v == w and
+    every pair numbered 1 mod 4 has w = v + 1e-9, whether the pairs are
+    drawn one at a time or all at once."""
+
+    def __init__(self, dim):
+        self.dim, self.drawn, self.rng = dim, 0, RngStream(5)
+
+    def uniform(self, n, lo, hi):
+        vw = self.rng.uniform(n, lo, hi).reshape(-1, 2, self.dim)
+        i = self.drawn + np.arange(len(vw))
+        vw[i % 2 == 0, 1] = vw[i % 2 == 0, 0]
+        vw[i % 4 == 1, 1] = vw[i % 4 == 1, 0] + 1e-9
+        self.drawn += len(vw)
+        return vw.ravel()
+
+
+@pytest.mark.parametrize("pairs,dim", [(1, 1), (7, 1), (9, 10), (30, 30)])
+def test_nonexpansiveness_sweep_skips_coincident_pairs(pairs, dim):
+    rep = nonexpansiveness_sweep(pairs, dim, _TwinRng(dim))
+    assert rep.skipped == (pairs + 1) // 2
+    assert rep.passed
+    _assert_same_sweep(rep, _loop_sweep(pairs, dim, _TwinRng(dim)))
+    if pairs == 1:
+        assert rep.max_ratio == 0.0
+
+
+def test_nonexpansiveness_sweep_flags_an_expansive_map(monkeypatch):
+    # pair i's two rows are scaled by 2 for even i and by 1/2 for odd i:
+    # the even pairs break the firm inequality and give ratio 2
+    def scale(S):
+        return S * np.where(np.arange(len(S)) // 2 % 2 == 0, 2.0, 0.5)[:, None]
+
+    monkeypatch.setattr(verify, "simplex_project_rows", scale)
+    rep = nonexpansiveness_sweep(pairs=5, dim=3, rng=RngStream(0))
+    assert not rep.firm_ok
+    assert rep.max_ratio == pytest.approx(2.0, rel=1e-12)
+    assert not rep.passed
 
 
 def test_nonexpansiveness_rejects():
