@@ -20,7 +20,6 @@ from .model import (
 )
 from .numutil import RngStream, svd_thin
 from .projections import (
-    l1_ball_project_nonneg,
     nuclear_ball_project,
     nuclear_norm,
     simplex_project,

@@ -68,6 +68,8 @@ def cmd_train(args):
     for out in (args.out_model, args.report):
         if out and not Path(out).parent.is_dir():
             raise ValueError(f"{out}: not found")
+        if out and Path(out).is_dir():
+            raise ValueError(f"{out}: Is a directory")
     bundle, report = trainer.train(dataio.load_csv(args.data), cfg)
     trainable, fixed = param_count(bundle)
     print(f"trainable={trainable} fixed={fixed} total={trainable + fixed}")

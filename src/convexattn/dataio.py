@@ -1,6 +1,7 @@
 """Gesture datasets: synthetic generation, z-score statistics and CSV I/O."""
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,10 +63,6 @@ class Dataset:
     @property
     def channels(self):
         return self.samples[0].X.shape[0]
-
-    @property
-    def frames(self):
-        return self.samples[0].X.shape[1]
 
     def stacked(self):
         """(X, y) with X of shape (n, C, T) and integer labels y."""
@@ -230,7 +227,7 @@ def save_csv(dataset, path):
     C, T = shape
     names = np.array(dataset.class_names, dtype=object)[labels]
     row = "%d,%s,%d" + ",%.17g" * C + "\n"
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("gesture_id,class,frame," + ",".join(f"ch{c}" for c in range(C)) + "\n")
         for lo in range(0, len(samples), CSV_CHUNK):
             # one format call per chunk: T rows per gesture of gid,
@@ -250,7 +247,7 @@ def save_csv(dataset, path):
         "class_names": list(dataset.class_names),
         "meta": dataset.meta,
     }
-    _sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n")
+    _sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
 
 
 def _sidecar_path(path):
@@ -259,14 +256,15 @@ def _sidecar_path(path):
 
 def _read_sidecar(path):
     """(class_names, sample_rate, meta) from the CSV's sidecar, or the
-    defaults without one. Anything but a JSON object with a class_names
-    list of strings and a sample_rate is a ValueError naming the sidecar."""
+    defaults without one. Anything but a UTF-8 JSON object with a
+    class_names list of strings and a finite sample_rate > 0 is a
+    ValueError naming the sidecar."""
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         return CLASS_NAMES, 250.0, {}
     try:
-        meta = json.loads(sidecar.read_text())
-    except json.JSONDecodeError as e:
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
         raise ValueError(f"{sidecar}: invalid JSON: {e}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{sidecar}: sidecar must be a JSON object")
@@ -276,7 +274,10 @@ def _read_sidecar(path):
     names = meta["class_names"]
     if not (isinstance(names, list) and all(isinstance(c, str) for c in names)):
         raise ValueError(f"{sidecar}: class_names must be a list of strings")
-    return tuple(names), meta["sample_rate"], meta.get("meta", {})
+    rate = meta["sample_rate"]
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
+        raise ValueError(f"{sidecar}: sample_rate must be a finite number > 0, got {rate!r}")
+    return tuple(names), rate, meta.get("meta", {})
 
 
 def _parse_rows(lines, C):
@@ -367,11 +368,19 @@ def load_csv(path):
     differs from the first gesture's. Ids and class names are kept as
     written, frames are read as int() reads them, and values as float()
     does except that a value with '_' or non-ASCII digits is refused at
-    its line. A file ``save_csv`` wrote loads to the same bits in every
-    version.
+    its line. The file is read as UTF-8 whatever the locale, and a byte
+    that does not decode is reported at its line. A file ``save_csv``
+    wrote loads to the same bits in every version.
     """
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the line of the byte as splitlines() numbers the file's lines
+        raw = e.object
+        line = len((raw[:e.start].decode("utf-8") + "?").splitlines())
+        raise ValueError(f"{path}:{line}: byte 0x{raw[e.start]:02x} is not UTF-8 "
+                         f"({e.reason})") from None
     lines = text.splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")

@@ -1,8 +1,8 @@
 """Convex projection operators.
 
 Euclidean projection onto the probability simplex (sort-and-threshold),
-projection of a nonnegative vector onto an L1 ball, projection of a
-matrix onto a nuclear-norm ball, and a reference softmax kept only for
+projection of a matrix onto a nuclear-norm ball (the same threshold on
+its singular values), and a reference softmax kept only for
 non-convexity demonstrations.
 """
 
@@ -69,22 +69,6 @@ def squared_distance_to_simplex(s):
     return float(d @ d)
 
 
-def l1_ball_project_nonneg(sigma, radius):
-    """Project a nonnegative vector onto {x >= 0 : sum(x) <= radius}.
-
-    Inputs already inside the ball pass through unchanged; otherwise a
-    simplex-style threshold brings the sum down to exactly radius.
-    """
-    sigma = check_finite(sigma, "sigma")
-    if radius <= 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
-    if np.any(sigma < 0):
-        raise ValueError("sigma must be nonnegative")
-    if sigma.sum() <= radius:
-        return sigma.copy()
-    return _threshold_rows(sigma[None], radius)[0]
-
-
 def nuclear_norm(A):
     """Sum of singular values."""
     A = check_finite(A, "matrix")
@@ -94,9 +78,10 @@ def nuclear_norm(A):
 def nuclear_ball_project(A, radius):
     """Project a matrix onto the nuclear-norm ball of the given radius.
 
-    SVD, project the singular values onto the L1 ball, reconstruct.
-    A matrix already inside the ball (including the zero matrix) is
-    returned unchanged.
+    SVD, reconstruct with the singular values projected onto the L1
+    ball: past the radius, nonnegative values project by the simplex
+    threshold at that radius. A matrix already inside the ball
+    (including the zero matrix) is returned unchanged.
     """
     A = np.atleast_2d(check_finite(A, "matrix"))
     if radius <= 0:
@@ -104,8 +89,7 @@ def nuclear_ball_project(A, radius):
     U, sigma, V = svd_thin(A)
     if sigma.sum() <= radius:
         return A.copy()
-    sigma_p = l1_ball_project_nonneg(sigma, radius)
-    return (U * sigma_p) @ V.T
+    return (U * _threshold_rows(sigma[None], radius)[0]) @ V.T
 
 
 def softmax_ref(s):

@@ -35,18 +35,15 @@ class TrainConfig:
 
     def __post_init__(self):
         loss_functions(self.loss_kind)  # rejects an unknown kind
-        ok = (
-            self.nuclear_radius > 0
-            and self.gamma > 0
-            and self.eta > 0
-            and self.epochs >= 1
-            and self.batch_size >= 1
-            and self.batches_per_epoch >= 1
-            and self.n_classes >= 2
-            and self.m >= 1
-        )
-        if not ok:
-            raise ValueError("invalid TrainConfig")
+        for name in ("nuclear_radius", "gamma", "eta"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name, least in (("m", 1), ("epochs", 1), ("batch_size", 1),
+                            ("batches_per_epoch", 1), ("n_classes", 2)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        if not isinstance(self.spec, PatchSpec):
+            raise ValueError(f"spec must be a PatchSpec, got {self.spec!r}")
 
 
 # keys of a flat config (presets, --config JSON): the TrainConfig fields
@@ -218,16 +215,19 @@ def macro_f1(confusion):
     return float(f1.mean())
 
 
-def _stratified_folds(y, folds, rng):
-    """Fold index per sample; per-class counts differ by <= 1."""
-    assign = np.empty(y.size, dtype=int)
+def _class_ranks(y, need, rng):
+    """(rank, size) per sample: its place in one rng shuffle of its
+    class, classes in label order, and the size of that class. A class
+    smaller than need is refused."""
+    rank = np.empty(y.size, dtype=int)
+    size = np.empty(y.size, dtype=int)
     for k in np.unique(y):
         idx = np.nonzero(y == k)[0]
-        if idx.size < folds:
-            raise ValueError(f"class {k} has {idx.size} samples, need >= {folds}")
-        idx = rng.shuffled(idx)
-        assign[idx] = np.arange(idx.size) % folds
-    return assign
+        if idx.size < need:
+            raise ValueError(f"class {k} has {idx.size} samples, need >= {need}")
+        rank[rng.shuffled(idx)] = np.arange(idx.size)
+        size[idx] = idx.size
+    return rank, size
 
 
 @dataclass
@@ -273,7 +273,8 @@ def kfold_evaluate(dataset, config, folds=10, jobs=1):
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     X, y = check_dataset(dataset, config)
-    assign = _stratified_folds(y, folds, RngStream(config.seed).derive(100))
+    rank, _ = _class_ranks(y, folds, RngStream(config.seed).derive(100))
+    assign = rank % folds
     work = [(X, y, assign, fold, config) for fold in range(folds)]
     if jobs == 1:
         results = [_run_fold(w) for w in work]
@@ -288,27 +289,15 @@ def kfold_evaluate(dataset, config, folds=10, jobs=1):
     )
 
 
-def _stratified_split(y, fractions, rng):
-    """Index arrays for a stratified train/val/test split."""
-    parts = ([], [], [])
-    for k in np.unique(y):
-        idx = rng.shuffled(np.nonzero(y == k)[0])
-        nc = idx.size
-        if nc < 5:
-            raise ValueError(f"class {k} has {nc} samples, need >= 5")
-        n_tr = int(round(fractions[0] * nc))
-        n_val = int(round(fractions[1] * nc))
-        parts[0].extend(idx[:n_tr])
-        parts[1].extend(idx[n_tr:n_tr + n_val])
-        parts[2].extend(idx[n_tr + n_val:])
-    return tuple(np.sort(np.array(p, dtype=int)) for p in parts)
-
-
-def split_evaluate(dataset, config, fractions=(0.6, 0.2, 0.2)):
+def split_evaluate(dataset, config):
     """Stratified 60-20-20 split; trains on the train portion only and
     reports validation and held-out test accuracy and macro-F1."""
     X, y = check_dataset(dataset, config)
-    tr, va, te = _stratified_split(y, fractions, RngStream(config.seed).derive(200))
+    rank, size = _class_ranks(y, 5, RngStream(config.seed).derive(200))
+    end_tr = np.round(0.6 * size)
+    end_va = end_tr + np.round(0.2 * size)
+    part = (rank >= end_tr).astype(int) + (rank >= end_va)  # 0 train, 1 val, 2 test
+    tr, va, te = (np.flatnonzero(part == i) for i in range(3))
     bundle, report = train((X[tr], y[tr]), config)
     val_acc, val_f1, _ = evaluate(bundle, X[va], y[va])
     acc, f1, confusion = evaluate(bundle, X[te], y[te])

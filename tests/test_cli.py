@@ -343,9 +343,10 @@ def swipe_csv(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def bad_sidecars(workdir, tmp_path_factory):
+def bad_files(workdir, tmp_path_factory):
     """Copies of the tap CSV, each with a sidecar load_csv must refuse,
-    by the placeholder name the fault table uses."""
+    and its first three lines followed by a line that is not UTF-8, by
+    the placeholder name the fault table uses."""
     d = tmp_path_factory.mktemp("sidecars")
     sidecars = {
         "meta_garbled": "{", "meta_list": "[1]",
@@ -358,12 +359,16 @@ def bad_sidecars(workdir, tmp_path_factory):
         csvs[name] = d / f"{name}.csv"
         csvs[name].write_bytes(workdir[1].read_bytes())
         Path(f"{csvs[name]}.meta.json").write_text(text)
+    csvs["not_utf8"] = d / "not_utf8.csv"
+    head = workdir[1].read_bytes().split(b"\n")[:3]
+    csvs["not_utf8"].write_bytes(b"\n".join(head + [b"0,north,3,\xff"]) + b"\n")
     return csvs
 
 
 # (argv, what the one error line must name); {nope} is a file that does
 # not exist, {missing} a path in a directory that does not exist, {dir} a
-# directory, {meta_*} a CSV with a bad sidecar. Each fault comes before
+# directory, {meta_*} a CSV with a bad sidecar, {not_utf8} a CSV whose
+# line 4 is not UTF-8. Each fault comes before
 # any output is printed or written.
 @pytest.mark.parametrize("argv,named", [
     ("predict --model {nope} --data {data}", "{nope}: not found"),
@@ -378,6 +383,9 @@ def bad_sidecars(workdir, tmp_path_factory):
     ("train --data {data} --config {cfg} --out-model {missing}", "{missing}: not found"),
     ("train --data {data} --config {cfg} --out-model {out} --report {missing}",
      "{missing}: not found"),
+    ("train --data {data} --config {cfg} --out-model {dir}", "{dir}: Is a directory"),
+    ("train --data {data} --config {cfg} --out-model {out} --report {dir}",
+     "{dir}: Is a directory"),
     ("predict --model {model} --data {data} --out {missing}", "{missing}"),
     ("export --model {model} --out {missing}", "{missing}"),
     ("train --data {dir} --config {cfg} --out-model {out}", "{dir}"),
@@ -391,22 +399,24 @@ def bad_sidecars(workdir, tmp_path_factory):
      "{meta_no_rate}.meta.json: missing keys ['sample_rate']"),
     ("verify --model {model} --data {meta_bad_names}",
      "{meta_bad_names}.meta.json: class_names must be a list of strings"),
+    ("predict --model {model} --data {not_utf8}", "{not_utf8}:4: byte 0xff is not UTF-8"),
 ], ids=[
     "model-not-found", "data-not-found", "bench-mismatched-data",
     "export-mismatched-data", "predict-mismatched-data", "verify-mismatched-data",
     "synth-out-missing-dir", "synth-nan-amplitude", "synth-nan-noise",
     "train-out-model-missing-dir", "train-report-missing-dir",
+    "train-out-model-is-a-dir", "train-report-is-a-dir",
     "predict-out-missing-dir", "export-out-missing-dir",
     "data-is-a-dir", "config-is-a-dir", "model-is-a-dir",
     "sidecar-invalid-json", "sidecar-not-an-object", "sidecar-without-class-names",
-    "sidecar-without-sample-rate", "sidecar-class-names-not-strings",
+    "sidecar-without-sample-rate", "sidecar-class-names-not-strings", "data-not-utf8",
 ])
-def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, bad_sidecars, tmp_path,
+def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, bad_files, tmp_path,
                                                  capsys, argv, named):
     d, data, cfg, model = workdir
     paths = dict(model=model, data=data, cfg=cfg, swipe=swipe_csv, dir=tmp_path / "d",
                  out=tmp_path / "out", nope=tmp_path / "nope", missing=tmp_path / "no" / "out",
-                 **bad_sidecars)
+                 **bad_files)
     paths["dir"].mkdir()
     code, stdout, err = run(capsys, *(a.format(**paths) for a in argv.split()))
     assert code == 2

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -199,16 +202,61 @@ def test_csv_without_sidecar_uses_defaults(tmp_path):
     ('{"class_names": "nsew", "sample_rate": 250}', "class_names must be a list of strings"),
     ('{"class_names": ["north", 1], "sample_rate": 250}', "class_names must be a list of strings"),
     ('{"class_names": {"north": 0}, "sample_rate": 250}', "class_names must be a list of strings"),
+    ('{"class_names": [], "sample_rate": "fast"}', "sample_rate must be a finite number > 0"),
+    ('{"class_names": [], "sample_rate": true}', "sample_rate must be a finite number > 0"),
+    ('{"class_names": [], "sample_rate": NaN}', "sample_rate must be a finite number > 0"),
+    ('{"class_names": [], "sample_rate": Infinity}', "sample_rate must be a finite number > 0"),
+    ('{"class_names": [], "sample_rate": 0}', "sample_rate must be a finite number > 0"),
+    ('{"class_names": [], "sample_rate": -250.0}', "sample_rate must be a finite number > 0"),
+    ('{"class_names": [], "sample_rate": null}', "sample_rate must be a finite number > 0"),
+    ("{\"class_names\": [\"n\xf6rd\"]}", "invalid JSON"),
 ], ids=["truncated", "empty", "list", "string", "no-class-names", "no-sample-rate",
-        "no-keys", "names-a-string", "names-not-strings", "names-a-dict"])
+        "no-keys", "names-a-string", "names-not-strings", "names-a-dict", "rate-a-string",
+        "rate-a-bool", "rate-nan", "rate-infinite", "rate-zero", "rate-negative", "rate-null",
+        "not-utf8"])
 def test_csv_bad_sidecar_names_its_path(tmp_path, text, fault):
     ds = synth_generate(SynthConfig(kind="tap", samples_per_class=2, seed=6))
     path = tmp_path / "g.csv"
     save_csv(ds, path)
-    (tmp_path / "g.csv.meta.json").write_text(text)
+    (tmp_path / "g.csv.meta.json").write_bytes(text.encode("latin-1"))
     with pytest.raises(ValueError) as e:
         load_csv(path)
     assert str(e.value).startswith(f"{tmp_path / 'g.csv.meta.json'}: {fault}")
+
+
+HEADER = b"gesture_id,class,frame,ch0\n"
+
+
+@pytest.mark.parametrize("data,line,byte", [
+    (HEADER + b"0,north,0,1.0\n\xff", 3, "0xff"),
+    (HEADER + b"0,north,0,1\xfe.0\n0,north,1,1.0\n", 2, "0xfe"),
+    (HEADER.replace(b"\n", b"\r\n") + b"0,north,0,1.0\r\n0,north,1,\xe2\x82\r\n", 3, "0xe2"),
+], ids=["trailing", "in-a-value", "crlf-truncated-sequence"])
+def test_csv_undecodable_byte_reports_its_line(tmp_path, data, line, byte):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: byte {byte} is not UTF-8"):
+        load_csv(p)
+
+
+def test_csv_is_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale, with neither UTF-8 mode nor C-locale coercion
+    path = tmp_path / "g.csv"
+    script = (
+        "import sys\n"
+        "from convexattn.dataio import SynthConfig, load_csv, save_csv, synth_generate\n"
+        "ds = synth_generate(SynthConfig(kind='tap', samples_per_class=1))\n"
+        "ds.class_names = ('n\\u00f6rd', 's\\u00fcd', '\\u00f6st', 'w\\u00e4st')\n"
+        "save_csv(ds, sys.argv[1])\n"
+        "print(load_csv(sys.argv[1]).class_names == ds.class_names)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               LC_ALL="C")
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "True\n", proc.stderr
+    assert "n\u00f6rd" in path.read_bytes().decode("utf-8")
 
 
 def test_synth_config_validation():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from convexattn.projections import (
     _threshold_rows,
-    l1_ball_project_nonneg,
     nuclear_ball_project,
     nuclear_norm,
     simplex_project,
@@ -199,28 +198,23 @@ def test_squared_distance_convexity():
         assert lhs <= rhs + 1e-9
 
 
-def test_l1_ball_inside_unchanged():
-    out = l1_ball_project_nonneg(np.array([1.0, 0.5]), 2.0)
-    assert np.allclose(out, [1.0, 0.5])
-
-
-def test_l1_ball_threshold_cases():
-    assert np.allclose(l1_ball_project_nonneg(np.array([3.0, 1.0]), 2.0), [2.0, 0.0])
-    assert np.allclose(
-        l1_ball_project_nonneg(np.array([1.0, 1.0, 1.0]), 1.5), [0.5, 0.5, 0.5]
-    )
-
-
-def test_l1_ball_rejects():
-    with pytest.raises(ValueError):
-        l1_ball_project_nonneg(np.array([-0.1, 1.0]), 1.0)
-    with pytest.raises(ValueError):
-        l1_ball_project_nonneg(np.array([1.0]), 0.0)
+def test_nuclear_project_diagonal_inside_unchanged():
+    out = nuclear_ball_project(np.diag([1.0, 0.5]), 2.0)
+    assert np.array_equal(out, np.diag([1.0, 0.5]))
 
 
 def test_nuclear_project_diagonal():
+    # the singular values take the L1-ball threshold
     out = nuclear_ball_project(np.diag([3.0, 1.0]), 2.0)
     assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
+    out = nuclear_ball_project(np.eye(3), 1.5)
+    assert np.allclose(out, 0.5 * np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0])
+def test_nuclear_project_rejects_nonpositive_radius(radius):
+    with pytest.raises(ValueError, match="radius must be > 0"):
+        nuclear_ball_project(np.eye(2), radius)
 
 
 def test_nuclear_project_interior_unchanged():

@@ -1,8 +1,10 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from convexattn import trainer
 from convexattn.dataio import SynthConfig, synth_generate
 from convexattn.features import PatchSpec
 from convexattn.model import serialize
@@ -11,8 +13,7 @@ from convexattn.trainer import (
     PRESETS,
     TrainConfig,
     TrainReport,
-    _stratified_folds,
-    _stratified_split,
+    _class_ranks,
     config_from,
     evaluate,
     kfold_evaluate,
@@ -92,6 +93,29 @@ def test_config_validation():
         TrainConfig(nuclear_radius=-1, m=3, gamma=1.0, eta=0.01, epochs=1,
                     batch_size=1, batches_per_epoch=1,
                     spec=PatchSpec(4, 10, 10))
+    # each bad field is named with its value
+    good = dict(nuclear_radius=5.158, m=9, gamma=0.789, eta=0.0297, epochs=1,
+                batch_size=16, batches_per_epoch=1, spec=PatchSpec(4, 10, 10))
+    TrainConfig(**good)
+    for name, value, message in [
+        ("nuclear_radius", -1, "nuclear_radius must be > 0, got -1"),
+        ("nuclear_radius", 0.0, "nuclear_radius must be > 0, got 0.0"),
+        ("gamma", 0.0, "gamma must be > 0, got 0.0"),
+        ("gamma", float("nan"), "gamma must be > 0, got nan"),
+        ("eta", -0.01, "eta must be > 0, got -0.01"),
+        ("m", 0, "m must be >= 1, got 0"),
+        ("epochs", 0, "epochs must be >= 1, got 0"),
+        ("batch_size", -3, "batch_size must be >= 1, got -3"),
+        ("batches_per_epoch", 0, "batches_per_epoch must be >= 1, got 0"),
+        ("n_classes", 1, "n_classes must be >= 2, got 1"),
+        ("spec", (4, 10, 10), "spec must be a PatchSpec, got (4, 10, 10)"),
+        ("loss_kind", "Hinge", "unknown loss kind 'Hinge'"),
+    ]:
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            TrainConfig(**dict(good, **{name: value}))
+    # a config without a spec is refused, not left for train to trip on
+    with pytest.raises(ValueError, match="^spec must be a PatchSpec, got None$"):
+        TrainConfig(**{k: v for k, v in good.items() if k != "spec"})
 
 
 def test_train_learns_separable_taps():
@@ -265,7 +289,8 @@ def test_macro_f1_hand_cases():
 
 def test_stratified_folds_balanced():
     y = np.repeat(np.arange(4), 20)
-    assign = _stratified_folds(y, 10, RngStream(0))
+    rank, _ = _class_ranks(y, 10, RngStream(0))
+    assign = rank % 10
     for fold in range(10):
         counts = np.bincount(y[assign == fold], minlength=4)
         assert np.array_equal(counts, [2, 2, 2, 2])
@@ -274,7 +299,7 @@ def test_stratified_folds_balanced():
 def test_stratified_folds_rejects_small_class():
     y = np.array([0, 0, 1])
     with pytest.raises(ValueError):
-        _stratified_folds(y, 2, RngStream(0))
+        _class_ranks(y, 2, RngStream(0))
 
 
 def test_kfold_perfect_on_easy_data():
@@ -300,9 +325,99 @@ def test_kfold_rejects_bad_folds():
         kfold_evaluate(ds, tiny_config(), folds=1)
 
 
-def test_stratified_split_sizes():
+def _old_stratified_folds(y, folds, rng):
+    """The fold assignment as first written, one helper of its own."""
+    assign = np.empty(y.size, dtype=int)
+    for k in np.unique(y):
+        idx = np.nonzero(y == k)[0]
+        if idx.size < folds:
+            raise ValueError(f"class {k} has {idx.size} samples, need >= {folds}")
+        idx = rng.shuffled(idx)
+        assign[idx] = np.arange(idx.size) % folds
+    return assign
+
+
+def _old_stratified_split(y, fractions, rng):
+    """The train/val/test split as first written, one helper of its own."""
+    parts = ([], [], [])
+    for k in np.unique(y):
+        idx = rng.shuffled(np.nonzero(y == k)[0])
+        nc = idx.size
+        if nc < 5:
+            raise ValueError(f"class {k} has {nc} samples, need >= 5")
+        n_tr = int(round(fractions[0] * nc))
+        n_val = int(round(fractions[1] * nc))
+        parts[0].extend(idx[:n_tr])
+        parts[1].extend(idx[n_tr:n_tr + n_val])
+        parts[2].extend(idx[n_tr + n_val:])
+    return tuple(np.sort(np.array(p, dtype=int)) for p in parts)
+
+
+def _partitions(monkeypatch, y, seed, folds=None):
+    """kfold_evaluate's fold per sample (with folds) or split_evaluate's
+    (train, val, test) index arrays, read off the rows that their
+    train and evaluate calls receive, both stubbed out. Gesture i of
+    the dataset holds the value i."""
+    K = int(y.max()) + 1
+    X = np.broadcast_to(np.arange(y.size, dtype=float)[:, None, None], (y.size, 1, 2))
+    cfg = TrainConfig(nuclear_radius=1.0, m=1, gamma=1.0, eta=1.0, epochs=1, batch_size=1,
+                      batches_per_epoch=1, seed=seed, n_classes=K, spec=PatchSpec(1, 2, 1))
+    seen = []
+
+    def fake_train(dataset, config):
+        seen.append(dataset[0][:, 0, 0].astype(int))
+        return None, None
+
+    def fake_evaluate(bundle, X, y):
+        seen.append(X[:, 0, 0].astype(int))
+        return 1.0, 1.0, None
+
+    monkeypatch.setattr(trainer, "train", fake_train)
+    monkeypatch.setattr(trainer, "evaluate", fake_evaluate)
+    if folds is None:
+        split_evaluate((X, y), cfg)
+        return tuple(seen)
+    kfold_evaluate((X, y), cfg, folds=folds)
+    assign = np.full(y.size, -1)
+    for fold, held_out in enumerate(seen[1::2]):  # train, evaluate per fold
+        assign[held_out] = fold
+    return assign
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+def test_stratification_matches_separate_helpers(monkeypatch, K):
+    # kfold_evaluate and split_evaluate share one per-class shuffle and
+    # still cut the same folds and split sets as two helpers did
+    rng = np.random.default_rng(K)
+    for seed in (0, 1, 7, 2**63 + 5):
+        for folds in range(2, 11):
+            for need in (folds, 5):
+                sizes = rng.integers(need, 3 * need + 6, size=K)
+                sizes[rng.integers(K)] = need  # one class of exactly need
+                y = rng.permutation(np.repeat(np.arange(K), sizes))
+                if need == folds:
+                    want = _old_stratified_folds(y, folds, RngStream(seed).derive(100))
+                    got = _partitions(monkeypatch, y, seed, folds)
+                    assert np.array_equal(got, want)
+                if need == 5:
+                    want = _old_stratified_split(y, (0.6, 0.2, 0.2), RngStream(seed).derive(200))
+                    got = _partitions(monkeypatch, y, seed)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # a class below need: the same message from both
+    y = np.repeat(np.arange(K), [6] + [4] * (K - 1))
+    with pytest.raises(ValueError) as old:
+        _old_stratified_folds(y, 5, RngStream(0))
+    with pytest.raises(ValueError, match="^" + re.escape(str(old.value)) + "$"):
+        _partitions(monkeypatch, y, 0, folds=5)
+    with pytest.raises(ValueError) as old:
+        _old_stratified_split(y, (0.6, 0.2, 0.2), RngStream(0))
+    with pytest.raises(ValueError, match="^" + re.escape(str(old.value)) + "$"):
+        _partitions(monkeypatch, y, 0)
+
+
+def test_stratified_split_sizes(monkeypatch):
     y = np.repeat(np.arange(4), 100)
-    tr, va, te = _stratified_split(y, (0.6, 0.2, 0.2), RngStream(0))
+    tr, va, te = _partitions(monkeypatch, y, 0)
     assert (tr.size, va.size, te.size) == (240, 80, 80)
     # disjoint and exhaustive
     all_idx = np.sort(np.concatenate([tr, va, te]))
