@@ -20,7 +20,6 @@ for loss_kind in ("hinge", "squared"):
     bundle, _ = train(ds, cfg)
     rep = convexity_check(
         bundle, X, y, trials=100, noise_stddev=0.1, rng=RngStream(0),
-        loss_kind=loss_kind,
     )
     verdict = "ok" if rep.passed else "VIOLATED"
     print(f"{loss_kind:8s}: {rep.satisfied}/{rep.trials} trials satisfied "

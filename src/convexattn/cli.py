@@ -12,7 +12,6 @@ Diagnostics go to stderr; data goes to stdout or files.
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -29,13 +28,7 @@ def _load_config(args):
     """Build a TrainConfig from --preset and/or --config plus overrides."""
     values = dict(trainer.PRESETS[args.preset]) if args.preset else {}
     if args.config:
-        try:
-            loaded = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{args.config}: invalid JSON: {e}") from None
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-        values.update(loaded)
+        values.update(dataio.read_json_object(args.config, "config"))
     if not values:
         raise ValueError("need --preset or --config")
     if args.seed is not None:
@@ -54,7 +47,7 @@ def cmd_synth(args):
         noise_stddev=args.noise,
         amplitude=args.amplitude,
         drift_rate=args.drift,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     ds = dataio.synth_generate(cfg)
     dataio.save_csv(ds, args.out)
@@ -119,14 +112,14 @@ def cmd_eval(args):
 def cmd_predict(args):
     bundle = load_model(args.model)
     ds = dataio.load_csv(args.data)
+    if len(ds.class_names) < bundle.n_classes:
+        raise ValueError(f"{args.data}: names {len(ds.class_names)} classes, "
+                         f"the model scores {bundle.n_classes}")
     lines = ["gesture_id,predicted_class," + ",".join(
         f"score_{c}" for c in ds.class_names[: bundle.n_classes]
     )]
     for s in ds.samples:
-        try:
-            label, f = predict(s.X, bundle)
-        except ValueError as e:
-            raise ValueError(f"sample {s.meta}: {e}") from None
+        label, f = predict(s.X, bundle)
         scores = ",".join(f"{v:.9g}" for v in f)
         lines.append(f"{s.meta},{ds.class_names[label]},{scores}")
     out = "\n".join(lines) + "\n"
@@ -144,7 +137,7 @@ def cmd_verify(args):
         raise ValueError(f"--noise must be > 0, got {args.noise}")
     bundle = load_model(args.model)
     X, y = dataio.load_csv(args.data).stacked()
-    rng = RngStream(args.seed if args.seed is not None else 0)
+    rng = RngStream(args.seed)
     # the bundle's own loss, with the stream each kind has always used
     kind = bundle.loss_kind
     rep = verify.convexity_check(
@@ -233,7 +226,7 @@ def build_parser():
     s.add_argument("--noise", type=float, default=0.05)
     s.add_argument("--amplitude", type=float, default=1.0)
     s.add_argument("--drift", type=float, default=0.0)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_synth)
 
@@ -270,7 +263,7 @@ def build_parser():
     s.add_argument("--data", required=True)
     s.add_argument("--trials", type=int, default=100)
     s.add_argument("--noise", type=float, default=0.1)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("bench", help="measure single-sample inference latency")

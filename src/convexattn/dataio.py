@@ -207,16 +207,21 @@ def save_csv(dataset, path):
     round-trips every double, and a dataset's file is byte-identical
     across versions. See :func:`load_csv` for what a reader checks.
 
-    Before the file is opened, the dataset must be nonempty, its labels
-    must index ``class_names``, and every gesture must be finite, with
-    gesture 0's (C, T) shape. Rows go to the file CSV_CHUNK gestures at
-    a time.
+    Before the file is opened, the dataset must be nonempty, its
+    ``class_names`` and ``sample_rate`` must be what :func:`load_csv`
+    accepts in a sidecar, its labels must index ``class_names``, every
+    gesture must be finite, with gesture 0's (C, T) shape, and ``meta``
+    must be JSON. Rows go to the file CSV_CHUNK gestures at a time.
     """
     path = Path(path)
     samples = dataset.samples
     if not samples:
         raise ValueError("cannot save an empty dataset")
-    labels = check_labels([s.label for s in samples], len(dataset.class_names))
+    class_names = list(dataset.class_names)
+    fault = _sidecar_fault(class_names, dataset.sample_rate)
+    if fault:
+        raise ValueError(fault)
+    labels = check_labels([s.label for s in samples], len(class_names))
     shape = samples[0].X.shape
     for i, s in enumerate(samples):
         if s.X.shape != shape or len(shape) != 2:
@@ -225,7 +230,17 @@ def save_csv(dataset, path):
         if not np.isfinite(s.X).all():
             raise ValueError(f"gesture {i} has a non-finite value")
     C, T = shape
-    names = np.array(dataset.class_names, dtype=object)[labels]
+    try:
+        sidecar = json.dumps({
+            "sample_rate": dataset.sample_rate,
+            "channels": C,
+            "frames": T,
+            "class_names": class_names,
+            "meta": dataset.meta,
+        }, indent=2) + "\n"
+    except TypeError as e:
+        raise ValueError(f"meta is not JSON: {e}") from None
+    names = np.array(class_names, dtype=object)[labels]
     row = "%d,%s,%d" + ",%.17g" * C + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write("gesture_id,class,frame," + ",".join(f"ch{c}" for c in range(C)) + "\n")
@@ -240,18 +255,35 @@ def save_csv(dataset, path):
             cells[:, :, 2] = range(T)
             cells[:, :, 3:] = X.transpose(0, 2, 1)
             f.write(row * (g * T) % tuple(cells.ravel()))
-    sidecar = {
-        "sample_rate": dataset.sample_rate,
-        "channels": C,
-        "frames": T,
-        "class_names": list(dataset.class_names),
-        "meta": dataset.meta,
-    }
-    _sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    _sidecar_path(path).write_text(sidecar, encoding="utf-8")
 
 
 def _sidecar_path(path):
     return Path(path).with_suffix(Path(path).suffix + ".meta.json")
+
+
+def read_json_object(path, what):
+    """The JSON object in a UTF-8 file: bytes that do not decode or bad
+    JSON raise ``path: invalid JSON: ...``, any other value ``path:
+    <what> must be a JSON object``."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ValueError(f"{path}: invalid JSON: {e}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return value
+
+
+def _sidecar_fault(names, rate):
+    """Why a sidecar with these class_names and sample_rate would not
+    load, or None: names must be a list of strings and rate a finite
+    number > 0 (not a string or a boolean)."""
+    if not (isinstance(names, list) and all(isinstance(c, str) for c in names)):
+        return "class_names must be a list of strings"
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
+        return f"sample_rate must be a finite number > 0, got {rate!r}"
+    return None
 
 
 def _read_sidecar(path):
@@ -262,22 +294,14 @@ def _read_sidecar(path):
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         return CLASS_NAMES, 250.0, {}
-    try:
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
-    except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
-        raise ValueError(f"{sidecar}: invalid JSON: {e}") from None
-    if not isinstance(meta, dict):
-        raise ValueError(f"{sidecar}: sidecar must be a JSON object")
+    meta = read_json_object(sidecar, "sidecar")
     missing = [k for k in ("class_names", "sample_rate") if k not in meta]
     if missing:
         raise ValueError(f"{sidecar}: missing keys {missing}")
-    names = meta["class_names"]
-    if not (isinstance(names, list) and all(isinstance(c, str) for c in names)):
-        raise ValueError(f"{sidecar}: class_names must be a list of strings")
-    rate = meta["sample_rate"]
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
-        raise ValueError(f"{sidecar}: sample_rate must be a finite number > 0, got {rate!r}")
-    return tuple(names), rate, meta.get("meta", {})
+    fault = _sidecar_fault(meta["class_names"], meta["sample_rate"])
+    if fault:
+        raise ValueError(f"{sidecar}: {fault}")
+    return tuple(meta["class_names"]), meta["sample_rate"], meta.get("meta", {})
 
 
 def _parse_rows(lines, C):

@@ -38,14 +38,13 @@ class ModelBundle:
     rff: RffMap
     weights: np.ndarray  # (K, P, m)
     spec: PatchSpec
-    n_classes: int
     norm_mean: np.ndarray  # per channel
     norm_std: np.ndarray
     loss_kind: str
 
     def __post_init__(self):
-        K, P, m = self.weights.shape
-        if K != self.n_classes or P != self.spec.patches or m != self.rff.m:
+        _, P, m = self.weights.shape
+        if P != self.spec.patches or m != self.rff.m:
             raise ValueError("weights shape inconsistent with spec/rff")
         if self.rff.patch_dim != self.spec.patch_dim:
             raise ValueError("rff patch_dim inconsistent with spec")
@@ -53,6 +52,10 @@ class ModelBundle:
             raise ValueError("norm stats must be per channel")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
+
+    @property
+    def n_classes(self):
+        return self.weights.shape[0]
 
 
 def _score(Q, A):
@@ -195,7 +198,6 @@ def deserialize(data):
         rff=rff,
         weights=A.reshape(K, P, m),
         spec=spec,
-        n_classes=K,
         norm_mean=norm_mean,
         norm_std=norm_std,
         loss_kind=LOSS_KINDS[loss_idx],

@@ -183,7 +183,6 @@ def train(dataset, config):
         rff=rff,
         weights=A,
         spec=spec,
-        n_classes=K,
         norm_mean=mean,
         norm_std=std,
         loss_kind=config.loss_kind,
@@ -258,15 +257,15 @@ def _run_fold(args):
     cfg = replace(config, seed=config.seed + fold)
     bundle, _ = train((X[tr], y[tr]), cfg)
     acc, f1, _ = evaluate(bundle, X[~tr], y[~tr])
-    return fold, acc, f1
+    return acc, f1
 
 
 def kfold_evaluate(dataset, config, folds=10, jobs=1):
     """Stratified k-fold CV; each fold trains from scratch with a
     fold-offset seed. Std is the population standard deviation.
 
-    jobs > 1 trains folds in worker processes; results are assembled
-    by fold index, so the report is identical either way.
+    jobs > 1 trains folds in worker processes; the pool's map yields
+    their results in fold order, so the report is identical either way.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -282,10 +281,10 @@ def kfold_evaluate(dataset, config, folds=10, jobs=1):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = sorted(pool.map(_run_fold, work))
+            results = list(pool.map(_run_fold, work))
     return CvResult(
-        fold_accuracy=[acc for _, acc, _ in results],
-        fold_f1=[f1 for _, _, f1 in results],
+        fold_accuracy=[acc for acc, _ in results],
+        fold_f1=[f1 for _, f1 in results],
     )
 
 

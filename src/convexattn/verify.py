@@ -43,9 +43,9 @@ def pipeline_loss(A, Q, y, loss_kind):
     return loss(f, target(y, A.shape[0]))
 
 
-def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None,
-                    loss_kind=None):
-    """Midpoint convexity protocol around the trained weights.
+def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None):
+    """Midpoint convexity protocol around the trained weights, for the
+    loss the bundle was trained with.
 
     Each trial perturbs the trained tensor with Gaussian noise twice and
     checks loss(midpoint) <= mean of the endpoint losses, within
@@ -59,7 +59,6 @@ def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None,
     if not np.any(bundle.weights):
         raise ValueError("bundle looks untrained (all-zero weights)")
     rng = rng or RngStream(0)
-    loss_kind = loss_kind or bundle.loss_kind
     Q = lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
     A0 = bundle.weights
     violations = np.empty(trials)
@@ -68,9 +67,9 @@ def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None,
         noise = g.gauss(2 * A0.size, 0.0, noise_stddev)
         A1 = A0 + noise[: A0.size].reshape(A0.shape)
         A2 = A0 + noise[A0.size:].reshape(A0.shape)
-        l1 = pipeline_loss(A1, Q, y, loss_kind)
-        l2 = pipeline_loss(A2, Q, y, loss_kind)
-        lm = pipeline_loss(0.5 * (A1 + A2), Q, y, loss_kind)
+        l1 = pipeline_loss(A1, Q, y, bundle.loss_kind)
+        l2 = pipeline_loss(A2, Q, y, bundle.loss_kind)
+        lm = pipeline_loss(0.5 * (A1 + A2), Q, y, bundle.loss_kind)
         violations[t] = lm - 0.5 * (l1 + l2)
     satisfied = int(np.count_nonzero(violations <= CONVEXITY_TOL))
     return ConvexityTrialReport(
@@ -80,7 +79,7 @@ def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None,
         min_violation=float(violations.min()),
         median_violation=float(np.median(violations)),
         max_violation=float(violations.max()),
-        loss_kind=loss_kind,
+        loss_kind=bundle.loss_kind,
         noise_stddev=noise_stddev,
     )
 

@@ -100,6 +100,6 @@ def train(X, y, config):
         losses.append(hinge_loss(f, y) if hinge else squared_loss(f, Y))
         accuracies.append(float((f.argmax(axis=1) == y).mean()))
         norms.append(float(np.linalg.svd(A.reshape(-1, m), compute_uv=False).sum()))
-    bundle = ModelBundle(rff=rff, weights=A, spec=spec, n_classes=K, norm_mean=stats[0],
+    bundle = ModelBundle(rff=rff, weights=A, spec=spec, norm_mean=stats[0],
                          norm_std=stats[1], loss_kind=config.loss_kind)
     return bundle, losses, accuracies, norms

@@ -131,7 +131,7 @@ def test_criterion_4_convexity_protocol(tap_dataset):
         bundle, _ = train(tap_dataset, preset_config("tap-tuned", seed=0,
                                                      loss_kind=kind))
         rep = convexity_check(bundle, X, y, trials=100, noise_stddev=0.1,
-                              rng=RngStream(0), loss_kind=kind)
+                              rng=RngStream(0))
         ok &= rep.satisfied == 100
         details.append(f"{kind} {rep.satisfied}/100 "
                        f"(mean violation {rep.mean_violation:+.2e})")
@@ -145,7 +145,7 @@ def test_criterion_5_parameter_counts():
         spec = PatchSpec(channels=C, frames=T, patches=P)
         rff = rff_init(spec, m, 1.0, RngStream(0))
         return ModelBundle(rff=rff, weights=np.zeros((4, P, m)), spec=spec,
-                           n_classes=4, norm_mean=np.zeros(C),
+                           norm_mean=np.zeros(C),
                            norm_std=np.ones(C), loss_kind="hinge")
 
     tap = param_count(bundle_for(4, 10, 10, 3))[0]
@@ -162,7 +162,7 @@ def test_criterion_6_storage_budget():
         spec = PatchSpec(channels=4, frames=T, patches=P)
         rff = rff_init(spec, m, 1.0, RngStream(0))
         return ModelBundle(rff=rff, weights=np.zeros((4, P, m)), spec=spec,
-                           n_classes=4, norm_mean=np.zeros(4),
+                           norm_mean=np.zeros(4),
                            norm_std=np.ones(4), loss_kind="hinge")
 
     tap = len(serialize(bundle_for(10, 10, 9), precision=32))

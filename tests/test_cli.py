@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convexattn import cli
+from convexattn import cli, dataio
 from convexattn.cli import main
 from convexattn.model import load_model
 
@@ -345,8 +345,9 @@ def swipe_csv(tmp_path_factory):
 @pytest.fixture(scope="module")
 def bad_files(workdir, tmp_path_factory):
     """Copies of the tap CSV, each with a sidecar load_csv must refuse,
-    and its first three lines followed by a line that is not UTF-8, by
-    the placeholder name the fault table uses."""
+    its first three lines followed by a line that is not UTF-8, its
+    first two classes alone, and the config with a byte that is not
+    UTF-8, by the placeholder name the fault table uses."""
     d = tmp_path_factory.mktemp("sidecars")
     sidecars = {
         "meta_garbled": "{", "meta_list": "[1]",
@@ -362,13 +363,20 @@ def bad_files(workdir, tmp_path_factory):
     csvs["not_utf8"] = d / "not_utf8.csv"
     head = workdir[1].read_bytes().split(b"\n")[:3]
     csvs["not_utf8"].write_bytes(b"\n".join(head + [b"0,north,3,\xff"]) + b"\n")
+    taps = dataio.load_csv(workdir[1])
+    csvs["two_classes"] = d / "two.csv"
+    dataio.save_csv(dataio.Dataset([s for s in taps.samples if s.label < 2],
+                                   taps.class_names[:2]), csvs["two_classes"])
+    csvs["cfg_not_utf8"] = d / "cfg.json"
+    csvs["cfg_not_utf8"].write_bytes(workdir[2].read_bytes().replace(b"}", b', "\xff": 1}'))
     return csvs
 
 
 # (argv, what the one error line must name); {nope} is a file that does
 # not exist, {missing} a path in a directory that does not exist, {dir} a
 # directory, {meta_*} a CSV with a bad sidecar, {not_utf8} a CSV whose
-# line 4 is not UTF-8. Each fault comes before
+# line 4 is not UTF-8, {two_classes} a CSV that names two classes and
+# {cfg_not_utf8} a config that is not UTF-8. Each fault comes before
 # any output is printed or written.
 @pytest.mark.parametrize("argv,named", [
     ("predict --model {nope} --data {data}", "{nope}: not found"),
@@ -400,6 +408,10 @@ def bad_files(workdir, tmp_path_factory):
     ("verify --model {model} --data {meta_bad_names}",
      "{meta_bad_names}.meta.json: class_names must be a list of strings"),
     ("predict --model {model} --data {not_utf8}", "{not_utf8}:4: byte 0xff is not UTF-8"),
+    ("predict --model {model} --data {two_classes}",
+     "{two_classes}: names 2 classes, the model scores 4"),
+    ("train --data {data} --config {cfg_not_utf8} --out-model {out}",
+     "{cfg_not_utf8}: invalid JSON: 'utf-8' codec can't decode byte 0xff"),
 ], ids=[
     "model-not-found", "data-not-found", "bench-mismatched-data",
     "export-mismatched-data", "predict-mismatched-data", "verify-mismatched-data",
@@ -410,6 +422,7 @@ def bad_files(workdir, tmp_path_factory):
     "data-is-a-dir", "config-is-a-dir", "model-is-a-dir",
     "sidecar-invalid-json", "sidecar-not-an-object", "sidecar-without-class-names",
     "sidecar-without-sample-rate", "sidecar-class-names-not-strings", "data-not-utf8",
+    "predict-fewer-class-names", "config-not-utf8",
 ])
 def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, bad_files, tmp_path,
                                                  capsys, argv, named):

@@ -401,7 +401,23 @@ def _tap_set():
      r"gesture 1 has shape \(3, 10\), need \(C, T\) like gesture 0's \(4, 10\)$"),
     (lambda ds: np.put(ds.samples[5].X, 27, np.nan), r"gesture 5 has a non-finite value$"),
     (lambda ds: np.put(ds.samples[11].X, 0, -np.inf), r"gesture 11 has a non-finite value$"),
-], ids=["label-minus-1", "label-7", "empty", "fewer-channels", "nan", "minus-inf"])
+    (lambda ds: setattr(ds, "sample_rate", np.nan),
+     r"sample_rate must be a finite number > 0, got nan$"),
+    (lambda ds: setattr(ds, "sample_rate", np.inf),
+     r"sample_rate must be a finite number > 0, got inf$"),
+    (lambda ds: setattr(ds, "sample_rate", 0), r"sample_rate must be a finite number > 0, got 0$"),
+    (lambda ds: setattr(ds, "sample_rate", -1), r"sample_rate must be a finite number > 0, got -1$"),
+    (lambda ds: setattr(ds, "sample_rate", "fast"),
+     r"sample_rate must be a finite number > 0, got 'fast'$"),
+    (lambda ds: setattr(ds, "sample_rate", True),
+     r"sample_rate must be a finite number > 0, got True$"),
+    (lambda ds: setattr(ds, "class_names", ("a", 2, "c", "d")),
+     r"class_names must be a list of strings$"),
+    (lambda ds: ds.meta.update(seed=np.int64(3)),
+     r"meta is not JSON: Object of type int64 is not JSON serializable$"),
+], ids=["label-minus-1", "label-7", "empty", "fewer-channels", "nan", "minus-inf",
+        "rate-nan", "rate-inf", "rate-zero", "rate-minus-1", "rate-a-string", "rate-a-bool",
+        "name-not-a-string", "meta-not-json"])
 def test_save_csv_refuses_a_bad_dataset_before_opening_the_file(tmp_path, spoil, message):
     p = tmp_path / "kept.csv"
     save_csv(_tap_set(), p)

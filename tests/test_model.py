@@ -37,7 +37,6 @@ def make_bundle(K=4, C=4, T=10, P=10, m=3, seed=0, loss_kind="hinge"):
         rff=rff,
         weights=A,
         spec=spec,
-        n_classes=K,
         norm_mean=np.zeros(C),
         norm_std=np.ones(C),
         loss_kind=loss_kind,
@@ -178,6 +177,15 @@ def test_serialize_round_trip_64():
     assert l1 == l2 and np.array_equal(f1, f2)
 
 
+def test_n_classes_is_the_weights_first_axis():
+    bundle = deserialize(serialize(make_bundle(K=5)))
+    assert bundle.n_classes == bundle.weights.shape[0] == 5
+    three = replace(bundle, weights=bundle.weights[:3])
+    assert three.n_classes == three.weights.shape[0] == 3
+    # the header's K is the weights' first axis too
+    assert deserialize(serialize(three)).n_classes == 3
+
+
 def test_serialize_32_label_parity():
     bundle = make_bundle(seed=14)
     again = deserialize(serialize(bundle, precision=32))
@@ -315,7 +323,6 @@ def bundles(draw):
         rff=rff,
         weights=draw(arrays(float, (K, P, m), elements=finite)),
         spec=spec,
-        n_classes=K,
         norm_mean=draw(arrays(float, C, elements=finite)),
         norm_std=draw(arrays(float, C, elements=positive)),
         loss_kind=draw(st.sampled_from(LOSS_KINDS)),

@@ -1,8 +1,14 @@
 import ast
+import contextlib
 import importlib
+import io
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from convexattn.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,3 +56,22 @@ def test_demo_imports_resolve():
                             for alias in node.names if not hasattr(module, alias.name)]
     assert checked, "no convexattn import found in demos/"
     assert not missing, missing
+
+
+def test_readme_commands_parse():
+    # every `convexattn ...` line of the README's sh blocks must parse,
+    # so a renamed or dropped flag fails here; nothing is run
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    commands = [shlex.split(line)[1:]
+                for block in blocks for line in block.splitlines()
+                if line.startswith("convexattn ")]
+    assert commands, "no convexattn command found in README.md"
+    refused = []
+    for argv in commands:
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(stderr):
+                build_parser().parse_args(argv)
+        except SystemExit:
+            refused.append(f"convexattn {shlex.join(argv)}: {stderr.getvalue().strip()}")
+    assert not refused, refused

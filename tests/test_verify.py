@@ -48,8 +48,7 @@ def test_convexity_check_passes_both_losses():
     # can show ~1e-3 midpoint violations
     for kind in ("hinge", "squared"):
         bundle, X, y = _train_tap(kind)
-        rep = convexity_check(bundle, X, y, trials=50, rng=RngStream(1),
-                              loss_kind=kind)
+        rep = convexity_check(bundle, X, y, trials=50, rng=RngStream(1))
         assert rep.passed
         assert rep.satisfied == rep.trials == 50
         assert rep.max_violation <= 1e-6
