@@ -12,9 +12,9 @@ from convexattn import (
     evaluate,
     load_model,
     param_count,
-    predict,
     preset_config,
     save_model,
+    scores,
     split_evaluate,
     synth_generate,
     train,
@@ -52,12 +52,8 @@ with tempfile.TemporaryDirectory() as d:
     path = Path(d) / "tap.model"
     nbytes = save_model(bundle, path, precision=32)
     compact = load_model(path)
-    flips = sum(
-        predict(s.X, bundle)[0] != predict(s.X, compact)[0]
-        for s in ds.samples
-    )
-    print(f"\n32-bit export: {nbytes} bytes, "
-          f"{len(ds.samples) - flips}/{len(ds.samples)} labels identical")
+    same = int((scores(X, bundle).argmax(axis=1) == scores(X, compact).argmax(axis=1)).sum())
+    print(f"\n32-bit export: {nbytes} bytes, {same}/{len(X)} labels identical")
 
 acc, f1, _ = evaluate(compact, X, y)
 print(f"compact model on the full set: accuracy {acc:.3f}, macro-F1 {f1:.3f}")

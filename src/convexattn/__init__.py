@@ -6,7 +6,7 @@ Euclidean projection onto the probability simplex, training minimizes a
 convex loss under a nuclear-norm constraint.
 """
 
-from .dataio import Dataset, GestureSample, SynthConfig, load_csv, save_csv, synth_generate
+from .dataio import Dataset, SynthConfig, load_csv, save_csv, synth_generate
 from .features import PatchSpec, RffMap, patchify, rff_init, rff_transform
 from .model import (
     ModelBundle,
@@ -16,6 +16,7 @@ from .model import (
     param_count,
     predict,
     save_model,
+    scores,
     serialize,
 )
 from .numutil import RngStream, svd_thin

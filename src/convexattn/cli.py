@@ -20,17 +20,19 @@ import numpy as np
 
 from . import dataio, trainer, verify
 from .losses import LOSS_KINDS
-from .model import load_model, param_count, predict, save_model
+from .model import load_model, param_count, predict, save_model, scores
 from .numutil import RngStream
 
 
-def _load_config(args):
-    """Build a TrainConfig from --preset and/or --config plus overrides."""
+def _load_config(args, channels):
+    """Build a TrainConfig from --preset and/or --config plus overrides;
+    channels, the data's, is used unless the config names it."""
     values = dict(trainer.PRESETS[args.preset]) if args.preset else {}
     if args.config:
         values.update(dataio.read_json_object(args.config, "config"))
     if not values:
         raise ValueError("need --preset or --config")
+    values.setdefault("channels", channels)
     if args.seed is not None:
         values["seed"] = args.seed
     if args.loss:
@@ -56,14 +58,15 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    cfg = _load_config(args)
+    ds = dataio.load_csv(args.data)
+    cfg = _load_config(args, ds.channels)
     # an output that cannot be written fails before the training, not after
     for out in (args.out_model, args.report):
         if out and not Path(out).parent.is_dir():
             raise ValueError(f"{out}: not found")
         if out and Path(out).is_dir():
             raise ValueError(f"{out}: Is a directory")
-    bundle, report = trainer.train(dataio.load_csv(args.data), cfg)
+    bundle, report = trainer.train(ds, cfg)
     trainable, fixed = param_count(bundle)
     print(f"trainable={trainable} fixed={fixed} total={trainable + fixed}")
     print(
@@ -85,8 +88,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = _load_config(args)
     ds = dataio.load_csv(args.data)
+    cfg = _load_config(args, ds.channels)
     if args.mode == "kfold":
         print(f"methodology: stratified {args.folds}-fold cross-validation")
         res = trainer.kfold_evaluate(ds, cfg, folds=args.folds, jobs=args.jobs)
@@ -115,14 +118,15 @@ def cmd_predict(args):
     if len(ds.class_names) < bundle.n_classes:
         raise ValueError(f"{args.data}: names {len(ds.class_names)} classes, "
                          f"the model scores {bundle.n_classes}")
-    lines = ["gesture_id,predicted_class," + ",".join(
-        f"score_{c}" for c in ds.class_names[: bundle.n_classes]
-    )]
-    for s in ds.samples:
-        label, f = predict(s.X, bundle)
-        scores = ",".join(f"{v:.9g}" for v in f)
-        lines.append(f"{s.meta},{ds.class_names[label]},{scores}")
-    out = "\n".join(lines) + "\n"
+    K = bundle.n_classes
+    f = scores(ds.samples, bundle)
+    # one format call for all lines: gesture id, predicted class, K scores
+    cells = np.empty((len(f), 2 + K), dtype=object)
+    cells[:, 0] = ds.ids
+    cells[:, 1] = np.array(ds.class_names, dtype=object)[f.argmax(axis=1)]
+    cells[:, 2:] = f
+    header = "gesture_id,predicted_class," + ",".join(f"score_{c}" for c in ds.class_names[:K])
+    out = header + "\n" + ("%s,%s" + ",%.9g" * K + "\n") * len(f) % tuple(cells.ravel())
     if args.out:
         Path(args.out).write_text(out)
     else:
@@ -172,12 +176,11 @@ def cmd_bench(args):
         raise ValueError(f"--iters must be >= 1, got {args.iters}")
     bundle = load_model(args.model)
     ds = dataio.load_csv(args.data)
-    X0 = ds.samples[0].X
     for _ in range(10):
-        predict(X0, bundle)
+        predict(ds.samples[0], bundle)
     times = np.empty(args.iters)
     for i in range(args.iters):
-        s = ds.samples[i % len(ds.samples)].X
+        s = ds.samples[i % len(ds.samples)]
         t0 = time.perf_counter_ns()
         predict(s, bundle)
         times[i] = time.perf_counter_ns() - t0
@@ -202,12 +205,10 @@ def cmd_export(args):
     print(f"wrote {args.precision}-bit model ({nbytes} bytes) to {args.out}")
     if ds is not None:
         exported = load_model(args.out)
-        mismatch = sum(
-            predict(s.X, bundle)[0] != predict(s.X, exported)[0]
-            for s in ds.samples
-        )
-        print(f"label parity: {len(ds.samples) - mismatch}/{len(ds.samples)} match")
-        if mismatch:
+        labels = scores(ds.samples, bundle).argmax(axis=1)
+        match = int((scores(ds.samples, exported).argmax(axis=1) == labels).sum())
+        print(f"label parity: {match}/{len(labels)} match")
+        if match < len(labels):
             return 1
     return 0
 

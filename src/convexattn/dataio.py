@@ -45,30 +45,25 @@ SWIPE_DIRECTIONS = np.array(
 
 
 @dataclass
-class GestureSample:
-    """One gesture: channels x frames matrix plus its label."""
-
-    X: np.ndarray
-    label: int
-    meta: str = ""
-
-
-@dataclass
 class Dataset:
-    samples: list
+    """Gestures as arrays: ``samples`` (n, C, T) floats and ``labels``
+    (n,) ints, with ``ids`` the CSV's gesture_id strings, or None for a
+    generated set."""
+
+    samples: np.ndarray
+    labels: np.ndarray
+    ids: np.ndarray = None
     class_names: tuple = CLASS_NAMES
     sample_rate: float = 250.0
     meta: dict = field(default_factory=dict)
 
     @property
     def channels(self):
-        return self.samples[0].X.shape[0]
+        return self.samples.shape[1]
 
     def stacked(self):
-        """(X, y) with X of shape (n, C, T) and integer labels y."""
-        X = np.stack([s.X for s in self.samples])
-        y = np.array([s.label for s in self.samples], dtype=int)
-        return X, y
+        """(samples, labels): the dataset's own arrays, not copies."""
+        return self.samples, self.labels
 
 
 @dataclass
@@ -79,7 +74,6 @@ class SynthConfig:
     amplitude: float = 1.0
     drift_rate: float = 0.0
     seed: int = 0
-    quantize_12bit: bool = False
 
     def __post_init__(self):
         if self.kind not in GESTURE_KINDS:
@@ -159,16 +153,17 @@ def synth_generate(config):
     Gesture i of class k draws from stream ``derive(1 + k*n + i)``
     (template jitter, then noise), the class's streams in turn through
     one re-keyed generator, and each class is computed as one (n, C, T)
-    array.
+    block of the C-contiguous (4n, C, T) stack.
     """
     rng = RngStream(config.seed)
-    samples = []
     n = config.samples_per_class
     C = ELECTRODE_CORNERS.shape[0]
     T = config.frames
+    K = len(CLASS_NAMES)
+    samples = np.empty((K * n, C, T))
     # a tap's pulse centre takes one draw, a swipe's start and end two
     draws, reach = (1, 0.05 * T) if config.kind == "tap" else (2, 0.02)
-    for k, name in enumerate(CLASS_NAMES):
+    for k in range(K):
         jitter = np.empty((n, draws))
         noise = np.empty((n, C * T))
         for i, g in enumerate(rng.derive_each(range(1 + k * n, 1 + (k + 1) * n))):
@@ -183,14 +178,9 @@ def synth_generate(config):
             X = X + config.drift_rate * np.arange(T)
         if config.noise_stddev:
             X = X + noise.reshape(n, C, T)
-        if config.quantize_12bit:
-            lim = 2.0 * config.amplitude
-            X = np.round(np.clip(X, -lim, lim) / lim * 2047) * lim / 2047
-        samples += [
-            GestureSample(X=x, label=k, meta=f"{name}-{i}") for i, x in enumerate(X)
-        ]
+        samples[k * n:(k + 1) * n] = X
     return Dataset(
-        samples=samples,
+        samples, np.repeat(np.arange(K), n),
         meta={"kind": config.kind, "seed": config.seed, "synthetic": True},
     )
 
@@ -207,29 +197,27 @@ def save_csv(dataset, path):
     round-trips every double, and a dataset's file is byte-identical
     across versions. See :func:`load_csv` for what a reader checks.
 
-    Before the file is opened, the dataset must be nonempty, its
-    ``class_names`` and ``sample_rate`` must be what :func:`load_csv`
-    accepts in a sidecar, its labels must index ``class_names``, every
-    gesture must be finite, with gesture 0's (C, T) shape, and ``meta``
-    must be JSON. Rows go to the file CSV_CHUNK gestures at a time.
+    Before the file is opened, ``samples`` must be a nonempty (n, C, T)
+    array, its ``class_names`` and ``sample_rate`` must be what
+    :func:`load_csv` accepts in a sidecar, its n labels must index
+    ``class_names``, every gesture must be finite, and ``meta`` must be
+    JSON. Rows go to the file CSV_CHUNK gestures at a time.
     """
     path = Path(path)
-    samples = dataset.samples
-    if not samples:
+    samples = np.asarray(dataset.samples)
+    if samples.ndim != 3:
+        raise ValueError(f"samples must be an (n, C, T) array, got shape {samples.shape}")
+    if not len(samples):
         raise ValueError("cannot save an empty dataset")
     class_names = list(dataset.class_names)
     fault = _sidecar_fault(class_names, dataset.sample_rate)
     if fault:
         raise ValueError(fault)
-    labels = check_labels([s.label for s in samples], len(class_names))
-    shape = samples[0].X.shape
-    for i, s in enumerate(samples):
-        if s.X.shape != shape or len(shape) != 2:
-            raise ValueError(f"gesture {i} has shape {s.X.shape}, "
-                             f"need (C, T) like gesture 0's {shape}")
-        if not np.isfinite(s.X).all():
-            raise ValueError(f"gesture {i} has a non-finite value")
-    C, T = shape
+    labels = check_labels(dataset.labels, len(class_names), len(samples))
+    bad = ~np.isfinite(samples).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"gesture {int(bad.argmax())} has a non-finite value")
+    _, C, T = samples.shape
     try:
         sidecar = json.dumps({
             "sample_rate": dataset.sample_rate,
@@ -247,7 +235,7 @@ def save_csv(dataset, path):
         for lo in range(0, len(samples), CSV_CHUNK):
             # one format call per chunk: T rows per gesture of gid,
             # class, frame, values
-            X = np.stack([s.X for s in samples[lo:lo + CSV_CHUNK]])
+            X = samples[lo:lo + CSV_CHUNK]
             g = len(X)
             cells = np.empty((g, T, 3 + C), dtype=object)
             cells[:, :, 0] = np.arange(lo, lo + g)[:, None]
@@ -406,6 +394,10 @@ def load_csv(path):
         raise ValueError(f"{path}:{line}: byte 0x{raw[e.start]:02x} is not UTF-8 "
                          f"({e.reason})") from None
     lines = text.splitlines()
+    # numpy's float parse strips "\x1f" as whitespace where float() does
+    # not; the text is dropped before the parse, which holds the lines
+    has_separator = "\x1f" in text
+    del text
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -420,10 +412,9 @@ def load_csv(path):
 
     if len(lines) == 1:
         raise ValueError(f"{path}: no gesture rows")
-    # a blank line is a fault the parse would skip, and numpy's float
-    # parse strips "\x1f" as whitespace where float() does not
+    # a blank line is a fault the parse would skip
     rows = None if "" in lines else _parse_rows(lines[1:], C)
-    if rows is None or "\x1f" in text:
+    if rows is None or has_separator:
         # raises when the parse failed: some line is bad
         _check_lines(path, lines, C, class_names, strict=rows is None)
     gid, cname, frame, values = rows
@@ -439,9 +430,9 @@ def load_csv(path):
 
     # the first row of unknown class or of a class its gesture did not
     # start with
-    labels = [class_names.index(c) if c in class_names else -1
-              for c in cname[first].tolist()]
-    bad = np.flatnonzero((np.array(labels)[group] < 0) | (cname != cname[first][group]))
+    labels = np.array([class_names.index(c) if c in class_names else -1
+                       for c in cname[first].tolist()])
+    bad = np.flatnonzero((labels[group] < 0) | (cname != cname[first][group]))
     if bad.size:
         r = int(bad[0])
         if cname[r] not in class_names:
@@ -463,9 +454,7 @@ def load_csv(path):
     if ragged.size:
         raise ValueError(f"{path}:{int(first[ragged[0]]) + 2}: ragged gestures, "
                          f"frame counts {set(counts.tolist())}")
-    X = values[order].reshape(len(counts), counts[0], C)
-    samples = [
-        GestureSample(X=x.T, label=label, meta=g)
-        for x, label, g in zip(X, labels, gid[first].tolist())
-    ]
-    return Dataset(samples, class_names, sample_rate, extra)
+    # the transposed view, not a C-contiguous copy: zscore_fit sums in
+    # memory order, so the layout sets the bits of a trained model
+    samples = values[order].reshape(len(counts), counts[0], C).transpose(0, 2, 1)
+    return Dataset(samples, labels, gid[first], class_names, sample_rate, extra)

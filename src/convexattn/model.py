@@ -93,6 +93,12 @@ def batch_class_scores(Q, A):
     return _score(Q, A)
 
 
+def scores(X, bundle):
+    """Class scores f (n, K) of a stack of raw gestures X (n, C, T)."""
+    Q = lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
+    return batch_class_scores(Q, bundle.weights)[0]
+
+
 def features_for(X, bundle):
     """Raw gesture (C, T) -> normalized, patchified, RFF-lifted features."""
     stats = (bundle.norm_mean, bundle.norm_std)

@@ -14,7 +14,7 @@ import numpy as np
 from . import dataio
 from .features import PatchSpec, lift, rff_init
 from .losses import check_labels, loss_functions
-from .model import ModelBundle, batch_class_scores
+from .model import ModelBundle, batch_class_scores, scores
 from .numutil import RngStream, check_finite
 from .projections import nuclear_ball_project, nuclear_norm
 
@@ -193,9 +193,7 @@ def train(dataset, config):
 def evaluate(bundle, X, y):
     """(accuracy, macro-F1, confusion) of a bundle on raw gestures."""
     X, y = check_dataset((X, y), bundle)
-    Q = lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
-    f, _, _ = batch_class_scores(Q, bundle.weights)
-    pred = f.argmax(axis=1)
+    pred = scores(X, bundle).argmax(axis=1)
     K = bundle.n_classes
     confusion = np.zeros((K, K), dtype=int)
     np.add.at(confusion, (y, pred), 1)

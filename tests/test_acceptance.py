@@ -257,12 +257,12 @@ def test_criterion_10_nuclear_feasibility(tap_dataset, swipe_dataset):
 
 
 def test_criterion_11_latency(tap_bundle, tap_dataset):
-    X0 = tap_dataset.samples[0].X
+    X0 = tap_dataset.samples[0]
     for _ in range(10):
         predict(X0, tap_bundle)
     times = np.empty(100)
     for i in range(100):
-        s = tap_dataset.samples[i % 400].X
+        s = tap_dataset.samples[i % 400]
         t0 = time.perf_counter_ns()
         predict(s, tap_bundle)
         times[i] = time.perf_counter_ns() - t0

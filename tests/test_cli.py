@@ -11,7 +11,7 @@ import pytest
 
 from convexattn import cli, dataio
 from convexattn.cli import main
-from convexattn.model import load_model
+from convexattn.model import load_model, predict
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -365,8 +365,9 @@ def bad_files(workdir, tmp_path_factory):
     csvs["not_utf8"].write_bytes(b"\n".join(head + [b"0,north,3,\xff"]) + b"\n")
     taps = dataio.load_csv(workdir[1])
     csvs["two_classes"] = d / "two.csv"
-    dataio.save_csv(dataio.Dataset([s for s in taps.samples if s.label < 2],
-                                   taps.class_names[:2]), csvs["two_classes"])
+    two = taps.labels < 2
+    dataio.save_csv(dataio.Dataset(taps.samples[two], taps.labels[two],
+                                   class_names=taps.class_names[:2]), csvs["two_classes"])
     csvs["cfg_not_utf8"] = d / "cfg.json"
     csvs["cfg_not_utf8"].write_bytes(workdir[2].read_bytes().replace(b"}", b', "\xff": 1}'))
     return csvs
@@ -472,3 +473,93 @@ def test_entry_point_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"{tmp_path / 'nope.csv'}: not found" in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def six_channels(workdir, tmp_path_factory):
+    """The tap CSV with channels 0 and 1 repeated as channels 4 and 5."""
+    taps = dataio.load_csv(workdir[1])
+    out = tmp_path_factory.mktemp("six") / "six.csv"
+    samples = np.concatenate([taps.samples, taps.samples[:, :2]], axis=1)
+    dataio.save_csv(dataio.Dataset(samples, taps.labels), out)
+    return out
+
+
+@pytest.mark.parametrize("command", [
+    "train --out-model {out}", "eval --mode split", "eval --mode kfold --folds 2",
+])
+def test_channels_default_to_the_data(six_channels, tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epochs": 2}')
+    argv = f"{command} --data {six_channels} --preset tap --config {cfg}"
+    code, stdout, err = run(capsys, *argv.format(out=tmp_path / "m").split())
+    assert code == 0, err
+    assert "channels=6" in err
+    if command.startswith("train"):
+        # criterion 5's patch_dim-6 count: 6*3 + 3 fixed, 4*10*3 trainable
+        assert "trainable=120 fixed=21 total=141" in stdout
+        assert load_model(tmp_path / "m").spec.channels == 6
+
+
+@pytest.mark.parametrize("command", ["train --out-model {out}", "eval --mode split"])
+def test_config_channels_win_over_the_data(six_channels, tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epochs": 2, "channels": 4}')
+    argv = f"{command} --data {six_channels} --preset tap --config {cfg}"
+    code, stdout, err = run(capsys, *argv.format(out=tmp_path / "m").split())
+    assert code == 2
+    assert "error: dataset shape (6, 10) does not match spec (4, 10)" in err
+    assert "accuracy" not in stdout and "trainable" not in stdout
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.fixture(scope="module")
+def swipe_model(swipe_csv, tmp_path_factory):
+    d = tmp_path_factory.mktemp("swipe_model")
+    cfg, model = d / "cfg.json", d / "swipe.model"
+    cfg.write_text('{"epochs": 5}')
+    assert main(["train", "--data", str(swipe_csv), "--preset", "swipe-tuned", "--config",
+                 str(cfg), "--loss", "squared", "--out-model", str(model)]) == 0
+    return model
+
+
+def per_gesture_predict_output(model, data):
+    """What `predict` prints, built one gesture at a time with model.predict."""
+    bundle, ds = load_model(model), dataio.load_csv(data)
+    names = ds.class_names
+    lines = ["gesture_id,predicted_class," + ",".join(
+        f"score_{c}" for c in names[:bundle.n_classes])]
+    for gid, x in zip(ds.ids, ds.samples):
+        label, f = predict(x, bundle)
+        lines.append(f"{gid},{names[label]}," + ",".join(f"{v:.9g}" for v in f))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["tap", "swipe"])
+def test_predict_matches_per_gesture_predict(workdir, swipe_csv, swipe_model, capsys, kind):
+    model, data = (workdir[3], workdir[1]) if kind == "tap" else (swipe_model, swipe_csv)
+    code, stdout, _ = run(capsys, "predict", "--model", str(model), "--data", str(data))
+    assert code == 0
+    assert stdout == per_gesture_predict_output(model, data)
+
+
+def test_export_parity_matches_per_gesture_count(workdir, tmp_path, capsys, monkeypatch):
+    d, data, _, model = workdir
+    out = tmp_path / "compact.model"
+
+    def reload(path):
+        bundle = load_model(path)
+        if Path(path) != out:
+            return bundle
+        # classes 0 and 1 trade weights, so exactly their predictions move
+        return replace(bundle, weights=bundle.weights[[1, 0, 2, 3]])
+
+    monkeypatch.setattr(cli, "load_model", reload)
+    code, stdout, _ = run(capsys, "export", "--model", str(model),
+                          "--out", str(out), "--data", str(data))
+    ds, bundle = dataio.load_csv(data), load_model(model)
+    exported = reload(out)
+    match = sum(predict(x, bundle)[0] == predict(x, exported)[0] for x in ds.samples)
+    assert 0 < match < len(ds.samples)
+    assert code == 1
+    assert f"label parity: {match}/{len(ds.samples)} match" in stdout

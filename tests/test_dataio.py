@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from convexattn.dataio import (
     ELECTRODE_CORNERS,
     SWIPE_DIRECTIONS,
     Dataset,
-    GestureSample,
     SynthConfig,
     load_csv,
     save_csv,
@@ -95,15 +95,11 @@ def test_noiseless_swipe_peak_ordering():
     assert t_peak[2] < t_peak[3]  # SW before SE
 
 
-def test_synth_drift_and_quantize():
+def test_synth_drift():
     cfg = SynthConfig(kind="tap", samples_per_class=2, drift_rate=0.05, seed=1)
     X, _ = synth_generate(cfg).stacked()
     # late frames carry the added ramp
     assert X[:, :, -1].mean() > X[:, :, 0].mean()
-    q = SynthConfig(kind="tap", samples_per_class=2, quantize_12bit=True, seed=1)
-    Xq, _ = synth_generate(q).stacked()
-    steps = Xq / (2.0 / 2047)
-    assert np.allclose(steps, np.round(steps), atol=1e-9)
 
 
 def test_csv_round_trip(tmp_path):
@@ -394,13 +390,13 @@ def _tap_set():
 
 
 @pytest.mark.parametrize("spoil,message", [
-    (lambda ds: setattr(ds.samples[4], "label", -1), r"labels must be in 0\.\.3, got -1$"),
-    (lambda ds: setattr(ds.samples[4], "label", 7), r"labels must be in 0\.\.3, got 7$"),
-    (lambda ds: ds.samples.clear(), r"cannot save an empty dataset$"),
-    (lambda ds: setattr(ds.samples[1], "X", ds.samples[1].X[:3]),
-     r"gesture 1 has shape \(3, 10\), need \(C, T\) like gesture 0's \(4, 10\)$"),
-    (lambda ds: np.put(ds.samples[5].X, 27, np.nan), r"gesture 5 has a non-finite value$"),
-    (lambda ds: np.put(ds.samples[11].X, 0, -np.inf), r"gesture 11 has a non-finite value$"),
+    (lambda ds: ds.labels.put(4, -1), r"labels must be in 0\.\.3, got -1$"),
+    (lambda ds: ds.labels.put(4, 7), r"labels must be in 0\.\.3, got 7$"),
+    (lambda ds: setattr(ds, "samples", ds.samples[:0]), r"cannot save an empty dataset$"),
+    (lambda ds: setattr(ds, "samples", ds.samples[1]),
+     r"samples must be an \(n, C, T\) array, got shape \(4, 10\)$"),
+    (lambda ds: np.put(ds.samples[5], 27, np.nan), r"gesture 5 has a non-finite value$"),
+    (lambda ds: np.put(ds.samples[11], 0, -np.inf), r"gesture 11 has a non-finite value$"),
     (lambda ds: setattr(ds, "sample_rate", np.nan),
      r"sample_rate must be a finite number > 0, got nan$"),
     (lambda ds: setattr(ds, "sample_rate", np.inf),
@@ -415,7 +411,7 @@ def _tap_set():
      r"class_names must be a list of strings$"),
     (lambda ds: ds.meta.update(seed=np.int64(3)),
      r"meta is not JSON: Object of type int64 is not JSON serializable$"),
-], ids=["label-minus-1", "label-7", "empty", "fewer-channels", "nan", "minus-inf",
+], ids=["label-minus-1", "label-7", "empty", "not-3-d", "nan", "minus-inf",
         "rate-nan", "rate-inf", "rate-zero", "rate-minus-1", "rate-a-string", "rate-a-bool",
         "name-not-a-string", "meta-not-json"])
 def test_save_csv_refuses_a_bad_dataset_before_opening_the_file(tmp_path, spoil, message):
@@ -450,9 +446,9 @@ def test_synth_builds_one_generator_per_class(monkeypatch):
 
 def _reference_synth(config):
     rng = RngStream(config.seed)
-    samples = []
+    samples, labels = [], []
     C, T = ELECTRODE_CORNERS.shape[0], config.frames
-    for k, name in enumerate(CLASS_NAMES):
+    for k in range(len(CLASS_NAMES)):
         for i in range(config.samples_per_class):
             g = rng.derive(1 + k * config.samples_per_class + i)
             if config.kind == "tap":
@@ -474,21 +470,19 @@ def _reference_synth(config):
                 X = X + config.drift_rate * np.arange(T)[None, :]
             if config.noise_stddev:
                 X = X + g.gauss(C * T, 0.0, config.noise_stddev).reshape(C, T)
-            if config.quantize_12bit:
-                lim = 2.0 * config.amplitude
-                X = np.round(np.clip(X, -lim, lim) / lim * 2047) * lim / 2047
-            samples.append(GestureSample(X=X, label=k, meta=f"{name}-{i}"))
-    return Dataset(samples=samples,
+            samples.append(X)
+            labels.append(k)
+    return Dataset(np.stack(samples), np.array(labels),
                    meta={"kind": config.kind, "seed": config.seed, "synthetic": True})
 
 
 def _reference_save(dataset, path):
-    C = dataset.channels
+    C = dataset.samples.shape[1]
     lines = ["gesture_id,class,frame," + ",".join(f"ch{c}" for c in range(C))]
-    for gid, s in enumerate(dataset.samples):
-        name = dataset.class_names[s.label]
-        for t in range(s.X.shape[1]):
-            vals = ",".join(f"{v:.17g}" for v in s.X[:, t])
+    for gid, (X, label) in enumerate(zip(dataset.samples, dataset.labels)):
+        name = dataset.class_names[label]
+        for t in range(X.shape[1]):
+            vals = ",".join(f"{v:.17g}" for v in X[:, t])
             lines.append(f"{gid},{name},{t},{vals}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -538,7 +532,7 @@ def _reference_load(path):
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         raise ValueError(f"{path}:{int(bad.argmax()) + 2}: non-finite value")
-    samples, frame_counts, first_lines = [], set(), []
+    samples, labels, ids, frame_counts, first_lines = [], [], [], set(), []
     for gid, (cname, frames, at) in rows.items():
         gap = [j for j, frame in enumerate(frames) if frame != j]
         if gap:
@@ -546,21 +540,33 @@ def _reference_load(path):
         X = values[at].T
         frame_counts.add(X.shape[1])
         first_lines.append(at[0] + 2)
-        samples.append(GestureSample(X=X, label=class_names.index(cname), meta=str(gid)))
-    for s, ln in zip(samples, first_lines):
-        if s.X.shape[1] != samples[0].X.shape[1]:
+        samples.append(X)
+        labels.append(class_names.index(cname))
+        ids.append(str(gid))
+    for X, ln in zip(samples, first_lines):
+        if X.shape[1] != samples[0].shape[1]:
             raise ValueError(f"{path}:{ln}: ragged gestures, frame counts {frame_counts}")
-    return Dataset(samples, class_names, sample_rate, extra)
+    # stacked from the transposed (T, C) parses, as the loader of one
+    # object per gesture did: the memory order zscore_fit sums in
+    return Dataset(np.stack(samples), np.array(labels), ids, class_names, sample_rate, extra)
+
+
+def _layout(a):
+    """The strides of the axes longer than 1: the order in which a
+    reduction visits memory."""
+    return tuple(stride for stride, d in zip(a.strides, a.shape) if d > 1)
 
 
 def _assert_same_dataset(a, b):
-    assert len(a.samples) == len(b.samples)
-    for s, r in zip(a.samples, b.samples):
-        # compared as bits, so the sign of zero counts
-        assert s.X.shape == r.X.shape and s.X.strides == r.X.strides
-        assert np.array_equal(s.X.view(np.uint64), r.X.view(np.uint64))
-        assert (s.label, s.meta) == (r.label, r.meta)
-        assert type(s.label) is type(r.label) and type(s.meta) is type(r.meta)
+    # compared as bits, so the sign of zero counts, and with the layout,
+    # which decides the bits of the z-score statistics
+    assert a.samples.shape == b.samples.shape and _layout(a.samples) == _layout(b.samples)
+    assert np.array_equal(a.samples.view(np.uint64), b.samples.view(np.uint64))
+    assert a.labels.dtype == b.labels.dtype and np.array_equal(a.labels, b.labels)
+    if b.ids is None:
+        assert a.ids is None
+    else:
+        assert list(a.ids) == b.ids and all(type(i) is str for i in a.ids)
     assert (a.class_names, a.sample_rate, a.meta) == (b.class_names, b.sample_rate, b.meta)
 
 
@@ -568,7 +574,6 @@ PARITY_CONFIGS = {
     "defaults": {},
     "noiseless": {"noise_stddev": 0.0},
     "drift": {"drift_rate": 0.05},
-    "quantized": {"quantize_12bit": True},
     "amplitude": {"amplitude": 2.5},
     "one-per-class": {"samples_per_class": 1},
 }
@@ -594,18 +599,12 @@ CHUNK_CASES = {f"chunk{d:+d}": dataio.CSV_CHUNK + d for d in (-1, 0, 1)}
     ids=[*PARITY_CONFIGS, *CHUNK_CASES])
 def test_csv_matches_reference(tmp_path, kind, overrides, gestures):
     ds = synth_generate(SynthConfig(kind=kind, seed=3, **overrides))
-    ds.samples = ds.samples[:gestures]
+    ds = replace(ds, samples=ds.samples[:gestures], labels=ds.labels[:gestures])
     ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
     save_csv(ds, ours)
     _reference_save(ds, ref)
     assert ours.read_bytes() == ref.read_bytes()
     _assert_same_dataset(load_csv(ours), _reference_load(ours))
-
-
-def test_quantized_synth_keeps_negative_zero():
-    # the sign-of-zero comparison above has something to compare
-    X, _ = synth_generate(SynthConfig(kind="tap", quantize_12bit=True, seed=3)).stacked()
-    assert np.any((X == 0) & np.signbit(X))
 
 
 # -- properties
@@ -621,14 +620,10 @@ def datasets(draw):
     n = draw(st.integers(1, 5))
     C = draw(st.integers(1, 4))
     T = draw(st.integers(1, 5))
-    samples = [
-        GestureSample(
-            X=np.array(draw(st.lists(values, min_size=C * T, max_size=C * T))).reshape(C, T),
-            label=draw(st.integers(0, len(CLASS_NAMES) - 1)),
-        )
-        for _ in range(n)
-    ]
-    return Dataset(samples, meta={"seed": draw(st.integers(0, 9))})
+    samples = np.array(draw(st.lists(values, min_size=n * C * T, max_size=n * C * T)))
+    labels = draw(st.lists(st.integers(0, len(CLASS_NAMES) - 1), min_size=n, max_size=n))
+    return Dataset(samples.reshape(n, C, T), np.array(labels),
+                   meta={"seed": draw(st.integers(0, 9))})
 
 
 PROPERTY = settings(max_examples=150, deadline=None,
@@ -645,10 +640,9 @@ def test_csv_round_trip_property(tmp_path_factory, ds):
     assert path.read_bytes() == ref.read_bytes()
     back = load_csv(path)
     _assert_same_dataset(back, _reference_load(path))
-    assert [s.meta for s in back.samples] == [str(i) for i in range(len(ds.samples))]
-    for s, r in zip(ds.samples, back.samples):
-        assert np.array_equal(s.X.view(np.uint64), r.X.view(np.uint64))
-        assert s.label == r.label
+    assert list(back.ids) == [str(i) for i in range(len(ds.samples))]
+    assert np.array_equal(ds.samples.view(np.uint64), back.samples.view(np.uint64))
+    assert np.array_equal(ds.labels, back.labels)
 
 
 def _outcome(loader, path):
@@ -737,7 +731,7 @@ def test_csv_value_syntax_only_float_takes_is_rejected_with_its_line(tmp_path, v
     # parse does not, and names the line
     p = tmp_path / "odd.csv"
     p.write_text(f"gesture_id,class,frame,ch0\n0,north,0,1\n0,north,1,{value}\n")
-    assert _reference_load(p).samples[0].X[0, 1] == float(value)
+    assert _reference_load(p).samples[0, 0, 1] == float(value)
     with pytest.raises(ValueError, match=r"odd\.csv:3: numbers must be plain ASCII"):
         load_csv(p)
 
@@ -770,7 +764,7 @@ def test_csv_frame_reads_as_int_does(tmp_path, frame, expected):
     rows = [f"0,north,{t},{t}" for t in range(10)] + [f"0,north,{frame},10"]
     p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n")
     back = load_csv(p)
-    assert back.samples[0].X.shape == (1, expected + 1)
+    assert back.samples.shape == (1, 1, expected + 1)
     _assert_same_dataset(back, _reference_load(p))
 
 

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import importlib
 import io
+import json
 import re
 import shlex
 import subprocess
@@ -22,6 +23,20 @@ def test_perfbench_selftest():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selftest: ok" in proc.stdout
+
+
+def test_perfbench_tap_serve_runs():
+    # the self-test runs tap-cv and swipe-fit; this runs the untraced
+    # serve path: per-request predict against the batch labels, one
+    # evaluate and the 32-bit export parity
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "tap-serve", "--seed", "0",
+         "--seconds", "0.5"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout + proc.stderr
 
 
 def test_no_unused_imports():
