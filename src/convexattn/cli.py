@@ -90,16 +90,17 @@ def cmd_train(args):
 def cmd_eval(args):
     ds = dataio.load_csv(args.data)
     cfg = _load_config(args, ds.channels)
+    # the methodology line follows the run, so a fault prints nothing
     if args.mode == "kfold":
-        print(f"methodology: stratified {args.folds}-fold cross-validation")
         res = trainer.kfold_evaluate(ds, cfg, folds=args.folds, jobs=args.jobs)
+        print(f"methodology: stratified {args.folds}-fold cross-validation")
         print(
             f"accuracy: {res.mean_accuracy:.4f} +/- {res.std_accuracy:.4f}  "
             f"macro_f1: {res.mean_f1:.4f} +/- {res.std_f1:.4f}"
         )
     else:
-        print("methodology: stratified 60-20-20 train-validation-test split")
         res = trainer.split_evaluate(ds, cfg)
+        print("methodology: stratified 60-20-20 train-validation-test split")
         print(
             f"val_accuracy: {res['val_accuracy']:.4f}  "
             f"val_macro_f1: {res['val_macro_f1']:.4f}"

@@ -6,12 +6,13 @@ feature map whose inner products approximate an RBF kernel.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import zscore_apply
-from .numutil import RngStream, check_finite
+from .numutil import RngStream, check_fields, check_finite
 
 
 @dataclass(frozen=True)
@@ -23,6 +24,7 @@ class PatchSpec:
     patches: int
 
     def __post_init__(self):
+        check_fields(self, ("channels", "frames", "patches"), numbers.Integral, "an integer")
         if self.channels < 1 or self.frames < 1 or self.patches < 1:
             raise ValueError("channels, frames, patches must be >= 1")
         if self.frames % self.patches != 0:

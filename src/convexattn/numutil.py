@@ -76,6 +76,15 @@ def check_finite(a, name="input"):
     return a
 
 
+def check_fields(obj, names, kind, what):
+    """Refuse a field of obj, among names, that is a bool or not an
+    instance of kind (a numbers ABC): ``m must be an integer, got 2.5``."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 def svd_thin(M):
     """Thin SVD of a dense matrix.
 

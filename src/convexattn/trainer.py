@@ -6,6 +6,7 @@ ball. Evaluation offers stratified k-fold CV and a stratified 60-20-20
 split.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -15,7 +16,7 @@ from . import dataio
 from .features import PatchSpec, lift, rff_init
 from .losses import check_labels, loss_functions
 from .model import ModelBundle, batch_class_scores, scores
-from .numutil import RngStream, check_finite
+from .numutil import RngStream, check_fields, check_finite
 from .projections import nuclear_ball_project, nuclear_norm
 
 
@@ -35,6 +36,9 @@ class TrainConfig:
 
     def __post_init__(self):
         loss_functions(self.loss_kind)  # rejects an unknown kind
+        check_fields(self, ("nuclear_radius", "gamma", "eta"), numbers.Real, "a number")
+        check_fields(self, ("m", "epochs", "batch_size", "batches_per_epoch", "n_classes",
+                            "seed"), numbers.Integral, "an integer")
         for name in ("nuclear_radius", "gamma", "eta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")

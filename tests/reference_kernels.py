@@ -1,4 +1,5 @@
-"""The hot kernels written the plain way, kept as bitwise references.
+"""The hot kernels written the plain way, kept as bitwise references,
+and the oracles the tests check the package against.
 
 The threshold counts rho with count_nonzero, as the kernel was first
 written; the scorer and the gradients are einsums with the scaling
@@ -23,6 +24,34 @@ def threshold_rows(S, radius):
     rho = np.count_nonzero(U - css / j > 0, axis=1)
     theta = css[np.arange(n), rho - 1] / rho
     return np.maximum(S - theta[:, None], 0.0)
+
+
+def simplex_qp_oracle(s):
+    """Active-set oracle: try every top-j support of the sorted vector,
+    keep KKT-feasible candidates, return the closest one."""
+    s = np.asarray(s, dtype=float)
+    order = np.argsort(s)[::-1]
+    best, best_d = None, np.inf
+    for j in range(1, s.size + 1):
+        sup = order[:j]
+        theta = (s[sup].sum() - 1.0) / j
+        alpha = np.zeros_like(s)
+        alpha[sup] = s[sup] - theta
+        if np.any(alpha[sup] < -1e-12):
+            continue
+        if np.any(s[order[j:]] - theta > 1e-12):
+            continue
+        d = np.sum((alpha - s) ** 2)
+        if d < best_d:
+            best, best_d = alpha, d
+    return best
+
+
+def fixed_alpha_scores(Q, A, alpha):
+    """Class scores (n, K) with attention frozen at alpha: linear in A,
+    so finite differences of a loss through it check a gradient."""
+    s = np.einsum("npm,kpm->nkp", Q, A)
+    return np.einsum("nkp,nkp->nk", alpha, s)
 
 
 def scores(Q, A):

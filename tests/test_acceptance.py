@@ -2,7 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as
 they print. The heavier criteria (4, 7, 8) train real models and take a
-few minutes combined.
+few minutes combined. A result two criteria need is computed once, by a
+module fixture that also returns the seconds it took; a timed criterion
+adds those seconds to its own.
 """
 
 import time
@@ -27,45 +29,17 @@ from convexattn.model import (
     serialize,
 )
 from convexattn.numutil import RngStream
-from convexattn.projections import (
-    nuclear_ball_project,
-    nuclear_norm,
-    simplex_project,
-    softmax_ref,
-    squared_distance_to_simplex,
-)
+from convexattn.projections import nuclear_ball_project, simplex_project
 from convexattn.trainer import PRESETS, kfold_evaluate, preset_config, train
-from convexattn.verify import (
-    convexity_check,
-    nonexpansiveness_sweep,
-    softmax_counterexample,
-)
+from convexattn.verify import convexity_check, softmax_counterexample
+
+from reference_kernels import fixed_alpha_scores, simplex_qp_oracle
 
 
 def report(n, ok, detail):
     line = f"criterion {n}: {'PASS' if ok else 'FAIL'} — {detail}"
     print(f"\n{line}")
     assert ok, line
-
-
-def qp_oracle(s):
-    """Active-set QP oracle for the simplex projection."""
-    s = np.asarray(s, dtype=float)
-    order = np.argsort(s)[::-1]
-    best, best_d = None, np.inf
-    for j in range(1, s.size + 1):
-        sup = order[:j]
-        theta = (s[sup].sum() - 1.0) / j
-        alpha = np.zeros_like(s)
-        alpha[sup] = s[sup] - theta
-        if np.any(alpha[sup] < -1e-12):
-            continue
-        if np.any(s[order[j:]] - theta > 1e-12):
-            continue
-        d = np.sum((alpha - s) ** 2)
-        if d < best_d:
-            best, best_d = alpha, d
-    return best
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +52,25 @@ def swipe_dataset():
     return synth_generate(SynthConfig(kind="swipe", samples_per_class=100, seed=0))
 
 
+def timed(fn, *args, **kwargs):
+    """(fn's result, the seconds it took)."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - t0
+
+
 @pytest.fixture(scope="module")
-def tap_bundle(tap_dataset):
-    bundle, _ = train(tap_dataset, preset_config("tap-tuned", seed=0))
-    return bundle
+def tap_cv_seed0(tap_dataset):
+    """Tap-tuned 10-fold CV at seed 0: criterion 7's tap run and
+    criterion 8's first seed."""
+    return timed(kfold_evaluate, tap_dataset, preset_config("tap-tuned", seed=0), folds=10)
+
+
+@pytest.fixture(scope="module")
+def tap_tuned_fit(tap_dataset):
+    """Tap-tuned (bundle, report) at seed 0: criterion 10 reads the
+    report, criterion 11 times the bundle."""
+    return timed(train, tap_dataset, preset_config("tap-tuned", seed=0))
 
 
 def test_criterion_1_simplex_oracle_equivalence():
@@ -90,7 +79,7 @@ def test_criterion_1_simplex_oracle_equivalence():
     worst = 0.0
     for _ in range(1000):
         s = rng.uniform(-5, 5, size=rng.integers(2, 31))
-        worst = max(worst, np.max(np.abs(simplex_project(s) - qp_oracle(s))))
+        worst = max(worst, np.max(np.abs(simplex_project(s) - simplex_qp_oracle(s))))
     dt = time.perf_counter() - t0
     report(1, worst <= 1e-9 and dt < 5.0,
            f"1000 vectors, max |proj - oracle| = {worst:.2e}, {dt:.2f}s")
@@ -172,16 +161,15 @@ def test_criterion_6_storage_budget():
                   f"(budget 7168)")
 
 
-def test_criterion_7_recognition_10fold(tap_dataset, swipe_dataset):
-    t0 = time.perf_counter()
-    tap = kfold_evaluate(tap_dataset, preset_config("tap-tuned", seed=0),
-                         folds=10)
-    swipe = kfold_evaluate(
+def test_criterion_7_recognition_10fold(tap_cv_seed0, swipe_dataset):
+    tap, tap_s = tap_cv_seed0
+    swipe, swipe_s = timed(
+        kfold_evaluate,
         swipe_dataset,
         preset_config("swipe-tuned", seed=0, loss_kind="squared"),
         folds=10,
     )
-    dt = time.perf_counter() - t0
+    dt = tap_s + swipe_s
     ok = (tap.mean_accuracy >= 0.99 and tap.std_accuracy <= 0.02
           and swipe.mean_accuracy >= 0.99 and swipe.std_accuracy <= 0.02
           and dt < 600.0)
@@ -191,9 +179,9 @@ def test_criterion_7_recognition_10fold(tap_dataset, swipe_dataset):
            f"{dt:.0f}s")
 
 
-def test_criterion_8_seed_stability(tap_dataset):
-    means = []
-    for seed in range(5):
+def test_criterion_8_seed_stability(tap_dataset, tap_cv_seed0):
+    means = [tap_cv_seed0[0].mean_accuracy]
+    for seed in range(1, 5):
         res = kfold_evaluate(tap_dataset,
                              preset_config("tap-tuned", seed=seed), folds=10)
         means.append(res.mean_accuracy)
@@ -214,25 +202,20 @@ def test_criterion_9_gradient_checks():
         A = rng.normal(size=(K, P, m))
         y = rng.integers(0, K, n)
         _, alpha, _ = batch_class_scores(Q, A)
-
-        def fixed_f(Aq):
-            s = np.einsum("npm,kpm->nkp", Q, Aq)
-            return np.einsum("nkp,nkp->nk", alpha, s)
-
-        f = fixed_f(A)
+        f = fixed_alpha_scores(Q, A, alpha)
         rival = np.where(one_hot(y, K) > 0, -np.inf, f).max(axis=1)
         margins = 1.0 - f[np.arange(n), y] + rival
         if np.any(np.abs(margins) <= 1e-3):
             continue  # hinge kink exclusion
         D = rng.normal(size=A.shape)
         g = hinge_subgradient(Q, y, A, alpha)
-        fd = (hinge_loss(fixed_f(A + h * D), y)
-              - hinge_loss(fixed_f(A - h * D), y)) / (2 * h)
+        fd = (hinge_loss(fixed_alpha_scores(Q, A + h * D, alpha), y)
+              - hinge_loss(fixed_alpha_scores(Q, A - h * D, alpha), y)) / (2 * h)
         worst_h = max(worst_h, abs(fd - float((g * D).sum())))
         Y = one_hot(y, K)
         g = squared_gradient(Q, Y, A, alpha)
-        fd = (squared_loss(fixed_f(A + h * D), Y)
-              - squared_loss(fixed_f(A - h * D), Y)) / (2 * h)
+        fd = (squared_loss(fixed_alpha_scores(Q, A + h * D, alpha), Y)
+              - squared_loss(fixed_alpha_scores(Q, A - h * D, alpha), Y)) / (2 * h)
         worst_s = max(worst_s, abs(fd - float((g * D).sum())))
         checked += 1
     ok = worst_h <= 1e-5 and worst_s <= 1e-6
@@ -240,13 +223,16 @@ def test_criterion_9_gradient_checks():
                   f"(tol 1e-5), squared {worst_s:.2e} (tol 1e-6)")
 
 
-def test_criterion_10_nuclear_feasibility(tap_dataset, swipe_dataset):
+def test_criterion_10_nuclear_feasibility(tap_dataset, swipe_dataset, tap_tuned_fit):
     ok = True
     details = []
     for name in sorted(PRESETS):
         ds = tap_dataset if PRESETS[name]["frames"] == 10 else swipe_dataset
         cfg = preset_config(name, seed=0)
-        _, rep = train(ds, cfg)
+        if name == "tap-tuned":
+            (_, rep), _ = tap_tuned_fit
+        else:
+            _, rep = train(ds, cfg)
         worst = max(rep.epoch_nuclear_norm)
         ok &= worst <= cfg.nuclear_radius + 1e-9
         details.append(f"{name} max‖A‖*={worst:.4f}/R={cfg.nuclear_radius}")
@@ -256,7 +242,8 @@ def test_criterion_10_nuclear_feasibility(tap_dataset, swipe_dataset):
     report(10, ok, "; ".join(details) + f"; diagonal oracle exact={diag_ok}")
 
 
-def test_criterion_11_latency(tap_bundle, tap_dataset):
+def test_criterion_11_latency(tap_tuned_fit, tap_dataset):
+    (tap_bundle, _), _ = tap_tuned_fit
     X0 = tap_dataset.samples[0]
     for _ in range(10):
         predict(X0, tap_bundle)

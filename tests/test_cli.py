@@ -370,14 +370,17 @@ def bad_files(workdir, tmp_path_factory):
                                    class_names=taps.class_names[:2]), csvs["two_classes"])
     csvs["cfg_not_utf8"] = d / "cfg.json"
     csvs["cfg_not_utf8"].write_bytes(workdir[2].read_bytes().replace(b"}", b', "\xff": 1}'))
+    csvs["cfg_float_m"] = d / "float_m.json"
+    csvs["cfg_float_m"].write_text(json.dumps(dict(json.loads(workdir[2].read_text()), m=2.5)))
     return csvs
 
 
 # (argv, what the one error line must name); {nope} is a file that does
 # not exist, {missing} a path in a directory that does not exist, {dir} a
 # directory, {meta_*} a CSV with a bad sidecar, {not_utf8} a CSV whose
-# line 4 is not UTF-8, {two_classes} a CSV that names two classes and
-# {cfg_not_utf8} a config that is not UTF-8. Each fault comes before
+# line 4 is not UTF-8, {two_classes} a CSV that names two classes,
+# {cfg_not_utf8} a config that is not UTF-8 and {cfg_float_m} a config
+# whose m is 2.5. {data} holds 10 taps per class. Each fault comes before
 # any output is printed or written.
 @pytest.mark.parametrize("argv,named", [
     ("predict --model {nope} --data {data}", "{nope}: not found"),
@@ -413,6 +416,11 @@ def bad_files(workdir, tmp_path_factory):
      "{two_classes}: names 2 classes, the model scores 4"),
     ("train --data {data} --config {cfg_not_utf8} --out-model {out}",
      "{cfg_not_utf8}: invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+    ("train --data {data} --config {cfg_float_m} --out-model {out}",
+     "m must be an integer, got 2.5"),
+    ("eval --data {data} --config {cfg} --folds 1", "folds must be >= 2"),
+    ("eval --data {data} --config {cfg} --jobs 0", "jobs must be >= 1"),
+    ("eval --data {data} --config {cfg} --folds 20", "class 0 has 10 samples, need >= 20"),
 ], ids=[
     "model-not-found", "data-not-found", "bench-mismatched-data",
     "export-mismatched-data", "predict-mismatched-data", "verify-mismatched-data",
@@ -423,7 +431,8 @@ def bad_files(workdir, tmp_path_factory):
     "data-is-a-dir", "config-is-a-dir", "model-is-a-dir",
     "sidecar-invalid-json", "sidecar-not-an-object", "sidecar-without-class-names",
     "sidecar-without-sample-rate", "sidecar-class-names-not-strings", "data-not-utf8",
-    "predict-fewer-class-names", "config-not-utf8",
+    "predict-fewer-class-names", "config-not-utf8", "config-m-not-an-integer",
+    "eval-one-fold", "eval-no-jobs", "eval-more-folds-than-taps",
 ])
 def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, bad_files, tmp_path,
                                                  capsys, argv, named):
@@ -509,7 +518,7 @@ def test_config_channels_win_over_the_data(six_channels, tmp_path, capsys, comma
     code, stdout, err = run(capsys, *argv.format(out=tmp_path / "m").split())
     assert code == 2
     assert "error: dataset shape (6, 10) does not match spec (4, 10)" in err
-    assert "accuracy" not in stdout and "trainable" not in stdout
+    assert stdout == ""
     assert not (tmp_path / "m").exists()
 
 

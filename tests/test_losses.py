@@ -15,12 +15,7 @@ from convexattn.losses import (
 from convexattn.model import batch_class_scores
 
 import reference_kernels
-
-
-def fixed_alpha_scores(Q, A, alpha):
-    """Class scores with attention frozen at alpha."""
-    s = np.einsum("npm,kpm->nkp", Q, A)
-    return np.einsum("nkp,nkp->nk", alpha, s)
+from reference_kernels import fixed_alpha_scores
 
 
 def test_hinge_hand_cases():

@@ -12,28 +12,8 @@ from convexattn.projections import (
     softmax_ref,
     squared_distance_to_simplex,
 )
+from reference_kernels import simplex_qp_oracle
 from reference_kernels import threshold_rows as _threshold_rows_count_nonzero
-
-
-def simplex_qp_oracle(s):
-    """Active-set oracle: try every top-j support of the sorted vector,
-    keep KKT-feasible candidates, return the closest one."""
-    s = np.asarray(s, dtype=float)
-    order = np.argsort(s)[::-1]
-    best, best_d = None, np.inf
-    for j in range(1, s.size + 1):
-        sup = order[:j]
-        theta = (s[sup].sum() - 1.0) / j
-        alpha = np.zeros_like(s)
-        alpha[sup] = s[sup] - theta
-        if np.any(alpha[sup] < -1e-12):
-            continue
-        if np.any(s[order[j:]] - theta > 1e-12):
-            continue
-        d = np.sum((alpha - s) ** 2)
-        if d < best_d:
-            best, best_d = alpha, d
-    return best
 
 
 def test_already_on_simplex():

@@ -40,9 +40,12 @@ def test_perfbench_tap_serve_runs():
 
 
 def test_no_unused_imports():
-    # __init__.py is skipped: its imports are the package's re-exports
+    # the package, the tests and the demos; the package's __init__.py is
+    # skipped: its imports are the package's re-exports
     unused = []
-    for path in sorted((ROOT / "src" / "convexattn").glob("*.py")):
+    paths = [*(ROOT / "src" / "convexattn").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "demos").glob("*.py")]
+    for path in sorted(paths):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -53,7 +56,7 @@ def test_no_unused_imports():
                     name = (alias.asname or alias.name).split(".")[0]
                     imported[name] = node.lineno
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        unused += [f"{path.name}:{ln}: {name}" for name, ln in imported.items()
+        unused += [f"{path.relative_to(ROOT)}:{ln}: {name}" for name, ln in imported.items()
                    if name not in used]
     assert not unused, unused
 

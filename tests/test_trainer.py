@@ -110,9 +110,29 @@ def test_config_validation():
         ("n_classes", 1, "n_classes must be >= 2, got 1"),
         ("spec", (4, 10, 10), "spec must be a PatchSpec, got (4, 10, 10)"),
         ("loss_kind", "Hinge", "unknown loss kind 'Hinge'"),
+        ("m", 2.5, "m must be an integer, got 2.5"),
+        ("m", float("inf"), "m must be an integer, got inf"),
+        ("epochs", 1.0, "epochs must be an integer, got 1.0"),
+        ("epochs", True, "epochs must be an integer, got True"),
+        ("batch_size", "16", "batch_size must be an integer, got '16'"),
+        ("batches_per_epoch", 1.5, "batches_per_epoch must be an integer, got 1.5"),
+        ("n_classes", 4.0, "n_classes must be an integer, got 4.0"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", False, "seed must be an integer, got False"),
+        ("nuclear_radius", True, "nuclear_radius must be a number, got True"),
+        ("gamma", True, "gamma must be a number, got True"),
+        ("eta", "0.01", "eta must be a number, got '0.01'"),
     ]:
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             TrainConfig(**dict(good, **{name: value}))
+    # the patch geometry is integers too
+    for name, value in [("channels", 4.0), ("frames", 10.5), ("patches", 2.5),
+                        ("patches", True)]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            PatchSpec(**{"channels": 4, "frames": 10, "patches": 10, name: value})
+    # any numbers.Integral passes, numpy's included
+    assert TrainConfig(**dict(good, m=np.int64(9), seed=np.uint8(3),
+                              spec=PatchSpec(np.int32(4), 10, np.int64(10)))).m == 9
     # a config without a spec is refused, not left for train to trip on
     with pytest.raises(ValueError, match="^spec must be a PatchSpec, got None$"):
         TrainConfig(**{k: v for k, v in good.items() if k != "spec"})
