@@ -43,14 +43,9 @@ def _load_config(args, channels):
 
 
 def cmd_synth(args):
-    cfg = dataio.SynthConfig(
-        kind=args.kind,
-        samples_per_class=args.n_per_class,
-        noise_stddev=args.noise,
-        amplitude=args.amplitude,
-        drift_rate=args.drift,
-        seed=args.seed,
-    )
+    cfg = dataio.SynthConfig(kind=args.kind, samples_per_class=args.n_per_class,
+                             noise_stddev=args.noise, amplitude=args.amplitude,
+                             drift_rate=args.drift, seed=args.seed)
     ds = dataio.synth_generate(cfg)
     dataio.save_csv(ds, args.out)
     print(f"wrote {len(ds.samples)} samples ({len(ds.class_names)} classes) to {args.out}")

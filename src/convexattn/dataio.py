@@ -2,6 +2,8 @@
 
 import json
 import math
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .losses import check_labels
-from .numutil import RngStream
+from .numutil import RngStream, check_fields
 
 CLASS_NAMES = ("north", "south", "east", "west")
 GESTURE_KINDS = ("tap", "swipe")
@@ -79,12 +81,14 @@ class SynthConfig:
         if self.kind not in GESTURE_KINDS:
             raise ValueError(f"unknown gesture kind {self.kind!r}; "
                              f"valid kinds: {', '.join(GESTURE_KINDS)}")
-        if self.samples_per_class < 1:
-            raise ValueError(
-                f"samples_per_class must be >= 1, got {self.samples_per_class}"
-            )
-        if self.noise_stddev < 0:
-            raise ValueError(f"noise_stddev must be >= 0, got {self.noise_stddev}")
+        check_fields(self, ("samples_per_class", "seed"), numbers.Integral, "an integer")
+        check_fields(self, ("noise_stddev", "amplitude", "drift_rate"), numbers.Real, "a number")
+        for name in ("noise_stddev", "amplitude", "drift_rate"):
+            if not abs(getattr(self, name)) <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name, least in (("samples_per_class", 1), ("noise_stddev", 0)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
 
     @property
     def frames(self):
@@ -96,13 +100,16 @@ def zscore_fit(X):
     (n, C, T) training array.
 
     Near-constant channels get their stddev clamped to 1 with a warning
-    so normalization never divides by ~0.
+    so normalization never divides by ~0. The sums run over one
+    C-contiguous (n, T, C) arrangement, a view of load_csv's arrays, so
+    the input's memory layout never moves a bit of the result.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 3 or X.shape[0] < 2:
         raise ValueError("zscore_fit needs an (n, C, T) array with n >= 2")
-    mean = X.mean(axis=(0, 2))
-    std = X.std(axis=(0, 2))
+    X = np.ascontiguousarray(X.transpose(0, 2, 1))
+    mean = X.mean(axis=(0, 1))
+    std = X.std(axis=(0, 1))
     if np.any(std < 1e-8):
         warnings.warn("constant channel: stddev clamped to 1")
         std = np.where(std < 1e-8, 1.0, std)
@@ -454,7 +461,5 @@ def load_csv(path):
     if ragged.size:
         raise ValueError(f"{path}:{int(first[ragged[0]]) + 2}: ragged gestures, "
                          f"frame counts {set(counts.tolist())}")
-    # the transposed view, not a C-contiguous copy: zscore_fit sums in
-    # memory order, so the layout sets the bits of a trained model
     samples = values[order].reshape(len(counts), counts[0], C).transpose(0, 2, 1)
     return Dataset(samples, labels, gid[first], class_names, sample_rate, extra)

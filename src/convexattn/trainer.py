@@ -7,6 +7,7 @@ split.
 """
 
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -42,6 +43,8 @@ class TrainConfig:
         for name in ("nuclear_radius", "gamma", "eta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+            if not getattr(self, name) <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name, least in (("m", 1), ("epochs", 1), ("batch_size", 1),
                             ("batches_per_epoch", 1), ("n_classes", 2)):
             if not getattr(self, name) >= least:
@@ -183,14 +186,8 @@ def train(dataset, config):
         report.epoch_nuclear_norm.append(nuclear_norm(flat(A)))
 
     report.wall_time_s = time.perf_counter() - t_start
-    bundle = ModelBundle(
-        rff=rff,
-        weights=A,
-        spec=spec,
-        norm_mean=mean,
-        norm_std=std,
-        loss_kind=config.loss_kind,
-    )
+    bundle = ModelBundle(rff=rff, weights=A, spec=spec, norm_mean=mean, norm_std=std,
+                         loss_kind=config.loss_kind)
     return bundle, report
 
 

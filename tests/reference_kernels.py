@@ -10,9 +10,22 @@ a kernel change that moves one bit of a model fails on any machine.
 import numpy as np
 
 from convexattn.dataio import zscore_fit
-from convexattn.features import lift, rff_init
+from convexattn.features import rff_init
 from convexattn.model import ModelBundle
 from convexattn.numutil import RngStream
+
+
+def lift(X, stats, spec, rmap):
+    """features.lift as a per-gesture loop: each gesture normalized,
+    patch-reshaped and cosine-mapped on its own, written out."""
+    mean, std = stats
+    fpp, P = spec.frames_per_patch, spec.patches
+    Q = np.empty((len(X), P, rmap.m))
+    for i, x in enumerate(X):
+        xn = (x - mean[:, None]) / std[:, None]
+        rows = xn.reshape(spec.channels, P, fpp).transpose(1, 2, 0).reshape(P, spec.patch_dim)
+        Q[i] = np.sqrt(2.0 / rmap.m) * np.cos(rows @ rmap.W + rmap.b)
+    return Q
 
 
 def threshold_rows(S, radius):

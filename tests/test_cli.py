@@ -63,6 +63,7 @@ def test_synth_bad_kind_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value,field", [
     ("--n-per-class", "0", "samples_per_class must be >= 1, got 0"),
     ("--noise", "-0.5", "noise_stddev must be >= 0, got -0.5"),
+    ("--drift", "inf", "drift_rate must be finite, got inf"),
 ])
 def test_synth_bad_field_named_exit_2(tmp_path, capsys, flag, value, field):
     code, _, err = run(capsys, "synth", "--kind", "tap", flag, value,
@@ -372,6 +373,9 @@ def bad_files(workdir, tmp_path_factory):
     csvs["cfg_not_utf8"].write_bytes(workdir[2].read_bytes().replace(b"}", b', "\xff": 1}'))
     csvs["cfg_float_m"] = d / "float_m.json"
     csvs["cfg_float_m"].write_text(json.dumps(dict(json.loads(workdir[2].read_text()), m=2.5)))
+    csvs["cfg_inf_gamma"] = d / "inf_gamma.json"
+    csvs["cfg_inf_gamma"].write_text(json.dumps(
+        dict(json.loads(workdir[2].read_text()), gamma="G")).replace('"G"', "1e400"))
     return csvs
 
 
@@ -379,9 +383,10 @@ def bad_files(workdir, tmp_path_factory):
 # not exist, {missing} a path in a directory that does not exist, {dir} a
 # directory, {meta_*} a CSV with a bad sidecar, {not_utf8} a CSV whose
 # line 4 is not UTF-8, {two_classes} a CSV that names two classes,
-# {cfg_not_utf8} a config that is not UTF-8 and {cfg_float_m} a config
-# whose m is 2.5. {data} holds 10 taps per class. Each fault comes before
-# any output is printed or written.
+# {cfg_not_utf8} a config that is not UTF-8, {cfg_float_m} a config
+# whose m is 2.5 and {cfg_inf_gamma} one whose gamma is 1e400, which JSON
+# reads as infinity. {data} holds 10 taps per class. Each fault comes
+# before any output is printed or written.
 @pytest.mark.parametrize("argv,named", [
     ("predict --model {nope} --data {data}", "{nope}: not found"),
     ("bench --model {model} --data {nope}", "{nope}: not found"),
@@ -390,8 +395,8 @@ def bad_files(workdir, tmp_path_factory):
     ("predict --model {model} --data {swipe}", "shape (4, 30)"),
     ("verify --model {model} --data {swipe} --trials 2", "shape (4, 30)"),
     ("synth --kind tap --n-per-class 1 --out {missing}", "{missing}"),
-    ("synth --kind tap --amplitude nan --out {out}", "gesture 0 has a non-finite value"),
-    ("synth --kind tap --noise nan --out {out}", "gesture 0 has a non-finite value"),
+    ("synth --kind tap --amplitude nan --out {out}", "amplitude must be finite, got nan"),
+    ("synth --kind tap --noise nan --out {out}", "noise_stddev must be finite, got nan"),
     ("train --data {data} --config {cfg} --out-model {missing}", "{missing}: not found"),
     ("train --data {data} --config {cfg} --out-model {out} --report {missing}",
      "{missing}: not found"),
@@ -418,6 +423,8 @@ def bad_files(workdir, tmp_path_factory):
      "{cfg_not_utf8}: invalid JSON: 'utf-8' codec can't decode byte 0xff"),
     ("train --data {data} --config {cfg_float_m} --out-model {out}",
      "m must be an integer, got 2.5"),
+    ("train --data {data} --config {cfg_inf_gamma} --out-model {out}",
+     "gamma must be finite, got inf"),
     ("eval --data {data} --config {cfg} --folds 1", "folds must be >= 2"),
     ("eval --data {data} --config {cfg} --jobs 0", "jobs must be >= 1"),
     ("eval --data {data} --config {cfg} --folds 20", "class 0 has 10 samples, need >= 20"),
@@ -432,6 +439,7 @@ def bad_files(workdir, tmp_path_factory):
     "sidecar-invalid-json", "sidecar-not-an-object", "sidecar-without-class-names",
     "sidecar-without-sample-rate", "sidecar-class-names-not-strings", "data-not-utf8",
     "predict-fewer-class-names", "config-not-utf8", "config-m-not-an-integer",
+    "config-gamma-infinite",
     "eval-one-fold", "eval-no-jobs", "eval-more-folds-than-taps",
 ])
 def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, bad_files, tmp_path,

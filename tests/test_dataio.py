@@ -40,6 +40,24 @@ def test_zscore_fit_apply_round_trip():
     assert np.array_equal(zscore_apply(X[3], stats), Z[3])
 
 
+def test_zscore_fit_bits_do_not_depend_on_layout(tmp_path):
+    # the same values as a C-contiguous stack, load_csv's transposed
+    # view, Fortran order and a non-contiguous slice: one set of bits
+    ds = synth_generate(SynthConfig(kind="tap", samples_per_class=100, seed=0))
+    save_csv(ds, tmp_path / "taps.csv")
+    loaded = load_csv(tmp_path / "taps.csv").samples
+    every_other = np.empty((2 * len(loaded),) + loaded.shape[1:])
+    every_other[::2] = loaded
+    layouts = [np.ascontiguousarray(loaded), loaded, np.asfortranarray(loaded),
+               every_other[::2]]
+    assert not loaded.flags.c_contiguous and not every_other[::2].flags.c_contiguous
+    mean, std = zscore_fit(layouts[0])
+    for X in layouts[1:]:
+        m, s = zscore_fit(X)
+        assert np.array_equal(m.view(np.uint64), mean.view(np.uint64))
+        assert np.array_equal(s.view(np.uint64), std.view(np.uint64))
+
+
 def test_zscore_constant_channel_clamped():
     X = np.ones((4, 2, 5))
     X[3, 1] = np.arange(5.0)
@@ -258,8 +276,28 @@ def test_csv_is_utf8_whatever_the_locale(tmp_path):
 def test_synth_config_validation():
     with pytest.raises(ValueError, match=r"^unknown gesture kind 'pinch'; valid kinds: tap, swipe$"):
         SynthConfig(kind="pinch")
-    with pytest.raises(ValueError):
-        SynthConfig(kind="tap", samples_per_class=0)
+    # each bad field is named with its value
+    for name, value, message in [
+        ("samples_per_class", 0, "samples_per_class must be >= 1, got 0"),
+        ("samples_per_class", 2.5, "samples_per_class must be an integer, got 2.5"),
+        ("samples_per_class", True, "samples_per_class must be an integer, got True"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", "0", "seed must be an integer, got '0'"),
+        ("noise_stddev", -0.1, "noise_stddev must be >= 0, got -0.1"),
+        ("noise_stddev", float("nan"), "noise_stddev must be finite, got nan"),
+        ("noise_stddev", "0.05", "noise_stddev must be a number, got '0.05'"),
+        ("amplitude", float("inf"), "amplitude must be finite, got inf"),
+        ("amplitude", None, "amplitude must be a number, got None"),
+        ("amplitude", -10**309, f"amplitude must be finite, got {-10**309}"),
+        ("drift_rate", float("-inf"), "drift_rate must be finite, got -inf"),
+        ("drift_rate", False, "drift_rate must be a number, got False"),
+    ]:
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            SynthConfig(kind="tap", **{name: value})
+    # numpy's numbers pass
+    cfg = SynthConfig(kind="tap", samples_per_class=np.int64(2), seed=np.uint8(3),
+                      noise_stddev=np.float64(0.1), amplitude=2, drift_rate=-0.01)
+    assert len(synth_generate(cfg).samples) == 8
     assert SynthConfig(kind="swipe").frames == 30
 
 
@@ -546,21 +584,12 @@ def _reference_load(path):
     for X, ln in zip(samples, first_lines):
         if X.shape[1] != samples[0].shape[1]:
             raise ValueError(f"{path}:{ln}: ragged gestures, frame counts {frame_counts}")
-    # stacked from the transposed (T, C) parses, as the loader of one
-    # object per gesture did: the memory order zscore_fit sums in
     return Dataset(np.stack(samples), np.array(labels), ids, class_names, sample_rate, extra)
 
 
-def _layout(a):
-    """The strides of the axes longer than 1: the order in which a
-    reduction visits memory."""
-    return tuple(stride for stride, d in zip(a.strides, a.shape) if d > 1)
-
-
 def _assert_same_dataset(a, b):
-    # compared as bits, so the sign of zero counts, and with the layout,
-    # which decides the bits of the z-score statistics
-    assert a.samples.shape == b.samples.shape and _layout(a.samples) == _layout(b.samples)
+    # compared as bits, so the sign of zero counts
+    assert a.samples.shape == b.samples.shape
     assert np.array_equal(a.samples.view(np.uint64), b.samples.view(np.uint64))
     assert a.labels.dtype == b.labels.dtype and np.array_equal(a.labels, b.labels)
     if b.ids is None:

@@ -11,6 +11,8 @@ from convexattn.features import (
 )
 from convexattn.numutil import RngStream
 
+import reference_kernels
+
 
 def test_patchspec_validation():
     with pytest.raises(ValueError):
@@ -190,19 +192,6 @@ def test_lift_rejects_channel_mismatch():
             lift(np.ones(shape), stats, spec, rmap)
 
 
-def _lift_loop(X, stats, spec, rmap):
-    # reference: lift as a per-gesture loop, each gesture normalized,
-    # patch-reshaped and cosine-mapped on its own, written out
-    mean, std = stats
-    fpp, P = spec.frames_per_patch, spec.patches
-    Q = np.empty((len(X), P, rmap.m))
-    for i, x in enumerate(X):
-        xn = (x - mean[:, None]) / std[:, None]
-        rows = xn.reshape(spec.channels, P, fpp).transpose(1, 2, 0).reshape(P, spec.patch_dim)
-        Q[i] = np.sqrt(2.0 / rmap.m) * np.cos(rows @ rmap.W + rmap.b)
-    return Q
-
-
 @pytest.mark.parametrize("n", [1, 7, 400])
 @pytest.mark.parametrize("T,P", [(10, 10), (30, 30), (30, 10)])
 @pytest.mark.parametrize("m", [3, 9])
@@ -213,4 +202,4 @@ def test_lift_matches_per_gesture_loop(n, T, P, m):
     rng = np.random.default_rng(n)
     X = rng.normal(size=(n, 4, T)) * 300.0 + 2048.0
     stats = (rng.normal(size=4) + 2048.0, rng.uniform(100.0, 400.0, size=4))
-    assert np.array_equal(lift(X, stats, spec, rmap), _lift_loop(X, stats, spec, rmap))
+    assert np.array_equal(lift(X, stats, spec, rmap), reference_kernels.lift(X, stats, spec, rmap))

@@ -268,21 +268,11 @@ def test_deserialize_rejects_nonpositive_norm_std():
 
 def _reference_predict_scores(X, bundle):
     # reference: predict's scores as computed before lift stacked its
-    # patch rows -- one normalize, patch reshape and cosine map per
-    # gesture, then the scorer with rho counted by count_nonzero
-    spec, rff, A = bundle.spec, bundle.rff, bundle.weights
-    K, P, m = A.shape
-    Xn = (X - bundle.norm_mean[:, None]) / bundle.norm_std[:, None]
-    rows = Xn.reshape(spec.channels, P, spec.frames_per_patch).transpose(1, 2, 0)
-    Q = np.sqrt(2.0 / m) * np.cos(rows.reshape(P, spec.patch_dim) @ rff.W + rff.b)
-    s = np.einsum("npm,kpm->nkp", Q[None], A) / np.sqrt(m)
-    S = s.reshape(K, P)
-    U = np.sort(S, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1) - 1.0
-    rho = np.count_nonzero(U - css / np.arange(1, P + 1) > 0, axis=1)
-    theta = css[np.arange(K), rho - 1] / rho
-    alpha = np.maximum(S - theta[:, None], 0.0).reshape(1, K, P)
-    return (np.sqrt(m) * np.einsum("nkp,nkp->nk", alpha, s))[0]
+    # patch rows -- the per-gesture lift, then the einsum scorer with rho
+    # counted by count_nonzero
+    stats = (bundle.norm_mean, bundle.norm_std)
+    Q = reference_kernels.lift(X[None], stats, bundle.spec, bundle.rff)
+    return reference_kernels.scores(Q, bundle.weights)[0][0]
 
 
 @pytest.mark.parametrize("kind,preset", [("tap", "tap-tuned"), ("swipe", "swipe-tuned")])

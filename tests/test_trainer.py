@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from convexattn import trainer
-from convexattn.dataio import SynthConfig, synth_generate
+from convexattn.dataio import SynthConfig, load_csv, save_csv, synth_generate
 from convexattn.features import PatchSpec
 from convexattn.model import serialize
 from convexattn.projections import nuclear_norm
@@ -102,6 +102,11 @@ def test_config_validation():
         ("nuclear_radius", 0.0, "nuclear_radius must be > 0, got 0.0"),
         ("gamma", 0.0, "gamma must be > 0, got 0.0"),
         ("gamma", float("nan"), "gamma must be > 0, got nan"),
+        ("gamma", float("inf"), "gamma must be finite, got inf"),
+        ("gamma", float("-inf"), "gamma must be > 0, got -inf"),
+        ("eta", float("inf"), "eta must be finite, got inf"),
+        ("nuclear_radius", float("inf"), "nuclear_radius must be finite, got inf"),
+        ("eta", 10**309, f"eta must be finite, got {10**309}"),  # beyond any float
         ("eta", -0.01, "eta must be > 0, got -0.01"),
         ("m", 0, "m must be >= 1, got 0"),
         ("epochs", 0, "epochs must be >= 1, got 0"),
@@ -211,6 +216,20 @@ def test_train_matches_reference_step(kind, preset, loss_kind):
     assert report.epoch_accuracy == accuracies
     assert np.array_equal(np.array(report.epoch_nuclear_norm).view(np.uint64),
                           np.array(norms).view(np.uint64))
+
+
+@pytest.mark.parametrize("kind,preset,loss_kind", [
+    ("tap", "tap-tuned", "hinge"), ("swipe", "swipe-tuned", "squared"),
+])
+def test_train_same_model_from_synth_and_csv_round_trip(tmp_path, kind, preset, loss_kind):
+    # the same values train the same model bytes whoever built the array:
+    # synth_generate's C-contiguous stack or load_csv's transposed view
+    ds = synth_generate(SynthConfig(kind=kind, samples_per_class=100, seed=0))
+    save_csv(ds, tmp_path / "g.csv")
+    cfg = replace(preset_config(preset, loss_kind=loss_kind), epochs=2)
+    direct, _ = train(ds, cfg)
+    loaded, _ = train(load_csv(tmp_path / "g.csv"), cfg)
+    assert serialize(direct, 64) == serialize(loaded, 64)
 
 
 def test_train_accepts_xy_pair():
