@@ -19,20 +19,20 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, trainer, verify
-from .losses import LOSS_KINDS
-from .model import load_model, param_count, predict, save_model, scores
+from .model import LOSS_KINDS, load_model, param_count, predict, save_model, scores
 from .numutil import RngStream
 
 
-def _load_config(args, channels):
+def _load_config(args, ds):
     """Build a TrainConfig from --preset and/or --config plus overrides;
-    channels, the data's, is used unless the config names it."""
+    the data's channel and class counts are used unless the config names them."""
     values = dict(trainer.PRESETS[args.preset]) if args.preset else {}
     if args.config:
         values.update(dataio.read_json_object(args.config, "config"))
     if not values:
         raise ValueError("need --preset or --config")
-    values.setdefault("channels", channels)
+    values.setdefault("channels", ds.samples.shape[1])
+    values.setdefault("n_classes", len(ds.class_names))
     if args.seed is not None:
         values["seed"] = args.seed
     if args.loss:
@@ -54,7 +54,7 @@ def cmd_synth(args):
 
 def cmd_train(args):
     ds = dataio.load_csv(args.data)
-    cfg = _load_config(args, ds.channels)
+    cfg = _load_config(args, ds)
     # an output that cannot be written fails before the training, not after
     for out in (args.out_model, args.report):
         if out and not Path(out).parent.is_dir():
@@ -84,7 +84,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     ds = dataio.load_csv(args.data)
-    cfg = _load_config(args, ds.channels)
+    cfg = _load_config(args, ds)
     # the methodology line follows the run, so a fault prints nothing
     if args.mode == "kfold":
         res = trainer.kfold_evaluate(ds, cfg, folds=args.folds, jobs=args.jobs)
@@ -136,12 +136,12 @@ def cmd_verify(args):
     if not args.noise > 0:
         raise ValueError(f"--noise must be > 0, got {args.noise}")
     bundle = load_model(args.model)
-    X, y = dataio.load_csv(args.data).stacked()
+    ds = dataio.load_csv(args.data)
     rng = RngStream(args.seed)
     # the bundle's own loss, with the stream each kind has always used
     kind = bundle.loss_kind
     rep = verify.convexity_check(
-        bundle, X, y, trials=args.trials, noise_stddev=args.noise,
+        bundle, ds.samples, ds.labels, trials=args.trials, noise_stddev=args.noise,
         rng=rng.derive(10 + LOSS_KINDS.index(kind)),
     )
     print(

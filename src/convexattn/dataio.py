@@ -10,8 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import check_labels
-from .numutil import RngStream, check_fields
+from .numutil import RngStream, check_fields, check_labels
 
 CLASS_NAMES = ("north", "south", "east", "west")
 GESTURE_KINDS = ("tap", "swipe")

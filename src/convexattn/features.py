@@ -25,8 +25,9 @@ class PatchSpec:
 
     def __post_init__(self):
         check_fields(self, ("channels", "frames", "patches"), numbers.Integral, "an integer")
-        if self.channels < 1 or self.frames < 1 or self.patches < 1:
-            raise ValueError("channels, frames, patches must be >= 1")
+        for name in ("channels", "frames", "patches"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.frames % self.patches != 0:
             raise ValueError(
                 f"patches ({self.patches}) must divide frames ({self.frames})"

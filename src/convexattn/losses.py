@@ -9,31 +9,8 @@ adds the per-sample terms in sample order, as einsum's
 
 import numpy as np
 
-# order fixes the loss-kind index in the serialized model header
-LOSS_KINDS = ("hinge", "squared")
-
-
-def check_labels(labels, n_classes, n=None):
-    """labels as a 1-d int array of values in 0..n_classes-1, of length
-    n when n is given. A non-integral label is an error, not truncated
-    (an integer array is not compared with its cast)."""
-    labels = np.asarray(labels)
-    if labels.dtype.kind not in "iu":
-        as_int = labels.astype(int)
-        bad = as_int != labels
-        if bad.any():
-            raise ValueError(f"labels must be integers, got {labels[bad][0]}")
-        labels = as_int
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
-    if n is not None and labels.size != n:
-        raise ValueError(
-            f"labels length must match score rows, got {labels.size} for {n} gestures"
-        )
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        bad = labels[(labels < 0) | (labels >= n_classes)][0]
-        raise ValueError(f"labels must be in 0..{n_classes - 1}, got {bad}")
-    return labels
+from .model import LOSS_KINDS, _score
+from .numutil import check_labels
 
 
 def one_hot(labels, n_classes, n=None):
@@ -64,20 +41,15 @@ def hinge_loss(f, labels):
 
 
 def _fixed_attention(Q, A, alpha, f):
-    """(Q, alpha, f) as float arrays, alpha checked against Q and A; f
-    checked when given, else computed with model._score's arithmetic
-    sqrt(m) <alpha, QA/sqrt(m)>."""
+    """(Q, alpha, f) as float arrays checked against Q and A; f, when
+    omitted, is model._score's scores at the fixed attention alpha."""
     Q = np.asarray(Q, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != Q.shape[:1] + A.shape[:2]:
         raise ValueError(f"alpha shape {alpha.shape} != {Q.shape[:1] + A.shape[:2]}")
-    if f is None:
-        root_m = np.sqrt(Q.shape[2])
-        f = root_m * np.einsum("nkp,nkp->nk", alpha, np.einsum("npm,kpm->nkp", Q, A) / root_m)
-    else:
-        f = np.asarray(f, dtype=float)
-        if f.shape != alpha.shape[:2]:
-            raise ValueError(f"scores shape {f.shape} != {alpha.shape[:2]}")
+    f = _score(Q, A, alpha)[0] if f is None else np.asarray(f, dtype=float)
+    if f.shape != alpha.shape[:2]:
+        raise ValueError(f"scores shape {f.shape} != {alpha.shape[:2]}")
     return Q, alpha, f
 
 

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import PatchSpec, RffMap, lift
-from .losses import LOSS_KINDS
 from .projections import simplex_project_rows
 
 MAGIC = b"CVAT"
 FORMAT_VERSION = 1
+# order fixes the loss-kind index in the serialized model header
+LOSS_KINDS = ("hinge", "squared")
 
 _HEADER = struct.Struct("<4sHBB5Id")
 
@@ -58,12 +59,13 @@ class ModelBundle:
         return self.weights.shape[0]
 
 
-def _score(Q, A):
+def _score(Q, A, alpha=None):
     """Class scores of a stack of feature matrices Q (n, P, m).
 
     s[n, k, p] = <Q_np, A[k, p]> / sqrt(m); alpha projects each class's
     score row onto the simplex; f[n, k] = sqrt(m) <alpha_nk, s_nk>.
-    Returns (f, alpha, s).
+    Returns (f, alpha, s). Given alpha (n, K, P), attention is held there:
+    f is linear in A, the fixed-attention scores the gradients differentiate.
 
     Both einsums stay: they reduce over the contiguous last axis with
     SIMD partial sums, an order of addition no other numpy call
@@ -76,7 +78,8 @@ def _score(Q, A):
     root_m = math.sqrt(Q.shape[2])
     s = np.einsum("npm,kpm->nkp", Q, A)
     s /= root_m
-    alpha = simplex_project_rows(s.reshape(-1, Q.shape[1])).reshape(s.shape)
+    if alpha is None:
+        alpha = simplex_project_rows(s.reshape(-1, Q.shape[1])).reshape(s.shape)
     f = np.einsum("nkp,nkp->nk", alpha, s)
     f *= root_m
     return f, alpha, s

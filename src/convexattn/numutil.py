@@ -1,4 +1,4 @@
-"""Numeric substrate: reproducible seeded random streams and thin SVD."""
+"""Numeric substrate: seeded random streams, thin SVD and shared input checks."""
 
 import numpy as np
 
@@ -74,6 +74,29 @@ def check_finite(a, name="input"):
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def check_labels(labels, n_classes, n=None):
+    """labels as a 1-d int array of values in 0..n_classes-1, of length
+    n when n is given. A non-integral label is an error, not truncated
+    (an integer array is not compared with its cast)."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        as_int = labels.astype(int)
+        bad = as_int != labels
+        if bad.any():
+            raise ValueError(f"labels must be integers, got {labels[bad][0]}")
+        labels = as_int
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
+    if n is not None and labels.size != n:
+        raise ValueError(
+            f"labels length must match score rows, got {labels.size} for {n} gestures"
+        )
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        bad = labels[(labels < 0) | (labels >= n_classes)][0]
+        raise ValueError(f"labels must be in 0..{n_classes - 1}, got {bad}")
+    return labels
 
 
 def check_fields(obj, names, kind, what):

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import dataio
 from .features import PatchSpec, lift, rff_init
-from .losses import check_labels, loss_functions
+from .losses import loss_functions
 from .model import ModelBundle, batch_class_scores, scores
-from .numutil import RngStream, check_fields, check_finite
+from .numutil import RngStream, check_fields, check_finite, check_labels
 from .projections import nuclear_ball_project, nuclear_norm
 
 
@@ -126,9 +126,9 @@ class TrainReport:
 def check_dataset(dataset, config):
     """(X, y) of a dataio.Dataset or an (X, y) pair: X a nonempty,
     finite (n, C, T) stack matching config.spec and y n labels in
-    0..config.n_classes-1 (losses.check_labels). config is a
+    0..config.n_classes-1 (numutil.check_labels). config is a
     TrainConfig or a ModelBundle; both carry spec and n_classes."""
-    X, y = dataset.stacked() if isinstance(dataset, dataio.Dataset) else dataset
+    X, y = (dataset.samples, dataset.labels) if isinstance(dataset, dataio.Dataset) else dataset
     X = check_finite(X, "dataset")
     if X.ndim != 3 or X.shape[0] == 0:
         raise ValueError("dataset must be a nonempty (n, C, T) array")

@@ -348,7 +348,8 @@ def bad_files(workdir, tmp_path_factory):
     """Copies of the tap CSV, each with a sidecar load_csv must refuse,
     its first three lines followed by a line that is not UTF-8, its
     first two classes alone, and the config with a byte that is not
-    UTF-8, by the placeholder name the fault table uses."""
+    UTF-8, and configs with a bad field, by the placeholder name the
+    fault table uses."""
     d = tmp_path_factory.mktemp("sidecars")
     sidecars = {
         "meta_garbled": "{", "meta_list": "[1]",
@@ -376,6 +377,9 @@ def bad_files(workdir, tmp_path_factory):
     csvs["cfg_inf_gamma"] = d / "inf_gamma.json"
     csvs["cfg_inf_gamma"].write_text(json.dumps(
         dict(json.loads(workdir[2].read_text()), gamma="G")).replace('"G"', "1e400"))
+    csvs["cfg_zero_patches"] = d / "zero_patches.json"
+    csvs["cfg_zero_patches"].write_text(
+        json.dumps(dict(json.loads(workdir[2].read_text()), patches=0)))
     return csvs
 
 
@@ -384,8 +388,9 @@ def bad_files(workdir, tmp_path_factory):
 # directory, {meta_*} a CSV with a bad sidecar, {not_utf8} a CSV whose
 # line 4 is not UTF-8, {two_classes} a CSV that names two classes,
 # {cfg_not_utf8} a config that is not UTF-8, {cfg_float_m} a config
-# whose m is 2.5 and {cfg_inf_gamma} one whose gamma is 1e400, which JSON
-# reads as infinity. {data} holds 10 taps per class. Each fault comes
+# whose m is 2.5, {cfg_inf_gamma} one whose gamma is 1e400, which JSON
+# reads as infinity, and {cfg_zero_patches} one whose patches is 0.
+# {data} holds 10 taps per class. Each fault comes
 # before any output is printed or written.
 @pytest.mark.parametrize("argv,named", [
     ("predict --model {nope} --data {data}", "{nope}: not found"),
@@ -425,6 +430,8 @@ def bad_files(workdir, tmp_path_factory):
      "m must be an integer, got 2.5"),
     ("train --data {data} --config {cfg_inf_gamma} --out-model {out}",
      "gamma must be finite, got inf"),
+    ("train --data {data} --config {cfg_zero_patches} --out-model {out}",
+     "patches must be >= 1, got 0"),
     ("eval --data {data} --config {cfg} --folds 1", "folds must be >= 2"),
     ("eval --data {data} --config {cfg} --jobs 0", "jobs must be >= 1"),
     ("eval --data {data} --config {cfg} --folds 20", "class 0 has 10 samples, need >= 20"),
@@ -439,7 +446,7 @@ def bad_files(workdir, tmp_path_factory):
     "sidecar-invalid-json", "sidecar-not-an-object", "sidecar-without-class-names",
     "sidecar-without-sample-rate", "sidecar-class-names-not-strings", "data-not-utf8",
     "predict-fewer-class-names", "config-not-utf8", "config-m-not-an-integer",
-    "config-gamma-infinite",
+    "config-gamma-infinite", "config-patches-zero",
     "eval-one-fold", "eval-no-jobs", "eval-more-folds-than-taps",
 ])
 def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, bad_files, tmp_path,
@@ -526,6 +533,44 @@ def test_config_channels_win_over_the_data(six_channels, tmp_path, capsys, comma
     code, stdout, err = run(capsys, *argv.format(out=tmp_path / "m").split())
     assert code == 2
     assert "error: dataset shape (6, 10) does not match spec (4, 10)" in err
+    assert stdout == ""
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.fixture(scope="module")
+def three_classes(workdir, tmp_path_factory):
+    """The tap CSV's gestures of its first three classes, with a sidecar
+    that names those three."""
+    taps = dataio.load_csv(workdir[1])
+    out = tmp_path_factory.mktemp("three") / "three.csv"
+    keep = taps.labels < 3
+    dataio.save_csv(dataio.Dataset(taps.samples[keep], taps.labels[keep],
+                                   class_names=taps.class_names[:3]), out)
+    return out
+
+
+@pytest.mark.parametrize("command", [
+    "train --out-model {out}", "eval --mode split", "eval --mode kfold --folds 2",
+])
+def test_class_count_defaults_to_the_data(three_classes, tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epochs": 2}')
+    argv = f"{command} --data {three_classes} --preset tap-tuned --config {cfg}"
+    code, stdout, err = run(capsys, *argv.format(out=tmp_path / "m").split())
+    assert code == 0, err
+    assert "n_classes=3" in err
+    if command.startswith("train"):
+        assert load_model(tmp_path / "m").n_classes == 3
+
+
+@pytest.mark.parametrize("command", ["train --out-model {out}", "eval --mode split"])
+def test_config_n_classes_wins_over_the_data(three_classes, tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epochs": 2, "n_classes": 4}')
+    argv = f"{command} --data {three_classes} --preset tap-tuned --config {cfg}"
+    code, stdout, err = run(capsys, *argv.format(out=tmp_path / "m").split())
+    assert code == 2
+    assert "error: every class in 0..3 must appear; got [0 1 2]" in err
     assert stdout == ""
     assert not (tmp_path / "m").exists()
 

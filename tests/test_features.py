@@ -17,6 +17,12 @@ import reference_kernels
 def test_patchspec_validation():
     with pytest.raises(ValueError):
         PatchSpec(channels=4, frames=10, patches=3)  # 3 does not divide 10
+    # a field below 1 is named with its value
+    for name in ("channels", "frames", "patches"):
+        for bad in (0, -1):
+            fields = {"channels": 4, "frames": 10, "patches": 10, name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {bad}$"):
+                PatchSpec(**fields)
     spec = PatchSpec(channels=4, frames=10, patches=10)
     assert spec.patch_dim == 4
 

@@ -61,6 +61,25 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+# the package's modules, lowest layer first: each imports only from
+# modules before it, so no two modules import each other
+LAYERS = ("numutil", "projections", "dataio", "features", "model", "losses", "trainer",
+          "verify", "cli")
+
+
+def test_modules_import_only_lower_layers():
+    package = ROOT / "src" / "convexattn"
+    assert {p.stem for p in package.glob("*.py")} - {"__init__"} == set(LAYERS)
+    upward = []
+    for i, layer in enumerate(LAYERS):
+        for node in ast.walk(ast.parse((package / f"{layer}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # `from .x import f` names x; `from . import x, y` names x and y
+                names = [node.module] if node.module else [a.name for a in node.names]
+                upward += [f"{layer} imports {n}" for n in names if LAYERS.index(n) >= i]
+    assert not upward, upward
+
+
 def test_demo_imports_resolve():
     # a demo runs a full training, so its imports are checked statically:
     # a name deleted from the package fails here, not when a demo is run
