@@ -1,10 +1,9 @@
-"""Gesture datasets: synthetic generation, z-score statistics and CSV I/O."""
+"""Gesture datasets: synthetic generation and CSV I/O."""
 
 import json
 import math
 import numbers
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,32 +91,6 @@ class SynthConfig:
     @property
     def frames(self):
         return 10 if self.kind == "tap" else 30
-
-
-def zscore_fit(X):
-    """Per-channel mean/stddev over all gestures and frames of a stacked
-    (n, C, T) training array.
-
-    Near-constant channels get their stddev clamped to 1 with a warning
-    so normalization never divides by ~0. The sums run over one
-    C-contiguous (n, T, C) arrangement, a view of load_csv's arrays, so
-    the input's memory layout never moves a bit of the result.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 3 or X.shape[0] < 2:
-        raise ValueError("zscore_fit needs an (n, C, T) array with n >= 2")
-    X = np.ascontiguousarray(X.transpose(0, 2, 1))
-    mean = X.mean(axis=(0, 1))
-    std = X.std(axis=(0, 1))
-    if np.any(std < 1e-8):
-        warnings.warn("constant channel: stddev clamped to 1")
-        std = np.where(std < 1e-8, 1.0, std)
-    return mean, std
-
-
-def zscore_apply(X, stats):
-    mean, std = stats
-    return (np.asarray(X, dtype=float) - mean[:, None]) / std[:, None]
 
 
 def _tap_templates(config, anchor, jitter):

@@ -1,4 +1,4 @@
-"""Temporal patch partitioning and the random Fourier feature map.
+"""Z-score normalization, temporal patches and the random Fourier feature map.
 
 A gesture matrix (channels x frames) is split into equal non-overlapping
 temporal patches; each patch vector is lifted with a fixed random cosine
@@ -7,11 +7,11 @@ feature map whose inner products approximate an RBF kernel.
 
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import zscore_apply
 from .numutil import RngStream, check_fields, check_finite
 
 
@@ -61,6 +61,33 @@ class RffMap:
     @property
     def m(self):
         return self.W.shape[1]
+
+
+def zscore_fit(X):
+    """Per-channel mean/stddev over all gestures and frames of a stacked
+    (n, C, T) training array.
+
+    A channel whose stddev is at most 1e-8 of its largest magnitude is
+    constant at any scale (a channel of zeros too): its stddev is clamped
+    to 1, with a warning naming it, so normalization never divides by ~0.
+    Statistics that overflow are refused, naming the channel. The sums
+    run over one C-contiguous (n, T, C) arrangement, a view of load_csv's
+    arrays, so the input's memory layout never moves a bit of the result.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 3 or X.shape[0] < 2:
+        raise ValueError("zscore_fit needs an (n, C, T) array with n >= 2")
+    X = np.ascontiguousarray(X.transpose(0, 2, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = X.mean(axis=(0, 1)), X.std(axis=(0, 1))
+    bad = np.flatnonzero(~np.isfinite(mean) | ~np.isfinite(std))
+    if bad.size:
+        raise ValueError(f"channel {bad[0]}: z-score statistics are not finite")
+    flat = std <= 1e-8 * np.abs(X).max(axis=(0, 1))
+    if flat.any():
+        warnings.warn(f"constant channels {np.flatnonzero(flat).tolist()}: stddev clamped to 1")
+        std = np.where(flat, 1.0, std)
+    return mean, std
 
 
 def patchify(X, spec):
@@ -125,7 +152,8 @@ def lift(X, stats, spec, rff):
             f"gesture shape {X.shape[1:]} does not match spec "
             f"({spec.channels}, {spec.frames})"
         )
+    mean, std = stats
     rows = np.empty((len(X), spec.patches, spec.patch_dim))
-    for i, x in enumerate(zscore_apply(X, stats)):
+    for i, x in enumerate((X - mean[:, None]) / std[:, None]):
         rows[i] = patchify(x, spec)
     return rff_transform(rows.reshape(-1, spec.patch_dim), rff).reshape(*rows.shape[:2], rff.m)

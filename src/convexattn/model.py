@@ -133,7 +133,8 @@ def serialize(bundle, precision=64):
 
     Little-endian; fixed header (magic, version, precision, loss kind,
     K, C, T, P, m, gamma) followed by norm stats, b, W, A. The 32-bit
-    variant is the storage/export path; 64-bit round-trips exactly.
+    variant is the storage/export path, and refuses a bundle it would
+    cast to a value deserialize refuses; 64-bit round-trips exactly.
     """
     if precision not in (32, 64):
         raise ValueError(f"precision must be 32 or 64, got {precision}")
@@ -151,16 +152,16 @@ def serialize(bundle, precision=64):
         bundle.rff.m,
         bundle.rff.gamma,
     )
-    payload = np.concatenate(
-        [
-            bundle.norm_mean,
-            bundle.norm_std,
-            bundle.rff.b,
-            bundle.rff.W.ravel(),
-            bundle.weights.ravel(),
-        ]
-    ).astype(dtype)
-    return header + payload.tobytes()
+    fields = {"norm_mean": bundle.norm_mean, "norm_std": bundle.norm_std,
+              "b": bundle.rff.b, "W": bundle.rff.W.ravel(), "weights": bundle.weights.ravel()}
+    with np.errstate(over="ignore"):
+        cast = {k: v.astype(dtype) for k, v in fields.items()}
+    for k, v in fields.items():
+        # a finite value cast to inf, or a norm_std > 0 cast to 0, would not load
+        lost = np.isfinite(v) & ~np.isfinite(cast[k])
+        if lost.any() or k == "norm_std" and np.any((v > 0) & (cast[k] <= 0)):
+            raise ValueError(f"{k} does not fit in a 32-bit model; save it at 64 bits")
+    return header + np.concatenate(list(cast.values())).tobytes()
 
 
 def deserialize(data):

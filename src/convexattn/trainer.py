@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import dataio
-from .features import PatchSpec, lift, rff_init
+from .features import PatchSpec, lift, rff_init, zscore_fit
 from .losses import loss_functions
 from .model import ModelBundle, batch_class_scores, scores
 from .numutil import RngStream, check_fields, check_finite, check_labels
@@ -164,7 +164,7 @@ def train(dataset, config):
     )
     batch_rng = root.derive(3)
 
-    mean, std = dataio.zscore_fit(X)
+    mean, std = zscore_fit(X)
     Q = lift(X, (mean, std), spec, rff)
 
     loss_fn, grad_fn, target = loss_functions(config.loss_kind)

@@ -9,8 +9,7 @@ a kernel change that moves one bit of a model fails on any machine.
 
 import numpy as np
 
-from convexattn.dataio import zscore_fit
-from convexattn.features import rff_init
+from convexattn.features import rff_init, zscore_fit
 from convexattn.model import ModelBundle
 from convexattn.numutil import RngStream
 

@@ -11,7 +11,7 @@ import pytest
 
 from convexattn import cli, dataio
 from convexattn.cli import main
-from convexattn.model import load_model, predict
+from convexattn.model import load_model, predict, save_model
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -348,8 +348,10 @@ def bad_files(workdir, tmp_path_factory):
     """Copies of the tap CSV, each with a sidecar load_csv must refuse,
     its first three lines followed by a line that is not UTF-8, its
     first two classes alone, and the config with a byte that is not
-    UTF-8, and configs with a bad field, by the placeholder name the
-    fault table uses."""
+    UTF-8, configs with a bad field, its taps scaled by 1e200 and set
+    to +-1e308, whose z-score statistics overflow, and the model with
+    norm stats of a tap model trained on taps scaled by 1e40, past the
+    32-bit range, by the placeholder name the fault table uses."""
     d = tmp_path_factory.mktemp("sidecars")
     sidecars = {
         "meta_garbled": "{", "meta_list": "[1]",
@@ -370,6 +372,14 @@ def bad_files(workdir, tmp_path_factory):
     two = taps.labels < 2
     dataio.save_csv(dataio.Dataset(taps.samples[two], taps.labels[two],
                                    class_names=taps.class_names[:2]), csvs["two_classes"])
+    for name, samples in (("huge", 1e200 * taps.samples),
+                          ("near_max", np.where(taps.samples > 0.5, 1e308, -1e308))):
+        csvs[name] = d / f"{name}.csv"
+        dataio.save_csv(dataio.Dataset(samples, taps.labels), csvs[name])
+    bundle = load_model(workdir[3])
+    csvs["big_model"] = d / "big.model"
+    save_model(replace(bundle, norm_mean=1e40 * bundle.norm_mean,
+                       norm_std=1e40 * bundle.norm_std), csvs["big_model"])
     csvs["cfg_not_utf8"] = d / "cfg.json"
     csvs["cfg_not_utf8"].write_bytes(workdir[2].read_bytes().replace(b"}", b', "\xff": 1}'))
     csvs["cfg_float_m"] = d / "float_m.json"
@@ -389,7 +399,9 @@ def bad_files(workdir, tmp_path_factory):
 # line 4 is not UTF-8, {two_classes} a CSV that names two classes,
 # {cfg_not_utf8} a config that is not UTF-8, {cfg_float_m} a config
 # whose m is 2.5, {cfg_inf_gamma} one whose gamma is 1e400, which JSON
-# reads as infinity, and {cfg_zero_patches} one whose patches is 0.
+# reads as infinity, {cfg_zero_patches} one whose patches is 0, {huge}
+# and {near_max} CSVs whose z-score statistics overflow, and {big_model}
+# a model whose norm stats are past the 32-bit range.
 # {data} holds 10 taps per class. Each fault comes
 # before any output is printed or written.
 @pytest.mark.parametrize("argv,named", [
@@ -435,6 +447,11 @@ def bad_files(workdir, tmp_path_factory):
     ("eval --data {data} --config {cfg} --folds 1", "folds must be >= 2"),
     ("eval --data {data} --config {cfg} --jobs 0", "jobs must be >= 1"),
     ("eval --data {data} --config {cfg} --folds 20", "class 0 has 10 samples, need >= 20"),
+    ("train --data {huge} --config {cfg} --out-model {out}",
+     "channel 0: z-score statistics are not finite"),
+    ("train --data {near_max} --config {cfg} --out-model {out}",
+     "channel 0: z-score statistics are not finite"),
+    ("export --model {big_model} --out {out}", "norm_mean does not fit in a 32-bit model"),
 ], ids=[
     "model-not-found", "data-not-found", "bench-mismatched-data",
     "export-mismatched-data", "predict-mismatched-data", "verify-mismatched-data",
@@ -448,6 +465,7 @@ def bad_files(workdir, tmp_path_factory):
     "predict-fewer-class-names", "config-not-utf8", "config-m-not-an-integer",
     "config-gamma-infinite", "config-patches-zero",
     "eval-one-fold", "eval-no-jobs", "eval-more-folds-than-taps",
+    "train-statistics-overflow", "train-near-max-values", "export-32-bit-overflow",
 ])
 def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, bad_files, tmp_path,
                                                  capsys, argv, named):

@@ -23,54 +23,8 @@ from convexattn.dataio import (
     load_csv,
     save_csv,
     synth_generate,
-    zscore_apply,
-    zscore_fit,
 )
 from convexattn.numutil import RngStream
-
-
-def test_zscore_fit_apply_round_trip():
-    rng = np.random.default_rng(1)
-    X = rng.normal(3.0, 2.0, size=(20, 4, 10))
-    stats = zscore_fit(X)
-    Z = zscore_apply(X, stats)
-    assert np.allclose(Z.mean(axis=(0, 2)), 0.0, atol=1e-12)
-    assert np.allclose(Z.std(axis=(0, 2)), 1.0, atol=1e-12)
-    # one gesture at a time normalizes the same way as the stack
-    assert np.array_equal(zscore_apply(X[3], stats), Z[3])
-
-
-def test_zscore_fit_bits_do_not_depend_on_layout(tmp_path):
-    # the same values as a C-contiguous stack, load_csv's transposed
-    # view, Fortran order and a non-contiguous slice: one set of bits
-    ds = synth_generate(SynthConfig(kind="tap", samples_per_class=100, seed=0))
-    save_csv(ds, tmp_path / "taps.csv")
-    loaded = load_csv(tmp_path / "taps.csv").samples
-    every_other = np.empty((2 * len(loaded),) + loaded.shape[1:])
-    every_other[::2] = loaded
-    layouts = [np.ascontiguousarray(loaded), loaded, np.asfortranarray(loaded),
-               every_other[::2]]
-    assert not loaded.flags.c_contiguous and not every_other[::2].flags.c_contiguous
-    mean, std = zscore_fit(layouts[0])
-    for X in layouts[1:]:
-        m, s = zscore_fit(X)
-        assert np.array_equal(m.view(np.uint64), mean.view(np.uint64))
-        assert np.array_equal(s.view(np.uint64), std.view(np.uint64))
-
-
-def test_zscore_constant_channel_clamped():
-    X = np.ones((4, 2, 5))
-    X[3, 1] = np.arange(5.0)
-    with pytest.warns(UserWarning):
-        mean, std = zscore_fit(X)
-    assert std[0] == 1.0
-
-
-def test_zscore_fit_needs_two_samples():
-    with pytest.raises(ValueError):
-        zscore_fit(np.ones((1, 2, 5)))
-    with pytest.raises(ValueError):
-        zscore_fit(np.ones((2, 5)))
 
 
 def test_synth_shapes_and_balance():

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from convexattn.dataio import SynthConfig, load_csv, save_csv, synth_generate
 from convexattn.features import (
     PatchSpec,
     RffMap,
@@ -8,6 +11,7 @@ from convexattn.features import (
     patchify,
     rff_init,
     rff_transform,
+    zscore_fit,
 )
 from convexattn.numutil import RngStream
 
@@ -25,6 +29,87 @@ def test_patchspec_validation():
                 PatchSpec(**fields)
     spec = PatchSpec(channels=4, frames=10, patches=10)
     assert spec.patch_dim == 4
+
+
+def test_zscore_fit_apply_round_trip():
+    rng = np.random.default_rng(1)
+    X = rng.normal(3.0, 2.0, size=(20, 4, 10))
+    mean, std = zscore_fit(X)
+    Z = (X - mean[:, None]) / std[:, None]
+    assert np.allclose(Z.mean(axis=(0, 2)), 0.0, atol=1e-12)
+    assert np.allclose(Z.std(axis=(0, 2)), 1.0, atol=1e-12)
+
+
+def test_zscore_fit_bits_do_not_depend_on_layout(tmp_path):
+    # the same values as a C-contiguous stack, load_csv's transposed
+    # view, Fortran order and a non-contiguous slice: one set of bits
+    ds = synth_generate(SynthConfig(kind="tap", samples_per_class=100, seed=0))
+    save_csv(ds, tmp_path / "taps.csv")
+    loaded = load_csv(tmp_path / "taps.csv").samples
+    every_other = np.empty((2 * len(loaded),) + loaded.shape[1:])
+    every_other[::2] = loaded
+    layouts = [np.ascontiguousarray(loaded), loaded, np.asfortranarray(loaded),
+               every_other[::2]]
+    assert not loaded.flags.c_contiguous and not every_other[::2].flags.c_contiguous
+    mean, std = zscore_fit(layouts[0])
+    for X in layouts[1:]:
+        m, s = zscore_fit(X)
+        assert np.array_equal(m.view(np.uint64), mean.view(np.uint64))
+        assert np.array_equal(s.view(np.uint64), std.view(np.uint64))
+
+
+def test_zscore_constant_channel_clamped():
+    X = np.ones((4, 2, 5))
+    X[3, 1] = np.arange(5.0)
+    with pytest.warns(UserWarning):
+        mean, std = zscore_fit(X)
+    assert std[0] == 1.0
+
+
+def test_zscore_fit_needs_two_samples():
+    with pytest.raises(ValueError):
+        zscore_fit(np.ones((1, 2, 5)))
+    with pytest.raises(ValueError):
+        zscore_fit(np.ones((2, 5)))
+
+
+SCALES = [1e-15, 1e-12, 1.0, 1e12]
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_zscore_fit_is_scale_free(s):
+    # picofarads or raw counts: the statistics scale with the data, and
+    # no channel is called constant for being small
+    X = np.random.default_rng(2).normal(3.0, 2.0, size=(20, 4, 10))
+    mean, std = zscore_fit(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, sd = zscore_fit(s * X)
+    assert np.allclose(m, s * mean, rtol=1e-12, atol=0)
+    assert np.allclose(sd, s * std, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_zscore_constant_channel_clamped_at_every_scale(s):
+    # channel 0 constant, channel 1 varying, channel 2 all zeros
+    X = np.zeros((4, 3, 5))
+    X[:, 0] = s
+    X[3, 1] = s * np.arange(5.0)
+    with pytest.warns(UserWarning, match=r"^constant channels \[0, 2\]: stddev clamped to 1$"):
+        mean, std = zscore_fit(X)
+    assert std[0] == std[2] == 1.0
+    assert np.isclose(std[1], X[:, 1].std(), rtol=1e-12, atol=0)
+    assert mean[0] == s
+
+
+@pytest.mark.parametrize("values", [
+    lambda X: 1e200 * X,  # the variance overflows
+    lambda X: np.where(X > np.median(X), 1e308, -1e308),  # the sums overflow
+], ids=["huge", "near-max"])
+def test_zscore_fit_refuses_non_finite_statistics(values):
+    X = synth_generate(SynthConfig(kind="tap", samples_per_class=5, seed=0)).samples
+    with pytest.raises(ValueError, match=r"^channel 0: z-score statistics are not finite$"):
+        zscore_fit(values(X))
 
 
 def test_patchify_tap_shape():

@@ -266,6 +266,25 @@ def test_deserialize_rejects_nonpositive_norm_std():
             deserialize(serialize(replace(bundle, norm_std=std)))
 
 
+def test_serialize_32_refuses_what_would_not_load():
+    # past float32's range a value casts to inf, and a tiny norm_std to
+    # 0: deserialize refuses both, so a 32-bit serialize names the field;
+    # 64 bits store the same bundle as it is
+    bundle = make_bundle()
+    for field, value in (("norm_mean", 2.5e39), ("norm_std", 2.5e39), ("norm_std", 1e-50),
+                         ("weights", -1e39)):
+        bad = getattr(bundle, field).copy()
+        bad.flat[1] = value
+        with pytest.raises(ValueError, match=f"^{field} does not fit in a 32-bit model"):
+            serialize(replace(bundle, **{field: bad}), 32)
+        again = deserialize(serialize(replace(bundle, **{field: bad}), 64))
+        assert getattr(again, field).flat[1] == value
+    # float32's largest value still fits
+    top = bundle.norm_mean.copy()
+    top[0] = np.finfo(np.float32).max
+    assert deserialize(serialize(replace(bundle, norm_mean=top), 32)).norm_mean[0] == top[0]
+
+
 def _reference_predict_scores(X, bundle):
     # reference: predict's scores as computed before lift stacked its
     # patch rows -- the per-gesture lift, then the einsum scorer with rho
@@ -301,9 +320,10 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
-def bundles(draw):
+def bundles(draw, finite=finite, positive=positive):
     """Bundles of any small geometry with any finite payload values,
-    -0.0 and subnormals included."""
+    -0.0 and subnormals included; norm_std and gamma are drawn from
+    positive and the rest from finite."""
     K, C, P, fpp, m = (draw(st.integers(lo, hi)) for lo, hi in
                        ((2, 5), (1, 4), (1, 4), (1, 3), (1, 4)))
     spec = PatchSpec(channels=C, frames=P * fpp, patches=P)
@@ -324,6 +344,28 @@ def bundles(draw):
 def test_serialize_round_trip_property(bundle):
     data = serialize(bundle, 64)
     assert serialize(deserialize(data), 64) == data
+
+
+@PROPERTY
+@given(bundle=bundles(st.floats(allow_nan=False, allow_infinity=False, width=32),
+                      st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, width=32)),
+       field=st.sampled_from([None, "norm_mean", "norm_std", "weights"]), value=positive)
+def test_serialize_32_refuses_exactly_what_would_not_load(bundle, field, value):
+    # a bundle of float32 values, one of them maybe replaced by any
+    # double > 0 (< 0 in weights)
+    if field:
+        bad = getattr(bundle, field).copy()
+        bad.flat[0] = -value if field == "weights" else value
+        bundle = replace(bundle, **{field: bad})
+    with np.errstate(over="ignore"):
+        std32 = bundle.norm_std.astype(np.float32)
+        rest32 = np.concatenate([bundle.norm_mean, bundle.rff.b, bundle.rff.W.ravel(),
+                                 bundle.weights.ravel()]).astype(np.float32)
+    if np.isfinite(rest32).all() and np.isfinite(std32).all() and (std32 > 0).all():
+        deserialize(serialize(bundle, 32))
+    else:
+        with pytest.raises(ValueError, match=f"^{field} does not fit in a 32-bit model"):
+            serialize(bundle, 32)
 
 
 TAP_BYTES = serialize(make_bundle(m=9), 64)

@@ -63,7 +63,7 @@ def test_no_unused_imports():
 
 # the package's modules, lowest layer first: each imports only from
 # modules before it, so no two modules import each other
-LAYERS = ("numutil", "projections", "dataio", "features", "model", "losses", "trainer",
+LAYERS = ("numutil", "projections", "features", "model", "losses", "dataio", "trainer",
           "verify", "cli")
 
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -148,6 +149,17 @@ def test_train_learns_separable_taps():
     bundle, report = train(ds, tiny_config())
     assert report.epoch_accuracy[-1] >= 0.95
     assert report.epoch_loss[-1] < report.epoch_loss[0]
+
+
+def test_train_learns_picofarad_scale_taps():
+    # taps in farads: every channel's stddev is far below 1e-8, and none
+    # is constant, so none may be clamped
+    ds = synth_generate(SynthConfig(kind="tap", samples_per_class=100, seed=0))
+    cfg = replace(preset_config("tap-tuned"), epochs=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, report = train((1e-12 * ds.samples, ds.labels), cfg)
+    assert report.epoch_accuracy[-1] == 1.0
 
 
 def test_train_squared_loss_also_learns():
