@@ -178,7 +178,8 @@ def save_csv(dataset, path):
 
     Before the file is opened, ``samples`` must be a nonempty (n, C, T)
     array, its ``class_names`` and ``sample_rate`` must be what
-    :func:`load_csv` accepts in a sidecar, its n labels must index
+    :func:`load_csv` accepts in a sidecar (distinct class names, none
+    holding a ',' or a line break), its n labels must index
     ``class_names``, every gesture must be finite, and ``meta`` must be
     JSON. Rows go to the file CSV_CHUNK gestures at a time.
     """
@@ -244,10 +245,16 @@ def read_json_object(path, what):
 
 def _sidecar_fault(names, rate):
     """Why a sidecar with these class_names and sample_rate would not
-    load, or None: names must be a list of strings and rate a finite
-    number > 0 (not a string or a boolean)."""
+    load, or None: names must be a list of distinct strings, each one
+    CSV field (no ',' and no line break that str.splitlines sees), and
+    rate a finite number > 0 (not a string or a boolean)."""
     if not (isinstance(names, list) and all(isinstance(c, str) for c in names)):
         return "class_names must be a list of strings"
+    for i, c in enumerate(names):
+        if c in names[:i]:
+            return f"class name {c!r} is repeated"
+        if "," in c or "".join(c.splitlines()) != c:
+            return f"class name {c!r} holds a ',' or a line break"
     if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
         return f"sample_rate must be a finite number > 0, got {rate!r}"
     return None
@@ -291,9 +298,9 @@ def _parse_rows(lines, C):
 
 
 def _line_fault(line, C, class_names, first_class):
-    """The diagnostic for a data line, in the order the checks apply to
-    a row, with int() and float() reading the numbers, or None when the
-    line is good. first_class maps each gesture id seen to its class."""
+    """The diagnostic for a bad data line: the first check of a row that
+    fails with int() and float() reading the numbers, else the parse's
+    own. first_class maps each gesture id before the line to its class."""
     parts = line.split(",")
     if len(parts) != 3 + C:
         return f"expected {3 + C} fields"
@@ -308,29 +315,29 @@ def _line_fault(line, C, class_names, first_class):
         [float(v) for v in parts[3:]]
     except ValueError as e:
         return str(e)
-    if first_class.setdefault(gid, cname) != cname:
+    if first_class.get(gid, cname) != cname:
         return f"class changes within gesture {gid}"
-    return None
+    return "numbers must be plain ASCII decimals without '_', and frames below 2**63"
 
 
-def _check_lines(path, lines, C, class_names, strict):
-    """Raise the diagnostic for the first bad data line: the first line
-    _line_fault names, unless, when strict, an earlier line fails the
-    stricter parse of _parse_rows. Strict is for a file whose whole
-    parse failed or was skipped for a blank line. The lines before the
-    _line_fault line take one parse, and only when it fails is the first
-    line that fails it found by bisection: a parse fails exactly when
-    one of its lines does. Returns when every line is good."""
-    first_class = {}
-    end, fault = len(lines), None
-    for ln, line in enumerate(lines[1:], start=2):
-        fault = _line_fault(line, C, class_names, first_class)
-        if fault:
-            end = ln - 1
-            break
+def _good_prefix(lines, C):
+    """(end, rows): lines[end] is the first bad data line, or end is
+    len(lines), and rows the one parse of lines[1:end] (None for none).
+
+    A line is bad when it is blank or has a "\x1f" in a value, which the
+    parse skips or strips where float() refuses them, or when the parse
+    refuses it. The lines before the first blank or "\x1f" line take one
+    parse; only when it fails is its first bad line found by bisection
+    (a parse fails exactly when one of its lines does), and the lines
+    before that one take one more parse.
+    """
+    end = lines.index("") if "" in lines else len(lines)
+    if "\x1f" in "\n".join(lines[:end]):
+        # a line of fewer than 4 fields is bad whatever its last one holds
+        end = next((i for i in range(1, end) if "\x1f" in lines[i].split(",", 3)[-1]), end)
     before = lines[1:end]
-    # with no _line_fault, the whole-file parse that failed read these lines
-    if strict and before and (fault is None or _parse_rows(before, C) is None):
+    rows = _parse_rows(before, C) if before else None
+    if before and rows is None:
         # before[:lo] parses and before[lo:hi] holds a line that does not
         lo, hi = 0, len(before)
         while hi - lo > 1:
@@ -339,10 +346,8 @@ def _check_lines(path, lines, C, class_names, strict):
                 hi = mid
             else:
                 lo = mid
-        raise ValueError(f"{path}:{lo + 2}: numbers must be plain ASCII decimals "
-                         "without '_', and frames below 2**63")
-    if fault:
-        raise ValueError(f"{path}:{end + 1}: {fault}")
+        end, rows = lo + 1, _parse_rows(before[:lo], C) if lo else None
+    return end, rows
 
 
 def load_csv(path):
@@ -362,6 +367,11 @@ def load_csv(path):
     its line. The file is read as UTF-8 whatever the locale, and a byte
     that does not decode is reported at its line. A file ``save_csv``
     wrote loads to the same bits in every version.
+
+    A file with no fault takes one parse. Otherwise one search finds the
+    first bad line (blank, a "\x1f" in a value, or a line the parse
+    refuses), the lines before it take one parse and their row checks,
+    and the bad line's diagnostic is named once.
     """
     path = Path(path)
     try:
@@ -373,10 +383,7 @@ def load_csv(path):
         raise ValueError(f"{path}:{line}: byte 0x{raw[e.start]:02x} is not UTF-8 "
                          f"({e.reason})") from None
     lines = text.splitlines()
-    # numpy's float parse strips "\x1f" as whitespace where float() does
-    # not; the text is dropped before the parse, which holds the lines
-    has_separator = "\x1f" in text
-    del text
+    del text  # the lines hold it; dropped before the parse
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -391,11 +398,9 @@ def load_csv(path):
 
     if len(lines) == 1:
         raise ValueError(f"{path}: no gesture rows")
-    # a blank line is a fault the parse would skip
-    rows = None if "" in lines else _parse_rows(lines[1:], C)
-    if rows is None or has_separator:
-        # raises when the parse failed: some line is bad
-        _check_lines(path, lines, C, class_names, strict=rows is None)
+    end, rows = _good_prefix(lines, C)
+    if rows is None:  # the first data line is bad
+        raise ValueError(f"{path}:2: {_line_fault(lines[1], C, class_names, {})}")
     gid, cname, frame, values = rows
     n = len(gid)
 
@@ -408,7 +413,7 @@ def load_csv(path):
     first = starts[np.unique(run_group, return_index=True)[1]]
 
     # the first row of unknown class or of a class its gesture did not
-    # start with
+    # start with, then the first bad line
     labels = np.array([class_names.index(c) if c in class_names else -1
                        for c in cname[first].tolist()])
     bad = np.flatnonzero((labels[group] < 0) | (cname != cname[first][group]))
@@ -417,6 +422,9 @@ def load_csv(path):
         if cname[r] not in class_names:
             raise ValueError(f"{path}:{r + 2}: unknown class label {cname[r]!r}")
         raise ValueError(f"{path}:{r + 2}: class changes within gesture {gid[r]}")
+    if end < len(lines):
+        fault = _line_fault(lines[end], C, class_names, dict(zip(groups, cname[first].tolist())))
+        raise ValueError(f"{path}:{end + 1}: {fault}")
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         raise ValueError(f"{path}:{int(bad.argmax()) + 2}: non-finite value")

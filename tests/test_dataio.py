@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -178,10 +179,18 @@ def test_csv_without_sidecar_uses_defaults(tmp_path):
     ('{"class_names": [], "sample_rate": -250.0}', "sample_rate must be a finite number > 0"),
     ('{"class_names": [], "sample_rate": null}', "sample_rate must be a finite number > 0"),
     ("{\"class_names\": [\"n\xf6rd\"]}", "invalid JSON"),
+    ('{"class_names": ["a", "b", "a", "b"], "sample_rate": 250}', "class name 'a' is repeated"),
+    ('{"class_names": ["a", "b,c"], "sample_rate": 250}',
+     "class name 'b,c' holds a ',' or a line break"),
+    ('{"class_names": ["a", "b\\r"], "sample_rate": 250}',
+     "class name 'b\\r' holds a ',' or a line break"),
+    ('{"class_names": ["a", "b\\u2028c"], "sample_rate": 250}',
+     "class name 'b\\u2028c' holds a ',' or a line break"),
 ], ids=["truncated", "empty", "list", "string", "no-class-names", "no-sample-rate",
         "no-keys", "names-a-string", "names-not-strings", "names-a-dict", "rate-a-string",
         "rate-a-bool", "rate-nan", "rate-infinite", "rate-zero", "rate-negative", "rate-null",
-        "not-utf8"])
+        "not-utf8", "name-repeated", "name-with-comma", "name-with-return",
+        "name-with-line-separator"])
 def test_csv_bad_sidecar_names_its_path(tmp_path, text, fault):
     ds = synth_generate(SynthConfig(kind="tap", samples_per_class=2, seed=6))
     path = tmp_path / "g.csv"
@@ -361,7 +370,8 @@ def test_csv_strict_fault_before_a_blank_line_is_found_by_bisection(tmp_path, mo
     calls = _counting_parse(monkeypatch)
     with pytest.raises(ValueError, match=r"odd\.csv:3: numbers must be plain ASCII"):
         load_csv(p)
-    assert calls == [3, 1, 1]
+    # the last parse is of the one line before the bad one
+    assert calls == [3, 1, 1, 1]
 
 
 def test_csv_strict_fault_on_the_last_row_takes_a_bisection(tmp_path, monkeypatch):
@@ -375,6 +385,31 @@ def test_csv_strict_fault_on_the_last_row_takes_a_bisection(tmp_path, monkeypatc
     with pytest.raises(ValueError, match=r"late\.csv:30001: numbers must be plain ASCII"):
         load_csv(p)
     assert len(calls) <= 2 * math.ceil(math.log2(len(rows))) + 2
+
+
+# three faults the parse alone would not order: a blank line it skips,
+# a "\x1f" it strips and a '_' only it refuses
+ROW_FAULTS = {
+    "blank": (lambda t: "", "expected 4 fields"),
+    "separator": (lambda t: f"0,north,{t},\x1f1", "could not convert string to float: '\\x1f1'"),
+    "underscore": (lambda t: f"0,north,{t},1_0",
+                   "numbers must be plain ASCII decimals without '_', and frames below 2**63"),
+}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(ROW_FAULTS)), ids="-".join)
+def test_csv_first_of_three_faults_is_reported_at_its_line(tmp_path, monkeypatch, order):
+    rows = [f"0,north,{t},{t}" for t in range(8)]
+    p = tmp_path / "g.csv"
+    p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n")
+    calls = _counting_parse(monkeypatch)
+    load_csv(p)
+    assert calls == [8]
+    # the faults on rows 2, 4 and 6, at lines 4, 6 and 8
+    for t, name in zip((2, 4, 6), order):
+        rows[t] = ROW_FAULTS[name][0](t)
+    p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n")
+    assert _outcome(load_csv, p) == f"{p}:4: {ROW_FAULTS[order[0]][1]}"
 
 
 def _tap_set():
@@ -401,11 +436,20 @@ def _tap_set():
      r"sample_rate must be a finite number > 0, got True$"),
     (lambda ds: setattr(ds, "class_names", ("a", 2, "c", "d")),
      r"class_names must be a list of strings$"),
+    (lambda ds: setattr(ds, "class_names", ("a", "a", "b", "c")),
+     r"class name 'a' is repeated$"),
+    (lambda ds: setattr(ds, "class_names", ("a", "b,c", "d", "e")),
+     r"class name 'b,c' holds a ',' or a line break$"),
+    (lambda ds: setattr(ds, "class_names", ("a", "b", "c\n", "d")),
+     r"class name 'c\\n' holds a ',' or a line break$"),
+    (lambda ds: setattr(ds, "class_names", ("a", "b", "c", "d\x1ce")),
+     r"class name 'd\\x1ce' holds a ',' or a line break$"),
     (lambda ds: ds.meta.update(seed=np.int64(3)),
      r"meta is not JSON: Object of type int64 is not JSON serializable$"),
 ], ids=["label-minus-1", "label-7", "empty", "not-3-d", "nan", "minus-inf",
         "rate-nan", "rate-inf", "rate-zero", "rate-minus-1", "rate-a-string", "rate-a-bool",
-        "name-not-a-string", "meta-not-json"])
+        "name-not-a-string", "name-repeated", "name-with-comma", "name-with-newline",
+        "name-with-file-separator", "meta-not-json"])
 def test_save_csv_refuses_a_bad_dataset_before_opening_the_file(tmp_path, spoil, message):
     p = tmp_path / "kept.csv"
     save_csv(_tap_set(), p)
