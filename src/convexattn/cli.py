@@ -12,6 +12,7 @@ Diagnostics go to stderr; data goes to stdout or files.
 """
 
 import argparse
+import numbers
 import sys
 import time
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import dataio, trainer, verify
 from .model import LOSS_KINDS, load_model, param_count, predict, save_model, scores
-from .numutil import RngStream
+from .numutil import RngStream, check_numbers
 
 
 def _load_config(args, ds):
@@ -133,19 +134,14 @@ def cmd_predict(args):
 def cmd_verify(args):
     # zero noise makes both midpoint endpoints the trained weights, so
     # every trial would pass without testing anything
-    if not args.noise > 0:
-        raise ValueError(f"--noise must be > 0, got {args.noise}")
+    check_numbers({"--noise": args.noise}, numbers.Real, above=0)
     bundle = load_model(args.model)
     ds = dataio.load_csv(args.data)
     rng = RngStream(args.seed)
-    # the bundle's own loss, with the stream each kind has always used
-    kind = bundle.loss_kind
-    rep = verify.convexity_check(
-        bundle, ds.samples, ds.labels, trials=args.trials, noise_stddev=args.noise,
-        rng=rng.derive(10 + LOSS_KINDS.index(kind)),
-    )
+    rep = verify.convexity_check(bundle, ds.samples, ds.labels, trials=args.trials,
+                                 noise_stddev=args.noise, rng=rng)
     print(
-        f"{kind}: {rep.satisfied}/{rep.trials} satisfied "
+        f"{rep.loss_kind}: {rep.satisfied}/{rep.trials} satisfied "
         f"(mean violation {rep.mean_violation:.3e}, min {rep.min_violation:.3e}, "
         f"median {rep.median_violation:.3e}, max {rep.max_violation:.3e})"
     )
@@ -168,8 +164,7 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
-    if args.iters < 1:
-        raise ValueError(f"--iters must be >= 1, got {args.iters}")
+    check_numbers({"--iters": args.iters}, numbers.Integral, least=1)
     bundle = load_model(args.model)
     ds = dataio.load_csv(args.data)
     for _ in range(10):

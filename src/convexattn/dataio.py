@@ -1,15 +1,13 @@
 """Gesture datasets: synthetic generation and CSV I/O."""
 
 import json
-import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .numutil import RngStream, check_fields, check_labels
+from .numutil import RngStream, check_labels, check_numbers
 
 CLASS_NAMES = ("north", "south", "east", "west")
 GESTURE_KINDS = ("tap", "swipe")
@@ -79,14 +77,10 @@ class SynthConfig:
         if self.kind not in GESTURE_KINDS:
             raise ValueError(f"unknown gesture kind {self.kind!r}; "
                              f"valid kinds: {', '.join(GESTURE_KINDS)}")
-        check_fields(self, ("samples_per_class", "seed"), numbers.Integral, "an integer")
-        check_fields(self, ("noise_stddev", "amplitude", "drift_rate"), numbers.Real, "a number")
-        for name in ("noise_stddev", "amplitude", "drift_rate"):
-            if not abs(getattr(self, name)) <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name, least in (("samples_per_class", 1), ("noise_stddev", 0)):
-            if not getattr(self, name) >= least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        check_numbers(dict(samples_per_class=self.samples_per_class), numbers.Integral, least=1)
+        check_numbers(dict(seed=self.seed), numbers.Integral)
+        check_numbers(dict(noise_stddev=self.noise_stddev), numbers.Real, least=0)
+        check_numbers(dict(amplitude=self.amplitude, drift_rate=self.drift_rate), numbers.Real)
 
     @property
     def frames(self):
@@ -246,8 +240,9 @@ def read_json_object(path, what):
 def _sidecar_fault(names, rate):
     """Why a sidecar with these class_names and sample_rate would not
     load, or None: names must be a list of distinct strings, each one
-    CSV field (no ',' and no line break that str.splitlines sees), and
-    rate a finite number > 0 (not a string or a boolean)."""
+    CSV field (no ',' and no line break that str.splitlines sees) that
+    UTF-8 encodes (no surrogate code point), and rate a finite number > 0
+    (not a string or a boolean)."""
     if not (isinstance(names, list) and all(isinstance(c, str) for c in names)):
         return "class_names must be a list of strings"
     for i, c in enumerate(names):
@@ -255,7 +250,11 @@ def _sidecar_fault(names, rate):
             return f"class name {c!r} is repeated"
         if "," in c or "".join(c.splitlines()) != c:
             return f"class name {c!r} holds a ',' or a line break"
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
+        if any("\ud800" <= ch <= "\udfff" for ch in c):
+            return f"class name {c!r} holds a surrogate, which UTF-8 cannot encode"
+    try:
+        check_numbers(dict(sample_rate=rate), (int, float), above=0)
+    except ValueError:
         return f"sample_rate must be a finite number > 0, got {rate!r}"
     return None
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numutil import RngStream, check_fields, check_finite
+from .numutil import RngStream, check_finite, check_numbers
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,8 @@ class PatchSpec:
     patches: int
 
     def __post_init__(self):
-        check_fields(self, ("channels", "frames", "patches"), numbers.Integral, "an integer")
-        for name in ("channels", "frames", "patches"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        check_numbers(dict(channels=self.channels, frames=self.frames, patches=self.patches),
+                      numbers.Integral, least=1)
         if self.frames % self.patches != 0:
             raise ValueError(
                 f"patches ({self.patches}) must divide frames ({self.frames})"
@@ -108,10 +106,8 @@ def patchify(X, spec):
 
 def rff_init(spec, m, gamma, rng):
     """Sample a fixed RFF map: W ~ N(0, 2*gamma), b ~ Uniform[0, 2pi)."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    check_numbers(dict(m=m), numbers.Integral, least=1)
+    check_numbers(dict(gamma=gamma), numbers.Real, above=0)
     if not isinstance(rng, RngStream):
         raise TypeError("rng must be an RngStream")
     d = spec.patch_dim

@@ -67,9 +67,14 @@ def _score(Q, A, alpha=None):
     Returns (f, alpha, s). Given alpha (n, K, P), attention is held there:
     f is linear in A, the fixed-attention scores the gradients differentiate.
 
-    Both einsums stay: they reduce over the contiguous last axis with
-    SIMD partial sums, an order of addition no other numpy call
-    reproduces, and the model bytes depend on it.
+    Both einsums stay. They reduce over the contiguous last axis in
+    partial sums as wide as numpy's baseline SIMD, and the model bytes
+    depend on that order. On an SSE (two-lane, no FMA) baseline, plain
+    multiplies and adds summed in the same two lanes give the same bits,
+    but a wider or FMA baseline moves the order and the bytes with it,
+    so a ufunc rewrite matches one build only. It is also slower: the
+    ufunc forms tried took 1.7-4.4x the first einsum's time at m=9
+    (numpy 2.4.6, 2-core x86-64 VM).
     """
     Q = np.asarray(Q, dtype=float)
     A = np.asarray(A, dtype=float)

@@ -1,5 +1,8 @@
 """Numeric substrate: seeded random streams, thin SVD and shared input checks."""
 
+import numbers
+import sys
+
 import numpy as np
 
 
@@ -19,7 +22,8 @@ class RngStream:
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def derive(self, offset):
-        """Independent stream keyed by (seed, offset)."""
+        """Independent stream keyed by (seed, offset): it does not depend
+        on this stream's own ``stream``."""
         return RngStream(self.seed, offset)
 
     def derive_each(self, offsets):
@@ -99,13 +103,24 @@ def check_labels(labels, n_classes, n=None):
     return labels
 
 
-def check_fields(obj, names, kind, what):
-    """Refuse a field of obj, among names, that is a bool or not an
-    instance of kind (a numbers ABC): ``m must be an integer, got 2.5``."""
-    for name in names:
-        value = getattr(obj, name)
+def check_numbers(values, kind, least=None, above=None):
+    """Check each value of the {name: value} dict values, in order: it
+    is an instance of kind and not a bool (``m must be an integer, got
+    2.5``); unless kind is numbers.Integral, it is within the float range
+    (``gamma must be finite, got nan``); it is >= least and > above where
+    given (``m must be >= 1, got 0``, ``eta must be > 0, got -0.01``)."""
+    for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, kind):
+            what = "an integer" if kind is numbers.Integral else "a number"
             raise ValueError(f"{name} must be {what}, got {value!r}")
+        # compared as a Python number: float max cast to float32 is inf
+        plain = value.item() if isinstance(value, np.generic) else value
+        if kind is not numbers.Integral and not abs(plain) <= sys.float_info.max:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if least is not None and not value >= least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
+        if above is not None and not value > above:
+            raise ValueError(f"{name} must be > {above}, got {value!r}")
 
 
 def svd_thin(M):

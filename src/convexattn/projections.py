@@ -7,10 +7,11 @@ non-convexity demonstrations.
 """
 
 import functools
+import numbers
 
 import numpy as np
 
-from .numutil import check_finite, svd_thin
+from .numutil import check_finite, check_numbers, svd_thin
 
 
 @functools.cache
@@ -84,8 +85,7 @@ def nuclear_ball_project(A, radius):
     (including the zero matrix) is returned unchanged.
     """
     A = np.atleast_2d(check_finite(A, "matrix"))
-    if radius <= 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+    check_numbers(dict(radius=radius), numbers.Real, above=0)
     U, sigma, V = svd_thin(A)
     if sigma.sum() <= radius:
         return A.copy()

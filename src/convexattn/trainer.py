@@ -7,7 +7,6 @@ split.
 """
 
 import numbers
-import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -17,7 +16,7 @@ from . import dataio
 from .features import PatchSpec, lift, rff_init, zscore_fit
 from .losses import loss_functions
 from .model import ModelBundle, batch_class_scores, scores
-from .numutil import RngStream, check_fields, check_finite, check_labels
+from .numutil import RngStream, check_finite, check_labels, check_numbers
 from .projections import nuclear_ball_project, nuclear_norm
 
 
@@ -37,18 +36,12 @@ class TrainConfig:
 
     def __post_init__(self):
         loss_functions(self.loss_kind)  # rejects an unknown kind
-        check_fields(self, ("nuclear_radius", "gamma", "eta"), numbers.Real, "a number")
-        check_fields(self, ("m", "epochs", "batch_size", "batches_per_epoch", "n_classes",
-                            "seed"), numbers.Integral, "an integer")
-        for name in ("nuclear_radius", "gamma", "eta"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-            if not getattr(self, name) <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name, least in (("m", 1), ("epochs", 1), ("batch_size", 1),
-                            ("batches_per_epoch", 1), ("n_classes", 2)):
-            if not getattr(self, name) >= least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        check_numbers(dict(nuclear_radius=self.nuclear_radius, gamma=self.gamma, eta=self.eta),
+                      numbers.Real, above=0)
+        check_numbers(dict(m=self.m, epochs=self.epochs, batch_size=self.batch_size,
+                           batches_per_epoch=self.batches_per_epoch), numbers.Integral, least=1)
+        check_numbers(dict(n_classes=self.n_classes), numbers.Integral, least=2)
+        check_numbers(dict(seed=self.seed), numbers.Integral)
         if not isinstance(self.spec, PatchSpec):
             raise ValueError(f"spec must be a PatchSpec, got {self.spec!r}")
 
@@ -266,12 +259,10 @@ def kfold_evaluate(dataset, config, folds=10, jobs=1):
     jobs > 1 trains folds in worker processes; the pool's map yields
     their results in fold order, so the report is identical either way.
     """
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    check_numbers(dict(folds=folds), numbers.Integral, least=2)
+    check_numbers(dict(jobs=jobs), numbers.Integral, least=1)
     X, y = check_dataset(dataset, config)
-    rank, _ = _class_ranks(y, folds, RngStream(config.seed).derive(100))
+    rank, _ = _class_ranks(y, folds, RngStream(config.seed, 100))
     assign = rank % folds
     work = [(X, y, assign, fold, config) for fold in range(folds)]
     if jobs == 1:
@@ -291,7 +282,7 @@ def split_evaluate(dataset, config):
     """Stratified 60-20-20 split; trains on the train portion only and
     reports validation and held-out test accuracy and macro-F1."""
     X, y = check_dataset(dataset, config)
-    rank, size = _class_ranks(y, 5, RngStream(config.seed).derive(200))
+    rank, size = _class_ranks(y, 5, RngStream(config.seed, 200))
     end_tr = np.round(0.6 * size)
     end_va = end_tr + np.round(0.2 * size)
     part = (rank >= end_tr).astype(int) + (rank >= end_va)  # 0 train, 1 val, 2 test

@@ -5,6 +5,7 @@ sweeps of the simplex projection, and the softmax Jensen-violation
 counterexample. Every check returns a machine-readable record.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from .features import lift
 from .losses import loss_functions
 from .model import batch_class_scores
-from .numutil import RngStream
+from .numutil import RngStream, check_numbers
 from .projections import simplex_project_rows, squared_distance_to_simplex, softmax_ref
 from .trainer import check_dataset
 
@@ -51,10 +52,8 @@ def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None):
     checks loss(midpoint) <= mean of the endpoint losses, within
     tolerance 1e-6.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not noise_stddev > 0:
-        raise ValueError(f"noise_stddev must be > 0, got {noise_stddev}")
+    check_numbers(dict(trials=trials), numbers.Integral, least=1)
+    check_numbers(dict(noise_stddev=noise_stddev), numbers.Real, above=0)
     X, y = check_dataset((X, y), bundle)
     if not np.any(bundle.weights):
         raise ValueError("bundle looks untrained (all-zero weights)")
@@ -102,8 +101,7 @@ def nonexpansiveness_sweep(pairs=1000, dim=10, rng=None):
     All pairs come from one draw and one row-wise projection. Pairs
     closer than 1e-12 are skipped (ratio undefined) and counted.
     """
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
+    check_numbers(dict(pairs=pairs, dim=dim), numbers.Integral, least=1)
     rng = rng or RngStream(0)
     vw = rng.uniform(2 * dim * pairs, -5.0, 5.0).reshape(pairs, 2, dim)
     p = simplex_project_rows(vw.reshape(-1, dim)).reshape(vw.shape)

@@ -323,14 +323,19 @@ def test_bench_nonpositive_iters_exit_2(workdir, capsys, iters):
     assert stdout == ""
 
 
-@pytest.mark.parametrize("noise", ["0", "-1"])
-def test_verify_nonpositive_noise_exit_2(workdir, capsys, noise):
+@pytest.mark.parametrize("noise,message", [
+    ("0", "--noise must be > 0, got 0.0"),
+    ("-1", "--noise must be > 0, got -1.0"),
+    ("inf", "--noise must be finite, got inf"),
+    ("nan", "--noise must be finite, got nan"),
+], ids=["0", "-1", "inf", "nan"])
+def test_verify_nonpositive_noise_exit_2(workdir, capsys, noise, message):
     # zero noise would compare the trained weights with themselves
     d, data, _, model = workdir
     code, stdout, err = run(capsys, "verify", "--model", str(model),
                             "--data", str(data), "--noise", noise)
     assert code == 2
-    assert "--noise must be > 0" in err
+    assert err == f"error: {message}\n"
     assert stdout == ""
 
 

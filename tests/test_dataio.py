@@ -186,11 +186,13 @@ def test_csv_without_sidecar_uses_defaults(tmp_path):
      "class name 'b\\r' holds a ',' or a line break"),
     ('{"class_names": ["a", "b\\u2028c"], "sample_rate": 250}',
      "class name 'b\\u2028c' holds a ',' or a line break"),
+    ('{"class_names": ["a", "b\\ud800"], "sample_rate": 250}',
+     "class name 'b\\ud800' holds a surrogate, which UTF-8 cannot encode"),
 ], ids=["truncated", "empty", "list", "string", "no-class-names", "no-sample-rate",
         "no-keys", "names-a-string", "names-not-strings", "names-a-dict", "rate-a-string",
         "rate-a-bool", "rate-nan", "rate-infinite", "rate-zero", "rate-negative", "rate-null",
         "not-utf8", "name-repeated", "name-with-comma", "name-with-return",
-        "name-with-line-separator"])
+        "name-with-line-separator", "name-not-utf8"])
 def test_csv_bad_sidecar_names_its_path(tmp_path, text, fault):
     ds = synth_generate(SynthConfig(kind="tap", samples_per_class=2, seed=6))
     path = tmp_path / "g.csv"
@@ -444,12 +446,14 @@ def _tap_set():
      r"class name 'c\\n' holds a ',' or a line break$"),
     (lambda ds: setattr(ds, "class_names", ("a", "b", "c", "d\x1ce")),
      r"class name 'd\\x1ce' holds a ',' or a line break$"),
+    (lambda ds: setattr(ds, "class_names", ("a", "b", "c", "d\ud800")),
+     r"class name 'd\\ud800' holds a surrogate, which UTF-8 cannot encode$"),
     (lambda ds: ds.meta.update(seed=np.int64(3)),
      r"meta is not JSON: Object of type int64 is not JSON serializable$"),
 ], ids=["label-minus-1", "label-7", "empty", "not-3-d", "nan", "minus-inf",
         "rate-nan", "rate-inf", "rate-zero", "rate-minus-1", "rate-a-string", "rate-a-bool",
         "name-not-a-string", "name-repeated", "name-with-comma", "name-with-newline",
-        "name-with-file-separator", "meta-not-json"])
+        "name-with-file-separator", "name-not-utf8", "meta-not-json"])
 def test_save_csv_refuses_a_bad_dataset_before_opening_the_file(tmp_path, spoil, message):
     p = tmp_path / "kept.csv"
     save_csv(_tap_set(), p)

@@ -1,7 +1,15 @@
+import math
+import numbers
+import re
+
 import numpy as np
 import pytest
 
-from convexattn.numutil import RngStream, svd_thin
+from convexattn.features import PatchSpec, rff_init
+from convexattn.numutil import RngStream, check_numbers, svd_thin
+from convexattn.projections import nuclear_ball_project
+from convexattn.trainer import kfold_evaluate
+from convexattn.verify import convexity_check, nonexpansiveness_sweep
 
 
 def test_svd_identity():
@@ -87,6 +95,8 @@ def test_derived_streams_differ():
     assert not np.array_equal(root.derive(1).gauss(10), root.derive(2).gauss(10))
     # deriving is itself reproducible
     assert np.array_equal(RngStream(7).derive(1).gauss(10), RngStream(7).derive(1).gauss(10))
+    # and keyed by (seed, offset) alone: the parent's stream plays no part
+    assert np.array_equal(RngStream(7, 11).derive(1).gauss(10), RngStream(7).derive(1).gauss(10))
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -120,3 +130,51 @@ def test_streams_outside_64_bits_rejected(stream):
         RngStream(5, stream)
     with pytest.raises(ValueError, match="stream must fit in 64 bits"):
         list(RngStream(5).derive_each([3, stream]))
+
+
+def test_check_numbers_order_and_messages():
+    # type, then the float range, then the bound; numpy's numbers pass
+    check_numbers(dict(m=np.int64(3), big=10**400), numbers.Integral, least=1)
+    check_numbers(dict(gamma=np.float32(0.5), eta=1), numbers.Real, above=0)
+    for values, kind, bounds, message in [
+        (dict(m=2.5), numbers.Integral, dict(least=1), "m must be an integer, got 2.5"),
+        (dict(m=True), numbers.Integral, dict(least=1), "m must be an integer, got True"),
+        (dict(eta="1"), numbers.Real, dict(above=0), "eta must be a number, got '1'"),
+        (dict(eta=math.nan), numbers.Real, dict(above=0), "eta must be finite, got nan"),
+        (dict(eta=np.float32(math.inf)), numbers.Real, {},
+         "eta must be finite, got np.float32(inf)"),
+        (dict(eta=-math.inf), numbers.Real, dict(least=0), "eta must be finite, got -inf"),
+        (dict(eta=10**309), numbers.Real, {}, f"eta must be finite, got {10**309}"),
+        (dict(m=1, n=0), numbers.Integral, dict(least=1), "n must be >= 1, got 0"),
+        (dict(eta=0.0), numbers.Real, dict(above=0), "eta must be > 0, got 0.0"),
+        (dict(rate=-1), (int, float), dict(above=0), "rate must be > 0, got -1"),
+    ]:
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            check_numbers(values, kind, **bounds)
+
+
+# The public functions check their own counts and scales before they
+# touch their data, so no dataset, config or model is needed here.
+@pytest.mark.parametrize("call,message", [
+    (lambda: kfold_evaluate(None, None, folds=2.0), "folds must be an integer, got 2.0"),
+    (lambda: kfold_evaluate(None, None, folds=True), "folds must be an integer, got True"),
+    (lambda: kfold_evaluate(None, None, jobs=1.5), "jobs must be an integer, got 1.5"),
+    (lambda: kfold_evaluate(None, None, jobs=True), "jobs must be an integer, got True"),
+    (lambda: convexity_check(None, None, None, trials=2.5), "trials must be an integer, got 2.5"),
+    (lambda: convexity_check(None, None, None, noise_stddev=math.inf),
+     "noise_stddev must be finite, got inf"),
+    (lambda: nonexpansiveness_sweep(pairs=2.5), "pairs must be an integer, got 2.5"),
+    (lambda: nonexpansiveness_sweep(dim=0), "dim must be >= 1, got 0"),
+    (lambda: rff_init(PatchSpec(4, 10, 10), 3, math.nan, RngStream(0)),
+     "gamma must be finite, got nan"),
+    (lambda: rff_init(PatchSpec(4, 10, 10), 3, math.inf, RngStream(0)),
+     "gamma must be finite, got inf"),
+    (lambda: rff_init(PatchSpec(4, 10, 10), 2.5, 1.0, RngStream(0)),
+     "m must be an integer, got 2.5"),
+    (lambda: nuclear_ball_project(np.eye(2), math.nan), "radius must be finite, got nan"),
+], ids=["folds-float", "folds-bool", "jobs-float", "jobs-bool", "trials-float",
+        "noise-infinite", "pairs-float", "dim-zero", "gamma-nan", "gamma-infinite",
+        "m-float", "radius-nan"])
+def test_public_functions_refuse_bad_counts_and_scales(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()

@@ -102,9 +102,9 @@ def test_config_validation():
         ("nuclear_radius", -1, "nuclear_radius must be > 0, got -1"),
         ("nuclear_radius", 0.0, "nuclear_radius must be > 0, got 0.0"),
         ("gamma", 0.0, "gamma must be > 0, got 0.0"),
-        ("gamma", float("nan"), "gamma must be > 0, got nan"),
+        ("gamma", float("nan"), "gamma must be finite, got nan"),
         ("gamma", float("inf"), "gamma must be finite, got inf"),
-        ("gamma", float("-inf"), "gamma must be > 0, got -inf"),
+        ("gamma", float("-inf"), "gamma must be finite, got -inf"),
         ("eta", float("inf"), "eta must be finite, got inf"),
         ("nuclear_radius", float("inf"), "nuclear_radius must be finite, got inf"),
         ("eta", 10**309, f"eta must be finite, got {10**309}"),  # beyond any float
