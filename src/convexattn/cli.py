@@ -12,9 +12,11 @@ Diagnostics go to stderr; data goes to stdout or files.
 """
 
 import argparse
+import json
 import numbers
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,8 @@ from .numutil import RngStream, check_numbers
 
 def _load_config(args, ds):
     """Build a TrainConfig from --preset and/or --config plus overrides;
-    the data's channel and class counts are used unless the config names them."""
+    the data's channel and class counts are used unless the config names them.
+    The config goes to stderr as one line of JSON that --config accepts."""
     values = dict(trainer.PRESETS[args.preset]) if args.preset else {}
     if args.config:
         values.update(dataio.read_json_object(args.config, "config"))
@@ -39,7 +42,7 @@ def _load_config(args, ds):
     if args.loss:
         values["loss_kind"] = args.loss
     cfg = trainer.config_from(values)
-    print(f"config: {cfg}", file=sys.stderr)
+    print(f"config: {json.dumps(asdict(cfg))}", file=sys.stderr)
     return cfg
 
 

@@ -173,7 +173,8 @@ def save_csv(dataset, path):
     Before the file is opened, ``samples`` must be a nonempty (n, C, T)
     array, its ``class_names`` and ``sample_rate`` must be what
     :func:`load_csv` accepts in a sidecar (distinct class names, none
-    holding a ',' or a line break), its n labels must index
+    holding a ',' or a line break; a numpy rate is written as the Python
+    number it holds), its n labels must index
     ``class_names``, every gesture must be finite, and ``meta`` must be
     JSON. Rows go to the file CSV_CHUNK gestures at a time.
     """
@@ -184,7 +185,10 @@ def save_csv(dataset, path):
     if not len(samples):
         raise ValueError("cannot save an empty dataset")
     class_names = list(dataset.class_names)
-    fault = _sidecar_fault(class_names, dataset.sample_rate)
+    rate = dataset.sample_rate
+    if isinstance(rate, np.number):
+        rate = rate.item()
+    fault = _sidecar_fault(class_names, rate)
     if fault:
         raise ValueError(fault)
     labels = check_labels(dataset.labels, len(class_names), len(samples))
@@ -194,7 +198,7 @@ def save_csv(dataset, path):
     _, C, T = samples.shape
     try:
         sidecar = json.dumps({
-            "sample_rate": dataset.sample_rate,
+            "sample_rate": rate,
             "channels": C,
             "frames": T,
             "class_names": class_names,

@@ -31,6 +31,12 @@ class PatchSpec:
                 f"patches ({self.patches}) must divide frames ({self.frames})"
             )
 
+    def check(self, shape, what):
+        """Refuse a gesture shape other than (channels, frames), naming what holds it."""
+        if shape != (self.channels, self.frames):
+            raise ValueError(f"{what} shape {shape} does not match spec "
+                             f"({self.channels}, {self.frames})")
+
     @property
     def frames_per_patch(self):
         return self.frames // self.patches
@@ -95,11 +101,7 @@ def patchify(X, spec):
     frames in temporal order; a view of X when each patch is one frame.
     """
     X = check_finite(X, "gesture")
-    if X.shape != (spec.channels, spec.frames):
-        raise ValueError(
-            f"gesture shape {X.shape} does not match spec "
-            f"({spec.channels}, {spec.frames})"
-        )
+    spec.check(X.shape, "gesture")
     fpp, P = spec.frames_per_patch, spec.patches
     return X.reshape(spec.channels, P, fpp).transpose(1, 2, 0).reshape(P, spec.patch_dim)
 
@@ -143,11 +145,7 @@ def lift(X, stats, spec, rff):
     (n, patches, m), all n * patches rows mapped by one rff_transform.
     """
     X = np.asarray(X, dtype=float)
-    if X.shape[1:] != (spec.channels, spec.frames):
-        raise ValueError(
-            f"gesture shape {X.shape[1:]} does not match spec "
-            f"({spec.channels}, {spec.frames})"
-        )
+    spec.check(X.shape[1:], "gesture")
     mean, std = stats
     rows = np.empty((len(X), spec.patches, spec.patch_dim))
     for i, x in enumerate((X - mean[:, None]) / std[:, None]):

@@ -49,7 +49,10 @@ class ModelBundle:
             raise ValueError("weights shape inconsistent with spec/rff")
         if self.rff.patch_dim != self.spec.patch_dim:
             raise ValueError("rff patch_dim inconsistent with spec")
-        if self.norm_mean.shape != (self.spec.channels,):
+        if self.rff.b.shape != (m,):
+            raise ValueError("rff b must have length m")
+        per_channel = (self.spec.channels,)
+        if self.norm_mean.shape != per_channel or self.norm_std.shape != per_channel:
             raise ValueError("norm stats must be per channel")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")

@@ -9,6 +9,7 @@ split.
 import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,10 @@ from .projections import nuclear_ball_project, nuclear_norm
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Hyperparameters and patch geometry, flat: the fields are the keys
+    of a preset or a --config file. spec, the PatchSpec of channels,
+    frames and patches, is built (and so checked) on construction."""
+
     nuclear_radius: float
     m: int
     gamma: float
@@ -29,12 +34,15 @@ class TrainConfig:
     epochs: int
     batch_size: int
     batches_per_epoch: int
+    frames: int
+    patches: int
     loss_kind: str = "hinge"
     seed: int = 0
     n_classes: int = 4
-    spec: PatchSpec = None
+    channels: int = 4
 
     def __post_init__(self):
+        self.spec  # built here, so PatchSpec checks the geometry first
         loss_functions(self.loss_kind)  # rejects an unknown kind
         check_numbers(dict(nuclear_radius=self.nuclear_radius, gamma=self.gamma, eta=self.eta),
                       numbers.Real, above=0)
@@ -42,30 +50,21 @@ class TrainConfig:
                            batches_per_epoch=self.batches_per_epoch), numbers.Integral, least=1)
         check_numbers(dict(n_classes=self.n_classes), numbers.Integral, least=2)
         check_numbers(dict(seed=self.seed), numbers.Integral)
-        if not isinstance(self.spec, PatchSpec):
-            raise ValueError(f"spec must be a PatchSpec, got {self.spec!r}")
 
-
-# keys of a flat config (presets, --config JSON): the TrainConfig fields
-# with the patch geometry spelled out
-CONFIG_KEYS = frozenset(
-    {f.name for f in fields(TrainConfig)} - {"spec"} | {"channels", "frames", "patches"}
-)
+    @cached_property
+    def spec(self):
+        return PatchSpec(channels=self.channels, frames=self.frames, patches=self.patches)
 
 
 def config_from(values):
-    """Build a TrainConfig from a flat dict of CONFIG_KEYS; channels
-    defaults to 4, frames and patches are required."""
-    unknown = set(values) - CONFIG_KEYS
+    """Build a TrainConfig from a flat dict of its fields (a preset or a
+    --config file); an unknown or missing key is a ValueError."""
+    unknown = set(values) - {f.name for f in fields(TrainConfig)}
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
-    v = dict(values)
     try:
-        spec = PatchSpec(
-            channels=v.pop("channels", 4), frames=v.pop("frames"), patches=v.pop("patches")
-        )
-        return TrainConfig(spec=spec, **v)
-    except (KeyError, TypeError) as e:
+        return TrainConfig(**values)
+    except TypeError as e:
         raise ValueError(f"missing or bad config key: {e}") from None
 
 
@@ -125,12 +124,7 @@ def check_dataset(dataset, config):
     X = check_finite(X, "dataset")
     if X.ndim != 3 or X.shape[0] == 0:
         raise ValueError("dataset must be a nonempty (n, C, T) array")
-    spec = config.spec
-    if X.shape[1:] != (spec.channels, spec.frames):
-        raise ValueError(
-            f"dataset shape {X.shape[1:]} does not match spec "
-            f"({spec.channels}, {spec.frames})"
-        )
+    config.spec.check(X.shape[1:], "dataset")
     return X, check_labels(y, config.n_classes, len(X))
 
 

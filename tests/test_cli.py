@@ -286,7 +286,7 @@ def test_predict_one_channel_csv_exit_2(workdir, tmp_path, capsys):
     code, stdout, err = run(capsys, "predict", "--model", str(model),
                             "--data", str(one))
     assert code == 2
-    assert "does not match spec" in err
+    assert err == "error: gesture shape (1, 10) does not match spec (4, 10)\n"
     assert stdout == ""
 
 
@@ -522,6 +522,30 @@ def test_entry_point_exits_2_without_traceback(tmp_path):
     assert f"{tmp_path / 'nope.csv'}: not found" in proc.stderr
 
 
+def config_line(err):
+    """The JSON of the config line that a train or eval run printed."""
+    (line,) = [line for line in err.splitlines() if line.startswith("config: ")]
+    return line.removeprefix("config: ")
+
+
+def test_printed_config_is_a_config_file(workdir, tmp_path, capsys):
+    # the config line, saved as it is, trains the preset run's model bytes
+    _, data, _, _ = workdir
+    override = tmp_path / "epochs.json"
+    override.write_text('{"epochs": 3}')
+    code, _, err = run(capsys, "train", "--data", str(data), "--preset", "tap",
+                       "--config", str(override), "--seed", "7", "--loss", "squared",
+                       "--out-model", str(tmp_path / "preset.model"))
+    assert code == 0, err
+    printed = tmp_path / "printed.json"
+    printed.write_text(config_line(err))
+    code, _, err2 = run(capsys, "train", "--data", str(data), "--config", str(printed),
+                        "--out-model", str(tmp_path / "printed.model"))
+    assert code == 0, err2
+    assert config_line(err2) == config_line(err)
+    assert (tmp_path / "printed.model").read_bytes() == (tmp_path / "preset.model").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def six_channels(workdir, tmp_path_factory):
     """The tap CSV with channels 0 and 1 repeated as channels 4 and 5."""
@@ -541,7 +565,7 @@ def test_channels_default_to_the_data(six_channels, tmp_path, capsys, command):
     argv = f"{command} --data {six_channels} --preset tap --config {cfg}"
     code, stdout, err = run(capsys, *argv.format(out=tmp_path / "m").split())
     assert code == 0, err
-    assert "channels=6" in err
+    assert json.loads(config_line(err))["channels"] == 6
     if command.startswith("train"):
         # criterion 5's patch_dim-6 count: 6*3 + 3 fixed, 4*10*3 trainable
         assert "trainable=120 fixed=21 total=141" in stdout
@@ -581,7 +605,7 @@ def test_class_count_defaults_to_the_data(three_classes, tmp_path, capsys, comma
     argv = f"{command} --data {three_classes} --preset tap-tuned --config {cfg}"
     code, stdout, err = run(capsys, *argv.format(out=tmp_path / "m").split())
     assert code == 0, err
-    assert "n_classes=3" in err
+    assert json.loads(config_line(err))["n_classes"] == 3
     if command.startswith("train"):
         assert load_model(tmp_path / "m").n_classes == 3
 

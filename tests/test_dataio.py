@@ -86,6 +86,11 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(Xa, Xb)  # %.17g preserves doubles exactly
     assert back.meta["kind"] == "tap"
     assert back.class_names == CLASS_NAMES
+    # a numpy rate is written as the Python number it holds
+    for rate, loaded in ((np.int64(250), 250), (np.float32(250.0), 250.0)):
+        save_csv(replace(ds, sample_rate=rate), path)
+        back = load_csv(path)
+        assert back.sample_rate == loaded and type(back.sample_rate) is type(loaded)
 
 
 def test_csv_header_rejected(tmp_path):

@@ -13,7 +13,9 @@ from convexattn.features import (
     rff_transform,
     zscore_fit,
 )
+from convexattn.model import ModelBundle, predict, scores
 from convexattn.numutil import RngStream
+from convexattn.trainer import TrainConfig, train
 
 import reference_kernels
 
@@ -160,8 +162,31 @@ def test_patchify_round_trip():
 
 def test_patchify_rejects_mismatch():
     spec = PatchSpec(channels=4, frames=10, patches=10)
-    with pytest.raises(ValueError):
+    message = r"^gesture shape \(4, 12\) does not match spec \(4, 10\)$"
+    with pytest.raises(ValueError, match=message):
         patchify(np.zeros((4, 12)), spec)
+
+
+@pytest.mark.parametrize("entry,what", [
+    ("train", "dataset"), ("scores", "gesture"), ("predict", "gesture"), ("patchify", "gesture"),
+])
+def test_shape_rule_names_what_it_was_given(entry, what):
+    # PatchSpec.check is the one shape rule behind every entry point
+    spec = PatchSpec(channels=4, frames=10, patches=10)
+    cfg = TrainConfig(nuclear_radius=1.0, m=3, gamma=1.0, eta=0.01, epochs=1, batch_size=1,
+                      batches_per_epoch=1, frames=10, patches=10, n_classes=2)
+    bundle = ModelBundle(rff=rff_init(spec, 3, 1.0, RngStream(0)), weights=np.zeros((2, 10, 3)),
+                         spec=spec, norm_mean=np.zeros(4), norm_std=np.ones(4), loss_kind="hinge")
+    X = np.ones((2, 3, 10))
+    call = {
+        "train": lambda: train((X, np.array([0, 1])), cfg),
+        "scores": lambda: scores(X, bundle),
+        "predict": lambda: predict(X[0], bundle),
+        "patchify": lambda: patchify(X[0], spec),
+    }[entry]
+    message = rf"^{what} shape \(3, 10\) does not match spec \(4, 10\)$"
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_rff_init_shapes_and_determinism():
@@ -278,8 +303,10 @@ def test_lift_rejects_channel_mismatch():
     spec = PatchSpec(channels=4, frames=10, patches=10)
     rmap = rff_init(spec, 3, 1.0, RngStream(0))
     stats = (np.zeros(4), np.ones(4))
-    for shape in ((3, 1, 10), (3, 10), (3, 4, 12)):
-        with pytest.raises(ValueError, match="does not match spec"):
+    for shape, seen in (((3, 1, 10), r"\(1, 10\)"), ((3, 10), r"\(10,\)"),
+                        ((3, 4, 12), r"\(4, 12\)")):
+        message = rf"^gesture shape {seen} does not match spec \(4, 10\)$"
+        with pytest.raises(ValueError, match=message):
             lift(np.ones(shape), stats, spec, rmap)
 
 

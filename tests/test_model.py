@@ -150,9 +150,24 @@ def test_predict_rejects_channel_broadcast():
     # a 1-channel or 1-d gesture would broadcast against the 4 per-channel
     # norm stats; it must be rejected, not classified
     bundle = make_bundle()
-    for X in (np.ones((1, 10)), np.ones(10)):
-        with pytest.raises(ValueError, match="does not match spec"):
+    for X, seen in ((np.ones((1, 10)), r"\(1, 10\)"), (np.ones(10), r"\(10,\)")):
+        message = rf"^gesture shape {seen} does not match spec \(4, 10\)$"
+        with pytest.raises(ValueError, match=message):
             predict(X, bundle)
+
+
+@pytest.mark.parametrize("fault,message", [
+    (lambda b: dict(weights=b.weights[:, :9]), "weights shape inconsistent with spec/rff"),
+    (lambda b: dict(rff=replace(b.rff, W=b.rff.W[:3])), "rff patch_dim inconsistent with spec"),
+    (lambda b: dict(rff=replace(b.rff, b=b.rff.b[:1])), "rff b must have length m"),
+    (lambda b: dict(norm_mean=np.zeros(3)), "norm stats must be per channel"),
+    (lambda b: dict(norm_std=np.array([2.0])), "norm stats must be per channel"),
+], ids=["weights", "W", "b", "norm_mean", "norm_std"])
+def test_bundle_refuses_a_misshapen_array(fault, message):
+    # each would score by broadcasting, or serialize to bytes deserialize refuses
+    bundle = make_bundle()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(bundle, **fault(bundle))
 
 
 def test_param_counts():

@@ -1,6 +1,7 @@
+import pickle
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -40,7 +41,9 @@ def tiny_config(loss_kind="hinge", seed=0, epochs=60, channels=4, frames=10,
         batches_per_epoch=32,
         loss_kind=loss_kind,
         seed=seed,
-        spec=PatchSpec(channels=channels, frames=frames, patches=patches),
+        channels=channels,
+        frames=frames,
+        patches=patches,
     )
 
 
@@ -69,6 +72,22 @@ def test_config_from_matches_preset(name, loss_kind, seed):
     assert config_from(values) == preset_config(name, 4, loss_kind, seed)
 
 
+def test_config_fields_are_the_flat_schema():
+    # presets, --config files and the printed config line share one key set
+    names = [f.name for f in fields(TrainConfig)]
+    for values in PRESETS.values():
+        assert set(values) <= set(names)
+    assert len(names) == 13 and "spec" not in names
+    cfg = preset_config("swipe-tuned", 6)
+    assert cfg.spec == PatchSpec(channels=6, frames=30, patches=30)
+    assert config_from(asdict(cfg)) == cfg
+    with pytest.raises(FrozenInstanceError):
+        cfg.spec = PatchSpec(4, 30, 30)
+    back = pickle.loads(pickle.dumps(cfg))  # kfold_evaluate's worker processes
+    assert back == cfg and back.spec == cfg.spec
+    assert replace(cfg, patches=10).spec == PatchSpec(6, 30, 10)
+
+
 def test_config_from_rejects_unknown_and_missing_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         config_from(dict(PRESETS["tap"], learning_rate=0.1))
@@ -92,11 +111,10 @@ def test_config_validation():
         tiny_config(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(nuclear_radius=-1, m=3, gamma=1.0, eta=0.01, epochs=1,
-                    batch_size=1, batches_per_epoch=1,
-                    spec=PatchSpec(4, 10, 10))
+                    batch_size=1, batches_per_epoch=1, frames=10, patches=10)
     # each bad field is named with its value
     good = dict(nuclear_radius=5.158, m=9, gamma=0.789, eta=0.0297, epochs=1,
-                batch_size=16, batches_per_epoch=1, spec=PatchSpec(4, 10, 10))
+                batch_size=16, batches_per_epoch=1, frames=10, patches=10)
     TrainConfig(**good)
     for name, value, message in [
         ("nuclear_radius", -1, "nuclear_radius must be > 0, got -1"),
@@ -114,7 +132,9 @@ def test_config_validation():
         ("batch_size", -3, "batch_size must be >= 1, got -3"),
         ("batches_per_epoch", 0, "batches_per_epoch must be >= 1, got 0"),
         ("n_classes", 1, "n_classes must be >= 2, got 1"),
-        ("spec", (4, 10, 10), "spec must be a PatchSpec, got (4, 10, 10)"),
+        ("patches", 0, "patches must be >= 1, got 0"),
+        ("frames", 7, "patches (10) must divide frames (7)"),
+        ("channels", 0, "channels must be >= 1, got 0"),
         ("loss_kind", "Hinge", "unknown loss kind 'Hinge'"),
         ("m", 2.5, "m must be an integer, got 2.5"),
         ("m", float("inf"), "m must be an integer, got inf"),
@@ -138,10 +158,7 @@ def test_config_validation():
             PatchSpec(**{"channels": 4, "frames": 10, "patches": 10, name: value})
     # any numbers.Integral passes, numpy's included
     assert TrainConfig(**dict(good, m=np.int64(9), seed=np.uint8(3),
-                              spec=PatchSpec(np.int32(4), 10, np.int64(10)))).m == 9
-    # a config without a spec is refused, not left for train to trip on
-    with pytest.raises(ValueError, match="^spec must be a PatchSpec, got None$"):
-        TrainConfig(**{k: v for k, v in good.items() if k != "spec"})
+                              channels=np.int32(4), patches=np.int64(10))).m == 9
 
 
 def test_train_learns_separable_taps():
@@ -412,7 +429,8 @@ def _partitions(monkeypatch, y, seed, folds=None):
     K = int(y.max()) + 1
     X = np.broadcast_to(np.arange(y.size, dtype=float)[:, None, None], (y.size, 1, 2))
     cfg = TrainConfig(nuclear_radius=1.0, m=1, gamma=1.0, eta=1.0, epochs=1, batch_size=1,
-                      batches_per_epoch=1, seed=seed, n_classes=K, spec=PatchSpec(1, 2, 1))
+                      batches_per_epoch=1, seed=seed, n_classes=K, channels=1,
+                      frames=2, patches=1)
     seen = []
 
     def fake_train(dataset, config):
@@ -500,5 +518,6 @@ def test_evaluate_rejects_channel_mismatch():
     ds = tap_dataset(10)
     bundle, _ = train(ds, tiny_config(epochs=2))
     X, y = ds.stacked()
-    with pytest.raises(ValueError, match="does not match spec"):
+    message = r"^dataset shape \(1, 10\) does not match spec \(4, 10\)$"
+    with pytest.raises(ValueError, match=message):
         evaluate(bundle, X[:, :1, :], y)

@@ -5,7 +5,7 @@ import pytest
 
 from convexattn import verify
 from convexattn.dataio import SynthConfig, synth_generate
-from convexattn.features import PatchSpec, lift
+from convexattn.features import lift
 from convexattn.numutil import RngStream
 from convexattn.projections import simplex_project
 from convexattn.trainer import TrainConfig, train
@@ -23,7 +23,7 @@ def _train_tap(loss_kind):
     cfg = TrainConfig(
         nuclear_radius=5.158, m=9, gamma=0.789, eta=0.0297, epochs=60,
         batch_size=16, batches_per_epoch=32, seed=0, loss_kind=loss_kind,
-        spec=PatchSpec(4, 10, 10),
+        frames=10, patches=10,
     )
     bundle, _ = train(ds, cfg)
     X, y = ds.stacked()
@@ -99,7 +99,8 @@ def test_convexity_check_rejects_bad_labels(trained):
         convexity_check(bundle, X[:3], [0, 2.7, 1], trials=2)
     with pytest.raises(ValueError, match=r"labels must be in 0\.\.3, got 4$"):
         convexity_check(bundle, X[:3], [0, 4, 1], trials=2)
-    with pytest.raises(ValueError, match="does not match spec"):
+    message = r"^dataset shape \(1, 10\) does not match spec \(4, 10\)$"
+    with pytest.raises(ValueError, match=message):
         convexity_check(bundle, X[:3, :1], [0, 1, 2], trials=2)
 
 
