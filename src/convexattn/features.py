@@ -7,6 +7,7 @@ feature map whose inner products approximate an RBF kernel.
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -112,8 +113,11 @@ def rff_init(spec, m, gamma, rng):
     check_numbers(dict(gamma=gamma), numbers.Real, above=0)
     if not isinstance(rng, RngStream):
         raise TypeError("rng must be an RngStream")
+    scale = math.sqrt(2.0 * float(gamma))
+    if scale == math.inf:
+        raise ValueError(f"gamma must be at most {sys.float_info.max / 2}, got {gamma!r}")
     d = spec.patch_dim
-    W = rng.gauss(d * m, 0.0, np.sqrt(2.0 * gamma)).reshape(d, m)
+    W = rng.gauss(d * m, 0.0, scale).reshape(d, m)
     b = rng.uniform(m, 0.0, 2.0 * np.pi)
     return RffMap(W=W, b=b, gamma=float(gamma))
 

@@ -8,12 +8,14 @@ binary bundle.
 """
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .features import PatchSpec, RffMap, lift
+from .numutil import check_numbers
 from .projections import simplex_project_rows
 
 MAGIC = b"CVAT"
@@ -34,7 +36,8 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Serializable unit: RFF map, trained weights, norm stats, config."""
+    """Serializable unit: RFF map, trained weights, norm stats, config.
+    Building one refuses, naming the field, whatever deserialize would."""
 
     rff: RffMap
     weights: np.ndarray  # (K, P, m)
@@ -44,6 +47,11 @@ class ModelBundle:
     loss_kind: str
 
     def __post_init__(self):
+        fields = _fields(self)
+        for (k, v), rank in zip(fields.items(), (1, 1, 1, 2, 3)):
+            if not isinstance(v, np.ndarray) or v.ndim != rank:
+                got = f"shape {v.shape}" if isinstance(v, np.ndarray) else type(v).__name__
+                raise ValueError(f"{k} must be a {rank}-d array, got {got}")
         _, P, m = self.weights.shape
         if P != self.spec.patches or m != self.rff.m:
             raise ValueError("weights shape inconsistent with spec/rff")
@@ -54,12 +62,32 @@ class ModelBundle:
         per_channel = (self.spec.channels,)
         if self.norm_mean.shape != per_channel or self.norm_std.shape != per_channel:
             raise ValueError("norm stats must be per channel")
+        check_numbers(dict(gamma=self.rff.gamma), numbers.Real, above=0)
+        fault = _value_fault(fields)
+        if fault:
+            raise ValueError(" ".join(fault))
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
 
     @property
     def n_classes(self):
         return self.weights.shape[0]
+
+
+def _fields(bundle):
+    """A bundle's payload arrays, name -> array, in payload order."""
+    return {"norm_mean": bundle.norm_mean, "norm_std": bundle.norm_std,
+            "b": bundle.rff.b, "W": bundle.rff.W, "weights": bundle.weights}
+
+
+def _value_fault(fields):
+    """(name, fault) of the first array holding a value that would not load, or None."""
+    for k, v in fields.items():
+        if not np.isfinite(v).all():
+            return k, "contains non-finite entries"
+        if k == "norm_std" and not (v > 0).all():
+            return k, "must be > 0"
+    return None
 
 
 def _score(Q, A, alpha=None):
@@ -160,16 +188,13 @@ def serialize(bundle, precision=64):
         bundle.rff.m,
         bundle.rff.gamma,
     )
-    fields = {"norm_mean": bundle.norm_mean, "norm_std": bundle.norm_std,
-              "b": bundle.rff.b, "W": bundle.rff.W.ravel(), "weights": bundle.weights.ravel()}
     with np.errstate(over="ignore"):
-        cast = {k: v.astype(dtype) for k, v in fields.items()}
-    for k, v in fields.items():
-        # a finite value cast to inf, or a norm_std > 0 cast to 0, would not load
-        lost = np.isfinite(v) & ~np.isfinite(cast[k])
-        if lost.any() or k == "norm_std" and np.any((v > 0) & (cast[k] <= 0)):
-            raise ValueError(f"{k} does not fit in a 32-bit model; save it at 64 bits")
-    return header + np.concatenate(list(cast.values())).tobytes()
+        cast = {k: v.astype(dtype) for k, v in _fields(bundle).items()}
+    # the bundle's values all load; a cast that loses one names its field
+    fault = _value_fault(cast)
+    if fault:
+        raise ValueError(f"{fault[0]} does not fit in a 32-bit model; save it at 64 bits")
+    return header + np.concatenate([v.ravel() for v in cast.values()]).tobytes()
 
 
 def deserialize(data):
@@ -190,36 +215,22 @@ def deserialize(data):
     for name, v in (("K", K), ("C", C), ("T", T), ("P", P), ("m", m)):
         if not 1 <= v <= _MAX_DIM:
             raise ModelFormatError(f"dimension overflow: {name}={v}")
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ModelFormatError(f"bad gamma {gamma}")
+    dtype = "<f4" if precision == 32 else "<f8"
+    # a spec or bundle that refuses the header or values is a format fault
     try:
         spec = PatchSpec(channels=C, frames=T, patches=P)
+        d = spec.patch_dim
+        expected = _HEADER.size + (2 * C + m + d * m + K * P * m) * (precision // 8)
+        if len(data) != expected:
+            raise ModelFormatError(
+                f"truncated payload: expected {expected} bytes, got {len(data)}")
+        vals = np.frombuffer(data, dtype=dtype, offset=_HEADER.size).astype(float)
+        norm_mean, norm_std, b, W, A = np.split(vals, np.cumsum([C, C, m, d * m]))
+        return ModelBundle(rff=RffMap(W=W.reshape(d, m), b=b, gamma=gamma),
+                           weights=A.reshape(K, P, m), spec=spec, norm_mean=norm_mean,
+                           norm_std=norm_std, loss_kind=LOSS_KINDS[loss_idx])
     except ValueError as e:
         raise ModelFormatError(str(e)) from None
-    d = spec.patch_dim
-    n_vals = 2 * C + m + d * m + K * P * m
-    width = 4 if precision == 32 else 8
-    expected = _HEADER.size + n_vals * width
-    if len(data) != expected:
-        raise ModelFormatError(
-            f"truncated payload: expected {expected} bytes, got {len(data)}"
-        )
-    dtype = "<f4" if precision == 32 else "<f8"
-    vals = np.frombuffer(data, dtype=dtype, offset=_HEADER.size).astype(float)
-    if not np.all(np.isfinite(vals)):
-        raise ModelFormatError("non-finite value in payload")
-    norm_mean, norm_std, b, W, A = np.split(vals, np.cumsum([C, C, m, d * m]))
-    if np.any(norm_std <= 0):
-        raise ModelFormatError("norm_std must be > 0")
-    rff = RffMap(W=W.reshape(d, m), b=b, gamma=gamma)
-    return ModelBundle(
-        rff=rff,
-        weights=A.reshape(K, P, m),
-        spec=spec,
-        norm_mean=norm_mean,
-        norm_std=norm_std,
-        loss_kind=LOSS_KINDS[loss_idx],
-    )
 
 
 def save_model(bundle, path, precision=64):

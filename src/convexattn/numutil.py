@@ -43,8 +43,9 @@ class RngStream:
             yield g
 
     def gauss(self, n, mean=0.0, stddev=1.0):
-        if stddev <= 0:
-            raise ValueError(f"stddev must be > 0, got {stddev}")
+        # NaN fails both comparisons
+        if not (0 < stddev <= sys.float_info.max and abs(mean) <= sys.float_info.max):
+            raise ValueError(f"need a finite mean and a finite stddev > 0, got {mean}, {stddev}")
         return self._gen.normal(mean, stddev, size=int(n))
 
     def uniform(self, n, lo=0.0, hi=1.0):

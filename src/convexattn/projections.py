@@ -70,10 +70,17 @@ def squared_distance_to_simplex(s):
     return float(d @ d)
 
 
+def _matrix(A):
+    """A finite matrix as a float array; a 1-d array is one row."""
+    A = np.atleast_2d(check_finite(A, "matrix"))
+    if A.ndim > 2:
+        raise ValueError(f"matrix must be 1-d or 2-d, got shape {A.shape}")
+    return A
+
+
 def nuclear_norm(A):
     """Sum of singular values."""
-    A = check_finite(A, "matrix")
-    return float(np.linalg.svd(np.atleast_2d(A), compute_uv=False).sum())
+    return float(np.linalg.svd(_matrix(A), compute_uv=False).sum())
 
 
 def nuclear_ball_project(A, radius):
@@ -84,7 +91,7 @@ def nuclear_ball_project(A, radius):
     threshold at that radius. A matrix already inside the ball
     (including the zero matrix) is returned unchanged.
     """
-    A = np.atleast_2d(check_finite(A, "matrix"))
+    A = _matrix(A)
     check_numbers(dict(radius=radius), numbers.Real, above=0)
     U, sigma, V = svd_thin(A)
     if sigma.sum() <= radius:

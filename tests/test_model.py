@@ -170,6 +170,41 @@ def test_bundle_refuses_a_misshapen_array(fault, message):
         replace(bundle, **fault(bundle))
 
 
+def _with_value(bundle, field, value):
+    """replace() arguments that put value at flat index 1 of a payload array."""
+    in_rff = field in ("W", "b")
+    bad = getattr(bundle.rff if in_rff else bundle, field).copy()
+    bad.flat[1] = value
+    return dict(rff=replace(bundle.rff, **{field: bad})) if in_rff else {field: bad}
+
+
+@pytest.mark.parametrize("fault,message", [
+    (lambda b: dict(weights=b.weights[0]), r"weights must be a 3-d array, got shape \(10, 3\)"),
+    (lambda b: dict(rff=replace(b.rff, W=b.rff.W[0])), r"W must be a 2-d array, got shape \(3,\)"),
+    (lambda b: dict(norm_std=[1.0] * 4), "norm_std must be a 1-d array, got list"),
+    (lambda b: _with_value(b, "norm_std", 0.0), "norm_std must be > 0"),
+    (lambda b: _with_value(b, "norm_std", -1.0), "norm_std must be > 0"),
+    (lambda b: dict(rff=replace(b.rff, gamma=np.nan)), "gamma must be finite, got nan"),
+    (lambda b: dict(rff=replace(b.rff, gamma=np.inf)), "gamma must be finite, got inf"),
+    (lambda b: dict(rff=replace(b.rff, gamma=0.0)), r"gamma must be > 0, got 0.0"),
+], ids=["2d-weights", "1d-W", "list-norm_std", "zero-norm_std", "negative-norm_std",
+        "nan-gamma", "inf-gamma", "zero-gamma"])
+def test_bundle_refuses_what_its_loader_refuses(fault, message):
+    # the bundle owns the loader's rank and value rules: none of these
+    # reaches serialize, or predict to blame the gesture
+    bundle = make_bundle()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(bundle, **fault(bundle))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["weights", "W", "b", "norm_mean"])
+def test_bundle_refuses_a_nonfinite_value(field, value):
+    bundle = make_bundle()
+    with pytest.raises(ValueError, match=f"^{field} contains non-finite entries$"):
+        replace(bundle, **_with_value(bundle, field, value))
+
+
 def test_param_counts():
     assert param_count(make_bundle(K=4, P=10, m=3)) == (120, 4 * 3 + 3)
     assert param_count(make_bundle(K=4, T=30, P=30, m=3))[0] == 360
@@ -238,7 +273,7 @@ def test_deserialize_diagnostics():
     bad_patches[20:24] = (3).to_bytes(4, "little")  # P field; 3 does not divide T=10
     with pytest.raises(ModelFormatError, match="must divide"):
         deserialize(bytes(bad_patches))
-    for gamma in (np.nan, 0.0):
+    for gamma in (np.nan, 0.0, np.inf):
         bad_gamma = bytearray(data)
         bad_gamma[28:36] = struct.pack("<d", gamma)  # gamma field
         with pytest.raises(ModelFormatError, match="gamma"):
@@ -262,23 +297,28 @@ def test_score_scaling_identity():
         assert np.allclose(raw_scores(Q, c * A), c * raw_scores(Q, A))
 
 
+def _overwrite(data, index, value):
+    """64-bit model bytes with payload value number `index` (counted
+    from 0, after the 36-byte header) set to value."""
+    out = bytearray(data)
+    out[36 + 8 * index:44 + 8 * index] = struct.pack("<d", value)
+    return bytes(out)
+
+
 def test_deserialize_rejects_nonfinite_payload():
-    bundle = make_bundle()
-    for field, value in (("weights", np.nan), ("norm_mean", np.inf)):
-        bad = getattr(bundle, field).copy()
-        bad.flat[1] = value
-        data = serialize(replace(bundle, **{field: bad}))
+    # a bundle cannot hold these values, so they are written into the bytes:
+    # weights[1] follows 4 + 4 norm stats, 3 of b and 4 x 3 of W
+    data = serialize(make_bundle())
+    for index, value in ((4 + 4 + 3 + 12 + 1, np.nan), (1, np.inf)):
         with pytest.raises(ModelFormatError, match="non-finite"):
-            deserialize(data)
+            deserialize(_overwrite(data, index, value))
 
 
 def test_deserialize_rejects_nonpositive_norm_std():
-    bundle = make_bundle()
+    data = serialize(make_bundle())
     for value in (0.0, -1.0):
-        std = bundle.norm_std.copy()
-        std[2] = value
         with pytest.raises(ModelFormatError, match="norm_std"):
-            deserialize(serialize(replace(bundle, norm_std=std)))
+            deserialize(_overwrite(data, 4 + 2, value))  # norm_std[2]
 
 
 def test_serialize_32_refuses_what_would_not_load():

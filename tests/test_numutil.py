@@ -7,8 +7,8 @@ import pytest
 
 from convexattn.features import PatchSpec, rff_init
 from convexattn.numutil import RngStream, check_numbers, svd_thin
-from convexattn.projections import nuclear_ball_project
-from convexattn.trainer import kfold_evaluate
+from convexattn.projections import nuclear_ball_project, nuclear_norm
+from convexattn.trainer import TrainConfig, kfold_evaluate, train
 from convexattn.verify import convexity_check, nonexpansiveness_sweep
 
 
@@ -67,8 +67,12 @@ def test_gauss_single_value():
 
 
 def test_gauss_rejects_bad_stddev():
-    with pytest.raises(ValueError):
-        RngStream(0).gauss(10, 0.0, 0.0)
+    # and a NaN or infinite mean: normal() would return NaNs or infinities
+    for mean, stddev in ((0.0, 0.0), (0.0, -1.0), (0.0, math.nan), (0.0, math.inf),
+                         (math.nan, 1.0), (-math.inf, 1.0)):
+        message = f"need a finite mean and a finite stddev > 0, got {mean}, {stddev}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            RngStream(0).gauss(10, mean, stddev)
 
 
 def test_uniform_range_and_mean():
@@ -171,10 +175,22 @@ def test_check_numbers_order_and_messages():
      "gamma must be finite, got inf"),
     (lambda: rff_init(PatchSpec(4, 10, 10), 2.5, 1.0, RngStream(0)),
      "m must be an integer, got 2.5"),
+    # sqrt(2 * gamma), the weight scale, overflows past half the float range
+    (lambda: rff_init(PatchSpec(4, 10, 10), 3, 1e308, RngStream(0)),
+     f"gamma must be at most {2**1023 * (1 - 2**-53)}, got 1e+308"),
+    (lambda: train((np.random.default_rng(0).normal(size=(2, 4, 10)), np.array([0, 1])),
+                   TrainConfig(nuclear_radius=1.0, m=3, gamma=1e308, eta=0.01, epochs=1,
+                               batch_size=1, batches_per_epoch=1, frames=10, patches=10,
+                               n_classes=2)),
+     f"gamma must be at most {2**1023 * (1 - 2**-53)}, got 1e+308"),
     (lambda: nuclear_ball_project(np.eye(2), math.nan), "radius must be finite, got nan"),
+    (lambda: nuclear_norm(np.ones((2, 3, 4))), "matrix must be 1-d or 2-d, got shape (2, 3, 4)"),
+    (lambda: nuclear_ball_project(np.ones((2, 3, 4)), 1.0),
+     "matrix must be 1-d or 2-d, got shape (2, 3, 4)"),
 ], ids=["folds-float", "folds-bool", "jobs-float", "jobs-bool", "trials-float",
         "noise-infinite", "pairs-float", "dim-zero", "gamma-nan", "gamma-infinite",
-        "m-float", "radius-nan"])
+        "m-float", "gamma-overflow", "train-gamma-overflow", "radius-nan", "norm-3d",
+        "project-3d"])
 def test_public_functions_refuse_bad_counts_and_scales(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()

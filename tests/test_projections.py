@@ -209,6 +209,13 @@ def test_nuclear_project_interior_unchanged():
     assert np.linalg.norm(nuclear_ball_project(A, r) - A) <= 1e-9
 
 
+def test_nuclear_one_row():
+    # a 1-d array is promoted to one row (a 3-d one is refused: test_numutil)
+    assert nuclear_norm(np.array([3.0, 4.0])) == 5.0
+    out = nuclear_ball_project(np.array([3.0, 4.0]), 1.0)
+    assert out.shape == (1, 2) and np.allclose(out, [[0.6, 0.8]], atol=1e-12)
+
+
 def test_nuclear_project_zero_matrix():
     Z = np.zeros((3, 2))
     assert np.array_equal(nuclear_ball_project(Z, 1.0), Z)

@@ -25,18 +25,29 @@ def test_perfbench_selftest():
     assert "selftest: ok" in proc.stdout
 
 
-def test_perfbench_tap_serve_runs():
-    # the self-test runs tap-cv and swipe-fit; this runs the untraced
-    # serve path: per-request predict against the batch labels, one
-    # evaluate and the 32-bit export parity
+def run_tap_serve(*mode):
+    """Run the tap-serve workload at seed 0; assert it is correct with 0 failed operations."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "tap-serve", "--seed", "0",
-         "--seconds", "0.5"],
+        [sys.executable, "perfbench/run.py", "--workload", "tap-serve", "--seed", "0", *mode],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout + proc.stderr
+
+
+def test_perfbench_tap_serve_runs():
+    # the self-test runs tap-cv and swipe-fit; this runs the untraced
+    # serve path: per-request predict against the batch labels, one
+    # evaluate and the 32-bit export parity
+    run_tap_serve("--seconds", "0.5")
+
+
+def test_perfbench_tap_serve_traced_counts():
+    # traced, a tap-serve call count that differs from the workload's pins
+    # (serialize, deserialize, patchify, features_for, class_scores) is a
+    # failed operation
+    run_tap_serve("--trace", "1")
 
 
 def test_no_unused_imports():
