@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numutil import RngStream, check_labels, check_numbers
+from .numutil import RngStream, as_floats, check_key, check_labels, check_numbers
 
 CLASS_NAMES = ("north", "south", "east", "west")
 GESTURE_KINDS = ("tap", "swipe")
@@ -79,6 +79,7 @@ class SynthConfig:
                              f"valid kinds: {', '.join(GESTURE_KINDS)}")
         check_numbers(dict(samples_per_class=self.samples_per_class), numbers.Integral, least=1)
         check_numbers(dict(seed=self.seed), numbers.Integral)
+        check_key("seed", self.seed)
         check_numbers(dict(noise_stddev=self.noise_stddev), numbers.Real, least=0)
         check_numbers(dict(amplitude=self.amplitude, drift_rate=self.drift_rate), numbers.Real)
 
@@ -171,15 +172,15 @@ def save_csv(dataset, path):
     across versions. See :func:`load_csv` for what a reader checks.
 
     Before the file is opened, ``samples`` must be a nonempty (n, C, T)
-    array, its ``class_names`` and ``sample_rate`` must be what
-    :func:`load_csv` accepts in a sidecar (distinct class names, none
-    holding a ',' or a line break; a numpy rate is written as the Python
-    number it holds), its n labels must index
-    ``class_names``, every gesture must be finite, and ``meta`` must be
-    JSON. Rows go to the file CSV_CHUNK gestures at a time.
+    array of real numbers (numutil.as_floats), its ``class_names`` and
+    ``sample_rate`` must be what :func:`load_csv` accepts in a sidecar
+    (distinct class names, none holding a ',' or a line break; a numpy
+    rate is written as the Python number it holds), its n labels must
+    index ``class_names``, every gesture must be finite, and ``meta``
+    must be JSON. Rows go to the file CSV_CHUNK gestures at a time.
     """
     path = Path(path)
-    samples = np.asarray(dataset.samples)
+    samples = as_floats(dataset.samples, "samples")
     if samples.ndim != 3:
         raise ValueError(f"samples must be an (n, C, T) array, got shape {samples.shape}")
     if not len(samples):
@@ -360,16 +361,21 @@ def load_csv(path):
     row per frame. A gesture's rows carry one class and frames 0..T-1 in
     order, and every gesture has the same T. Rows are grouped by
     gesture_id in order of first appearance (a gesture's rows need not
-    be adjacent). A fault in a row is reported as ``path:line:``, the
-    first such line in the file. A frame gap is reported at the first
-    out-of-sequence row of the first gesture that has one, and ragged
-    gestures at the first row of the first gesture whose frame count
-    differs from the first gesture's. Ids and class names are kept as
-    written, frames are read as int() reads them, and values as float()
-    does except that a value with '_' or non-ASCII digits is refused at
-    its line. The file is read as UTF-8 whatever the locale, and a byte
-    that does not decode is reported at its line. A file ``save_csv``
-    wrote loads to the same bits in every version.
+    be adjacent). A fault is reported as ``path:line:``. The checks run
+    in phases, and the first phase that finds a fault reports it: a byte
+    that does not decode, the header, the sidecar, then faults within
+    one line (its fields, frame, class, values, or a class change within
+    its gesture) at the first such line, then the first non-finite
+    value, then a frame gap at the first out-of-sequence row of the
+    first gesture that has one, then ragged gestures at the first row of
+    the first gesture whose frame count differs from the first
+    gesture's. So a NaN at line 5 and a short line at line 100 report
+    line 100. Ids and class names are kept as written, frames are read
+    as int() reads them, and values as float() does except that a value
+    with '_' or non-ASCII digits is refused at its line. The file is
+    read as UTF-8 whatever the locale, and a byte that does not decode
+    is reported at its line. A file ``save_csv`` wrote loads to the same
+    bits in every version.
 
     A file with no fault takes one parse. Otherwise one search finds the
     first bad line (blank, a "\x1f" in a value, or a line the parse

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numutil import RngStream, check_finite, check_numbers
+from .numutil import RngStream, as_floats, check_finite, check_numbers
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def zscore_fit(X):
     run over one C-contiguous (n, T, C) arrangement, a view of load_csv's
     arrays, so the input's memory layout never moves a bit of the result.
     """
-    X = np.asarray(X, dtype=float)
+    X = as_floats(X, "dataset")
     if X.ndim != 3 or X.shape[0] < 2:
         raise ValueError("zscore_fit needs an (n, C, T) array with n >= 2")
     X = np.ascontiguousarray(X.transpose(0, 2, 1))
@@ -128,7 +128,7 @@ def rff_transform(patches, rmap):
     Returns Q of shape (patches, m) with rows sqrt(2/m)*cos(x W + b);
     every entry is bounded by sqrt(2/m) in magnitude.
     """
-    patches = np.atleast_2d(np.asarray(patches, dtype=float))
+    patches = np.atleast_2d(as_floats(patches, "patches"))
     if patches.shape[1] != rmap.patch_dim:
         raise ValueError(
             f"patch length {patches.shape[1]} does not match map "
@@ -148,7 +148,7 @@ def lift(X, stats, spec, rff):
     of per-channel normalization statistics; returns Q of shape
     (n, patches, m), all n * patches rows mapped by one rff_transform.
     """
-    X = np.asarray(X, dtype=float)
+    X = as_floats(X, "gesture")
     spec.check(X.shape[1:], "gesture")
     mean, std = stats
     rows = np.empty((len(X), spec.patches, spec.patch_dim))

@@ -10,7 +10,7 @@ adds the per-sample terms in sample order, as einsum's
 import numpy as np
 
 from .model import LOSS_KINDS, _score
-from .numutil import check_labels
+from .numutil import as_floats, check_labels
 
 
 def one_hot(labels, n_classes, n=None):
@@ -34,7 +34,7 @@ def _margins(f, labels):
 
 def hinge_loss(f, labels):
     """Mean multi-class hinge: max(0, 1 - f_true + best rival score)."""
-    f = np.atleast_2d(np.asarray(f, dtype=float))
+    f = np.atleast_2d(as_floats(f, "scores"))
     if f.shape[1] < 2:
         raise ValueError("hinge loss needs at least 2 classes")
     return float(np.maximum(0.0, _margins(f, labels)[3]).mean())
@@ -43,11 +43,11 @@ def hinge_loss(f, labels):
 def _fixed_attention(Q, A, alpha, f):
     """(Q, alpha, f) as float arrays checked against Q and A; f, when
     omitted, is model._score's scores at the fixed attention alpha."""
-    Q = np.asarray(Q, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
+    Q = as_floats(Q, "features")
+    alpha = as_floats(alpha, "alpha")
     if alpha.shape != Q.shape[:1] + A.shape[:2]:
         raise ValueError(f"alpha shape {alpha.shape} != {Q.shape[:1] + A.shape[:2]}")
-    f = _score(Q, A, alpha)[0] if f is None else np.asarray(f, dtype=float)
+    f = _score(Q, A, alpha)[0] if f is None else as_floats(f, "scores")
     if f.shape != alpha.shape[:2]:
         raise ValueError(f"scores shape {f.shape} != {alpha.shape[:2]}")
     return Q, alpha, f
@@ -86,8 +86,8 @@ def hinge_subgradient(Q, labels, A, alpha, f=None):
 
 def squared_loss(f, Y):
     """Mean squared error against one-hot targets."""
-    f = np.atleast_2d(np.asarray(f, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    f = np.atleast_2d(as_floats(f, "scores"))
+    Y = np.atleast_2d(as_floats(Y, "targets"))
     if f.shape != Y.shape:
         raise ValueError(f"shape mismatch: f {f.shape} vs Y {Y.shape}")
     r = f - Y
@@ -101,7 +101,7 @@ def squared_gradient(Q, Y, A, alpha, f=None):
     averaged over the batch; f is as in hinge_subgradient.
     """
     Q, alpha, f = _fixed_attention(Q, A, alpha, f)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Y = np.atleast_2d(as_floats(Y, "targets"))
     if Y.shape != f.shape:
         raise ValueError(f"target shape {Y.shape} != scores {f.shape}")
     return _contract(2.0 * (f - Y), alpha, Q)

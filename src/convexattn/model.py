@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import PatchSpec, RffMap, lift
-from .numutil import check_numbers
+from .numutil import as_floats, check_numbers
 from .projections import simplex_project_rows
 
 MAGIC = b"CVAT"
@@ -52,6 +52,7 @@ class ModelBundle:
             if not isinstance(v, np.ndarray) or v.ndim != rank:
                 got = f"shape {v.shape}" if isinstance(v, np.ndarray) else type(v).__name__
                 raise ValueError(f"{k} must be a {rank}-d array, got {got}")
+            as_floats(v, k)
         _, P, m = self.weights.shape
         if P != self.spec.patches or m != self.rff.m:
             raise ValueError("weights shape inconsistent with spec/rff")
@@ -107,8 +108,8 @@ def _score(Q, A, alpha=None):
     ufunc forms tried took 1.7-4.4x the first einsum's time at m=9
     (numpy 2.4.6, 2-core x86-64 VM).
     """
-    Q = np.asarray(Q, dtype=float)
-    A = np.asarray(A, dtype=float)
+    Q = as_floats(Q, "features")
+    A = as_floats(A, "weights")
     if Q.ndim != 3 or Q.shape[1:] != A.shape[1:]:
         raise ValueError(f"shape mismatch: Q {Q.shape} vs A {A.shape}")
     root_m = math.sqrt(Q.shape[2])
@@ -123,7 +124,7 @@ def _score(Q, A, alpha=None):
 
 def class_scores(Q, A):
     """Class scores f (K,) of one feature matrix Q (P, m)."""
-    return _score(np.asarray(Q, dtype=float)[None], A)[0][0]
+    return _score(np.asarray(Q)[None], A)[0][0]
 
 
 def batch_class_scores(Q, A):
@@ -141,7 +142,7 @@ def scores(X, bundle):
 def features_for(X, bundle):
     """Raw gesture (C, T) -> normalized, patchified, RFF-lifted features."""
     stats = (bundle.norm_mean, bundle.norm_std)
-    return lift(np.asarray(X, dtype=float)[None], stats, bundle.spec, bundle.rff)[0]
+    return lift(np.asarray(X)[None], stats, bundle.spec, bundle.rff)[0]
 
 
 def predict(X, bundle):

@@ -67,15 +67,34 @@ class RngStream:
 def _key(seed, stream):
     """The Philox key of stream ``stream`` of ``seed``; both must fit in
     64 bits."""
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 bits")
-    if not 0 <= stream < 2**64:
-        raise ValueError(f"stream must fit in 64 bits, got {stream}")
+    check_key("seed", seed)
+    check_key("stream", stream)
     return np.array([seed, stream], dtype=np.uint64)
 
 
+def check_key(name, value):
+    """Refuse an integer value that is not a Philox key word, in
+    0..2**64-1, naming it (``seed must fit in 64 bits, got -7``)."""
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must fit in 64 bits, got {value}")
+
+
+_FLOAT = np.dtype(float)
+
+
+def as_floats(a, name="input"):
+    """a as a float64 array: float64 kept, integer or real float cast, any
+    other dtype (bool, complex, text, object) refused, naming name."""
+    a = np.asarray(a)
+    if a.dtype is not _FLOAT:
+        if a.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
+        a = a.astype(float)
+    return a
+
+
 def check_finite(a, name="input"):
-    a = np.asarray(a, dtype=float)
+    a = as_floats(a, name)
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
@@ -83,14 +102,16 @@ def check_finite(a, name="input"):
 
 def check_labels(labels, n_classes, n=None):
     """labels as a 1-d int array of values in 0..n_classes-1, of length
-    n when n is given. A non-integral label is an error, not truncated
-    (an integer array is not compared with its cast)."""
+    n when n is given. A label that is not a real number is refused
+    (as_floats), and a non-integral one is an error, not truncated (an
+    integer array is not compared with its cast)."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
-        as_int = labels.astype(int)
-        bad = as_int != labels
+        real = as_floats(labels, "labels")
+        as_int = real.astype(int)
+        bad = as_int != real
         if bad.any():
-            raise ValueError(f"labels must be integers, got {labels[bad][0]}")
+            raise ValueError(f"labels must be integers, got {real[bad][0]}")
         labels = as_int
     if labels.ndim != 1:
         raise ValueError(f"labels must be 1-d, got shape {labels.shape}")

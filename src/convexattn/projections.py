@@ -11,7 +11,7 @@ import numbers
 
 import numpy as np
 
-from .numutil import check_finite, check_numbers, svd_thin
+from .numutil import as_floats, check_finite, check_numbers, svd_thin
 
 
 @functools.cache
@@ -65,7 +65,7 @@ def squared_distance_to_simplex(s):
 
     Half of this quantity is differentiable with gradient s - proj(s).
     """
-    s = np.asarray(s, dtype=float)
+    s = as_floats(s, "scores")
     d = s - simplex_project(s)
     return float(d @ d)
 

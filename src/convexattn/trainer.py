@@ -17,7 +17,7 @@ from . import dataio
 from .features import PatchSpec, lift, rff_init, zscore_fit
 from .losses import loss_functions
 from .model import ModelBundle, batch_class_scores, scores
-from .numutil import RngStream, check_finite, check_labels, check_numbers
+from .numutil import RngStream, check_finite, check_key, check_labels, check_numbers
 from .projections import nuclear_ball_project, nuclear_norm
 
 
@@ -50,6 +50,7 @@ class TrainConfig:
                            batches_per_epoch=self.batches_per_epoch), numbers.Integral, least=1)
         check_numbers(dict(n_classes=self.n_classes), numbers.Integral, least=2)
         check_numbers(dict(seed=self.seed), numbers.Integral)
+        check_key("seed", self.seed)
 
     @cached_property
     def spec(self):
@@ -240,15 +241,16 @@ class CvResult:
 def _run_fold(args):
     X, y, assign, fold, config = args
     tr = assign != fold
-    cfg = replace(config, seed=config.seed + fold)
-    bundle, _ = train((X[tr], y[tr]), cfg)
+    bundle, _ = train((X[tr], y[tr]), config)
     acc, f1, _ = evaluate(bundle, X[~tr], y[~tr])
     return acc, f1
 
 
 def kfold_evaluate(dataset, config, folds=10, jobs=1):
     """Stratified k-fold CV; each fold trains from scratch with a
-    fold-offset seed. Std is the population standard deviation.
+    fold-offset seed, and every fold's config is built (so its seed
+    checked) before any fold trains. Std is the population standard
+    deviation.
 
     jobs > 1 trains folds in worker processes; the pool's map yields
     their results in fold order, so the report is identical either way.
@@ -258,7 +260,9 @@ def kfold_evaluate(dataset, config, folds=10, jobs=1):
     X, y = check_dataset(dataset, config)
     rank, _ = _class_ranks(y, folds, RngStream(config.seed, 100))
     assign = rank % folds
-    work = [(X, y, assign, fold, config) for fold in range(folds)]
+    # int(): a numpy seed would wrap past 2**64 - 1 instead of being refused
+    work = [(X, y, assign, fold, replace(config, seed=int(config.seed) + fold))
+            for fold in range(folds)]
     if jobs == 1:
         results = [_run_fold(w) for w in work]
     else:

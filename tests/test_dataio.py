@@ -253,6 +253,8 @@ def test_synth_config_validation():
         ("samples_per_class", True, "samples_per_class must be an integer, got True"),
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("seed", "0", "seed must be an integer, got '0'"),
+        ("seed", -1, "seed must fit in 64 bits, got -1"),
+        ("seed", 2**64, f"seed must fit in 64 bits, got {2**64}"),
         ("noise_stddev", -0.1, "noise_stddev must be >= 0, got -0.1"),
         ("noise_stddev", float("nan"), "noise_stddev must be finite, got nan"),
         ("noise_stddev", "0.05", "noise_stddev must be a number, got '0.05'"),
@@ -431,6 +433,10 @@ def _tap_set():
      r"samples must be an \(n, C, T\) array, got shape \(4, 10\)$"),
     (lambda ds: np.put(ds.samples[5], 27, np.nan), r"gesture 5 has a non-finite value$"),
     (lambda ds: np.put(ds.samples[11], 0, -np.inf), r"gesture 11 has a non-finite value$"),
+    (lambda ds: setattr(ds, "samples", ds.samples + 1j),
+     r"samples must hold real numbers, got dtype complex128$"),
+    (lambda ds: setattr(ds, "samples", ds.samples.astype(object)),
+     r"samples must hold real numbers, got dtype object$"),
     (lambda ds: setattr(ds, "sample_rate", np.nan),
      r"sample_rate must be a finite number > 0, got nan$"),
     (lambda ds: setattr(ds, "sample_rate", np.inf),
@@ -456,7 +462,8 @@ def _tap_set():
     (lambda ds: ds.meta.update(seed=np.int64(3)),
      r"meta is not JSON: Object of type int64 is not JSON serializable$"),
 ], ids=["label-minus-1", "label-7", "empty", "not-3-d", "nan", "minus-inf",
-        "rate-nan", "rate-inf", "rate-zero", "rate-minus-1", "rate-a-string", "rate-a-bool",
+        "complex", "object", "rate-nan", "rate-inf", "rate-zero", "rate-minus-1",
+        "rate-a-string", "rate-a-bool",
         "name-not-a-string", "name-repeated", "name-with-comma", "name-with-newline",
         "name-with-file-separator", "name-not-utf8", "meta-not-json"])
 def test_save_csv_refuses_a_bad_dataset_before_opening_the_file(tmp_path, spoil, message):

@@ -187,8 +187,15 @@ def _with_value(bundle, field, value):
     (lambda b: dict(rff=replace(b.rff, gamma=np.nan)), "gamma must be finite, got nan"),
     (lambda b: dict(rff=replace(b.rff, gamma=np.inf)), "gamma must be finite, got inf"),
     (lambda b: dict(rff=replace(b.rff, gamma=0.0)), r"gamma must be > 0, got 0.0"),
+    (lambda b: dict(norm_mean=b.norm_mean + 1j),
+     "norm_mean must hold real numbers, got dtype complex128"),
+    (lambda b: dict(norm_mean=b.norm_mean.astype(str)),
+     "norm_mean must hold real numbers, got dtype <U32"),
+    (lambda b: dict(norm_mean=b.norm_mean.astype(object)),
+     "norm_mean must hold real numbers, got dtype object"),
 ], ids=["2d-weights", "1d-W", "list-norm_std", "zero-norm_std", "negative-norm_std",
-        "nan-gamma", "inf-gamma", "zero-gamma"])
+        "nan-gamma", "inf-gamma", "zero-gamma", "complex-norm_mean", "text-norm_mean",
+        "object-norm_mean"])
 def test_bundle_refuses_what_its_loader_refuses(fault, message):
     # the bundle owns the loader's rank and value rules: none of these
     # reaches serialize, or predict to blame the gesture

@@ -5,10 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from convexattn.features import PatchSpec, rff_init
-from convexattn.numutil import RngStream, check_numbers, svd_thin
-from convexattn.projections import nuclear_ball_project, nuclear_norm
-from convexattn.trainer import TrainConfig, kfold_evaluate, train
+from convexattn.features import PatchSpec, rff_init, rff_transform, zscore_fit
+from convexattn.losses import hinge_loss, squared_loss
+from convexattn.model import ModelBundle, batch_class_scores, predict, scores
+from convexattn.numutil import RngStream, as_floats, check_numbers, svd_thin
+from convexattn.projections import nuclear_ball_project, nuclear_norm, simplex_project
+from convexattn.trainer import TrainConfig, evaluate, kfold_evaluate, train
 from convexattn.verify import convexity_check, nonexpansiveness_sweep
 
 
@@ -194,3 +196,51 @@ def test_check_numbers_order_and_messages():
 def test_public_functions_refuse_bad_counts_and_scales(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()
+
+
+def test_as_floats_keeps_float64_and_casts_real_numbers():
+    x = np.zeros((4, 10))
+    assert as_floats(x) is x  # never copied, so no bit moves
+    for a in ([1, 2], np.arange(3, dtype=np.uint8), np.float32([0.5, -2.0])):
+        got = as_floats(a)
+        assert got.dtype == np.float64 and np.array_equal(got, np.asarray(a))
+
+
+# One input of each public array entry point: the cases below make it
+# complex, text, object or bool, and each is refused before any work.
+SPEC = PatchSpec(4, 10, 10)
+RMAP = rff_init(SPEC, 3, 1.0, RngStream(0))
+BUNDLE = ModelBundle(rff=RMAP, weights=np.zeros((4, 10, 3)), spec=SPEC,
+                     norm_mean=np.zeros(4), norm_std=np.ones(4), loss_kind="hinge")
+GESTURES = np.ones((4, 4, 10))
+LABELS = np.arange(4)
+TINY = TrainConfig(nuclear_radius=1.0, m=3, gamma=1.0, eta=0.01, epochs=1, batch_size=1,
+                   batches_per_epoch=1, frames=10, patches=10)
+NOT_REAL = {"complex": lambda a: a + 1j, "text": lambda a: a.astype(str),
+            "object": lambda a: a.astype(object), "bool": lambda a: a > 0}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", list(NOT_REAL))
+@pytest.mark.parametrize("call,valid,name", [
+    (lambda a: train((a, LABELS), TINY), GESTURES, "dataset"),
+    (lambda a: evaluate(BUNDLE, a, LABELS), GESTURES, "dataset"),
+    (lambda a: scores(a, BUNDLE), GESTURES, "gesture"),
+    (lambda a: predict(a, BUNDLE), GESTURES[0], "gesture"),
+    (zscore_fit, GESTURES, "dataset"),
+    (lambda a: rff_transform(a, RMAP), np.ones((10, 4)), "patches"),
+    (lambda a: batch_class_scores(a, BUNDLE.weights), np.ones((2, 10, 3)), "features"),
+    (simplex_project, np.ones(3), "scores"),
+    (lambda a: nuclear_ball_project(a, 1.0), np.eye(2), "matrix"),
+    (lambda a: hinge_loss(a, [0, 1]), np.ones((2, 3)), "scores"),
+    (lambda a: squared_loss(a, np.eye(3)[:2]), np.ones((2, 3)), "scores"),
+], ids=["train", "evaluate", "scores", "predict", "zscore_fit", "rff_transform",
+        "batch_class_scores", "simplex_project", "nuclear_ball_project", "hinge_loss",
+        "squared_loss"])
+def test_public_functions_refuse_arrays_that_are_not_real(call, valid, name, kind):
+    # each used to run on the real part (after a ComplexWarning), on the
+    # parsed text, or on bools read as 0/1
+    bad = NOT_REAL[kind](valid)
+    message = f"{name} must hold real numbers, got dtype {bad.dtype}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call(bad)

@@ -91,6 +91,24 @@ def test_modules_import_only_lower_layers():
     assert not upward, upward
 
 
+def test_float_conversion_has_one_owner():
+    # numutil.as_floats is the one rule for an array input; a
+    # np.asarray(x, dtype=float) elsewhere would cast complex values to
+    # their real part and parse text
+    package = ROOT / "src" / "convexattn"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "numutil.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("asarray", "array")
+                    and any(k.arg == "dtype" and isinstance(k.value, ast.Name)
+                            and k.value.id == "float" for k in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_demo_imports_resolve():
     # a demo runs a full training, so its imports are checked statically:
     # a name deleted from the package fails here, not when a demo is run

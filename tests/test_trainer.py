@@ -145,6 +145,8 @@ def test_config_validation():
         ("n_classes", 4.0, "n_classes must be an integer, got 4.0"),
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("seed", False, "seed must be an integer, got False"),
+        ("seed", -1, "seed must fit in 64 bits, got -1"),
+        ("seed", 2**64, f"seed must fit in 64 bits, got {2**64}"),
         ("nuclear_radius", True, "nuclear_radius must be a number, got True"),
         ("gamma", True, "gamma must be a number, got True"),
         ("eta", "0.01", "eta must be a number, got '0.01'"),
@@ -315,6 +317,9 @@ def small_bundle():
     ([0, 1.5, 2], r"labels must be integers, got 1\.5$"),
     ([[0], [1], [2]], r"labels must be 1-d, got shape \(3, 1\)$"),
     ([0], r"labels length must match score rows, got 1 for 3 gestures$"),
+    ([True, False, True], r"labels must hold real numbers, got dtype bool$"),
+    (["1", "0", "2"], r"labels must hold real numbers, got dtype <U1$"),
+    ([0, 1 + 0j, 2], r"labels must hold real numbers, got dtype complex128$"),
 ])
 def test_evaluate_rejects_bad_labels(small_bundle, labels, message):
     # each of these was counted into the confusion matrix, truncated,
@@ -385,6 +390,18 @@ def test_kfold_parallel_matches_serial():
     parallel = kfold_evaluate(ds, cfg, folds=2, jobs=2)
     assert serial.fold_accuracy == parallel.fold_accuracy
     assert serial.fold_f1 == parallel.fold_f1
+
+
+@pytest.mark.parametrize("seed", [2**64 - 2, np.uint64(2**64 - 2)])
+def test_kfold_refuses_a_fold_seed_before_training_any_fold(monkeypatch, seed):
+    # fold f trains at seed + f: the third fold's seed 2**64 is refused
+    # before the first fold trains, not after two, and a numpy seed does
+    # not wrap to 0
+    trained = []
+    monkeypatch.setattr(trainer, "train", lambda *a: trained.append(a[1].seed) or train(*a))
+    with pytest.raises(ValueError, match=f"^seed must fit in 64 bits, got {2**64}$"):
+        kfold_evaluate(tap_dataset(4), tiny_config(seed=seed, epochs=1), folds=3)
+    assert trained == []
 
 
 def test_kfold_rejects_bad_folds():
