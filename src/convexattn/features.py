@@ -81,7 +81,7 @@ def zscore_fit(X):
     """
     X = as_floats(X, "dataset")
     if X.ndim != 3 or X.shape[0] < 2:
-        raise ValueError("zscore_fit needs an (n, C, T) array with n >= 2")
+        raise ValueError(f"dataset must be an (n, C, T) array with n >= 2, got shape {X.shape}")
     X = np.ascontiguousarray(X.transpose(0, 2, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         mean, std = X.mean(axis=(0, 1)), X.std(axis=(0, 1))
@@ -122,23 +122,31 @@ def rff_init(spec, m, gamma, rng):
     return RffMap(W=W, b=b, gamma=float(gamma))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a phase that is not finite gives a NaN
 def rff_transform(patches, rmap):
     """Apply the cosine feature map row-wise.
 
     Returns Q of shape (patches, m) with rows sqrt(2/m)*cos(x W + b);
-    every entry is bounded by sqrt(2/m) in magnitude.
+    every entry is bounded by sqrt(2/m) in magnitude. Patches that are
+    not finite, or whose phases overflow, are refused.
     """
     patches = np.atleast_2d(as_floats(patches, "patches"))
-    if patches.shape[1] != rmap.patch_dim:
-        raise ValueError(
-            f"patch length {patches.shape[1]} does not match map "
-            f"patch_dim {rmap.patch_dim}"
-        )
+    if patches.ndim != 2 or patches.shape[1] != rmap.patch_dim:
+        raise ValueError(f"patches shape {patches.shape} does not match map "
+                         f"patch_dim {rmap.patch_dim}")
     out = patches @ rmap.W
     out += rmap.b
     np.cos(out, out=out)
+    if math.isnan(out.sum()):
+        raise ValueError("patches must be finite, and small enough that x W + b does not overflow")
     out *= math.sqrt(2.0 / rmap.m)
     return out
+
+
+@np.errstate(over="raise")  # as a decorator it costs predict less than a with block
+def _normalized(X, mean, std):
+    """(X - mean) / std per channel; FloatingPointError where it overflows."""
+    return (X - mean[:, None]) / std[:, None]
 
 
 def lift(X, stats, spec, rff):
@@ -150,8 +158,11 @@ def lift(X, stats, spec, rff):
     """
     X = as_floats(X, "gesture")
     spec.check(X.shape[1:], "gesture")
-    mean, std = stats
+    try:
+        Z = _normalized(X, *stats)
+    except FloatingPointError:
+        raise ValueError("gesture is too large: normalizing it overflows") from None
     rows = np.empty((len(X), spec.patches, spec.patch_dim))
-    for i, x in enumerate((X - mean[:, None]) / std[:, None]):
+    for i, x in enumerate(Z):
         rows[i] = patchify(x, spec)
     return rff_transform(rows.reshape(-1, spec.patch_dim), rff).reshape(*rows.shape[:2], rff.m)

@@ -10,7 +10,7 @@ adds the per-sample terms in sample order, as einsum's
 import numpy as np
 
 from .model import LOSS_KINDS, _score
-from .numutil import as_floats, check_labels
+from .numutil import as_floats, check_finite, check_labels
 
 
 def one_hot(labels, n_classes, n=None):
@@ -34,10 +34,18 @@ def _margins(f, labels):
 
 def hinge_loss(f, labels):
     """Mean multi-class hinge: max(0, 1 - f_true + best rival score)."""
-    f = np.atleast_2d(as_floats(f, "scores"))
-    if f.shape[1] < 2:
-        raise ValueError("hinge loss needs at least 2 classes")
-    return float(np.maximum(0.0, _margins(f, labels)[3]).mean())
+    f = np.atleast_2d(check_finite(f, "scores"))
+    if f.ndim != 2 or f.shape[1] < 2:
+        raise ValueError(f"scores must be 2-d with at least 2 classes, got shape {f.shape}")
+    with np.errstate(over="ignore"):
+        return _finite(np.maximum(0.0, _margins(f, labels)[3]).mean())
+
+
+def _finite(loss):
+    """A loss as a float; one that overflows is refused, naming the scores."""
+    if not loss < np.inf:
+        raise ValueError("scores are too large: the loss overflows")
+    return float(loss)
 
 
 def _fixed_attention(Q, A, alpha, f):
@@ -86,12 +94,13 @@ def hinge_subgradient(Q, labels, A, alpha, f=None):
 
 def squared_loss(f, Y):
     """Mean squared error against one-hot targets."""
-    f = np.atleast_2d(as_floats(f, "scores"))
-    Y = np.atleast_2d(as_floats(Y, "targets"))
+    f = np.atleast_2d(check_finite(f, "scores"))
+    Y = np.atleast_2d(check_finite(Y, "targets"))
     if f.shape != Y.shape:
-        raise ValueError(f"shape mismatch: f {f.shape} vs Y {Y.shape}")
-    r = f - Y
-    return float(np.einsum("nk,nk->", r, r) / f.shape[0])
+        raise ValueError(f"scores shape {f.shape} does not match targets {Y.shape}")
+    with np.errstate(over="ignore"):
+        r = f - Y
+        return _finite(np.einsum("nk,nk->", r, r) / f.shape[0])
 
 
 def squared_gradient(Q, Y, A, alpha, f=None):

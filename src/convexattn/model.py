@@ -111,7 +111,7 @@ def _score(Q, A, alpha=None):
     Q = as_floats(Q, "features")
     A = as_floats(A, "weights")
     if Q.ndim != 3 or Q.shape[1:] != A.shape[1:]:
-        raise ValueError(f"shape mismatch: Q {Q.shape} vs A {A.shape}")
+        raise ValueError(f"features shape {Q.shape} does not match weights {A.shape}")
     root_m = math.sqrt(Q.shape[2])
     s = np.einsum("npm,kpm->nkp", Q, A)
     s /= root_m
@@ -124,7 +124,7 @@ def _score(Q, A, alpha=None):
 
 def class_scores(Q, A):
     """Class scores f (K,) of one feature matrix Q (P, m)."""
-    return _score(np.asarray(Q)[None], A)[0][0]
+    return _score(np.asanyarray(Q)[None], A)[0][0]  # asanyarray: a masked Q is refused
 
 
 def batch_class_scores(Q, A):
@@ -142,7 +142,8 @@ def scores(X, bundle):
 def features_for(X, bundle):
     """Raw gesture (C, T) -> normalized, patchified, RFF-lifted features."""
     stats = (bundle.norm_mean, bundle.norm_std)
-    return lift(np.asarray(X)[None], stats, bundle.spec, bundle.rff)[0]
+    # asanyarray keeps a masked X masked, for lift to refuse
+    return lift(np.asanyarray(X)[None], stats, bundle.spec, bundle.rff)[0]
 
 
 def predict(X, bundle):

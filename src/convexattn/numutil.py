@@ -82,10 +82,22 @@ def check_key(name, value):
 _FLOAT = np.dtype(float)
 
 
+def as_array(a, name="input"):
+    """np.asarray(a), but a masked array, whose mask asarray drops, is refused.
+    Only code that has imported numpy.ma can hold one, so this does not import
+    it (about 1 MB)."""
+    ma = sys.modules.get("numpy.ma")
+    if ma is not None and isinstance(a, ma.MaskedArray):
+        raise ValueError(f"{name} must not be a masked array")
+    return np.asarray(a)
+
+
 def as_floats(a, name="input"):
-    """a as a float64 array: float64 kept, integer or real float cast, any
-    other dtype (bool, complex, text, object) refused, naming name."""
-    a = np.asarray(a)
+    """a as a float64 array (as_array, which a plain ndarray skips): float64
+    kept, integer or real float cast, any other dtype (bool, complex, text,
+    object) refused, naming name."""
+    if type(a) is not np.ndarray:
+        a = as_array(a, name)
     if a.dtype is not _FLOAT:
         if a.dtype.kind not in "iuf":
             raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
@@ -101,18 +113,16 @@ def check_finite(a, name="input"):
 
 
 def check_labels(labels, n_classes, n=None):
-    """labels as a 1-d int array of values in 0..n_classes-1, of length
+    """labels as a 1-d int64 array of values in 0..n_classes-1, of length
     n when n is given. A label that is not a real number is refused
-    (as_floats), and a non-integral one is an error, not truncated (an
-    integer array is not compared with its cast)."""
-    labels = np.asarray(labels)
+    (as_floats); a float one is judged integral, then in range, before
+    the cast, so a NaN, infinite or huge label is named, not wrapped."""
+    labels = as_array(labels, "labels")
     if labels.dtype.kind not in "iu":
         real = as_floats(labels, "labels")
-        as_int = real.astype(int)
-        bad = as_int != real
+        bad = ~np.isfinite(real) | (np.floor(real) != real)
         if bad.any():
-            raise ValueError(f"labels must be integers, got {real[bad][0]}")
-        labels = as_int
+            raise ValueError(f"labels must be integers, got {labels[bad][0]}")
     if labels.ndim != 1:
         raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
     if n is not None and labels.size != n:
@@ -122,7 +132,7 @@ def check_labels(labels, n_classes, n=None):
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         bad = labels[(labels < 0) | (labels >= n_classes)][0]
         raise ValueError(f"labels must be in 0..{n_classes - 1}, got {bad}")
-    return labels
+    return labels.astype(np.int64, copy=False)
 
 
 def check_numbers(values, kind, least=None, above=None):
@@ -145,12 +155,29 @@ def check_numbers(values, kind, least=None, above=None):
             raise ValueError(f"{name} must be > {above}, got {value!r}")
 
 
+def check_matrix(A):
+    """A finite matrix as a 2-d float array; a 1-d array is one row."""
+    A = np.atleast_2d(check_finite(A, "matrix"))
+    if A.ndim > 2:
+        raise ValueError(f"matrix must be 1-d or 2-d, got shape {A.shape}")
+    return A
+
+
+def nuclear_sum(sigma):
+    """The sum of a matrix's singular values sigma, refused if it overflows."""
+    with np.errstate(over="ignore"):
+        total = sigma.sum()
+    if not total < np.inf:
+        raise ValueError("matrix is too large: its singular values overflow")
+    return total
+
+
 def svd_thin(M):
-    """Thin SVD of a dense matrix.
+    """Thin SVD of a matrix (check_matrix) whose nuclear_sum is finite.
 
     Returns (U, sigma, V) with M = U @ diag(sigma) @ V.T, sigma sorted
     descending and U, V having orthonormal columns.
     """
-    M = np.atleast_2d(check_finite(M, "matrix"))
-    U, sigma, Vt = np.linalg.svd(M, full_matrices=False)
+    U, sigma, Vt = np.linalg.svd(check_matrix(M), full_matrices=False)
+    nuclear_sum(sigma)
     return U, sigma, Vt.T

@@ -11,7 +11,7 @@ import numbers
 
 import numpy as np
 
-from .numutil import as_floats, check_finite, check_numbers, svd_thin
+from .numutil import as_floats, check_finite, check_matrix, check_numbers, nuclear_sum, svd_thin
 
 
 @functools.cache
@@ -44,20 +44,36 @@ def _threshold_rows(S, radius):
     return np.maximum(V, 0.0, out=V)
 
 
+def _vector(s):
+    """s as a nonempty 1-d float array, named scores."""
+    s = as_floats(s, "scores")
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError(f"scores must be a nonempty 1-d vector, got shape {s.shape}")
+    return s
+
+
 def simplex_project(s):
     """Euclidean projection of a vector onto the probability simplex."""
-    s = check_finite(s, "scores")
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("expected a nonempty 1-d vector")
-    return _threshold_rows(s[None], 1.0)[0]
+    return simplex_project_rows(_vector(s)[None])[0]
 
 
 def simplex_project_rows(S):
-    """Row-wise simplex projection of a 2-d array (vectorized)."""
-    S = check_finite(S, "scores")
+    """Row-wise simplex projection of a 2-d array (vectorized); a row whose
+    projection would not sum to 1 within 1e-12 is refused. Rounding moves a
+    sum by at most about eps * m * (p + 2)**2 / 4 for |entries| <= m in rows
+    of length p, so the sums are checked only past m = 2**13 / (p + 2)**2."""
+    S = as_floats(S, "scores")
     if S.ndim != 2 or S.shape[1] == 0:
-        raise ValueError("expected a 2-d array with nonzero row length")
-    return _threshold_rows(S, 1.0)
+        raise ValueError(f"scores must be 2-d with nonzero row length, got shape {S.shape}")
+    if np.abs(S).max(initial=0.0) <= 2**13 / (S.shape[1] + 2) ** 2:  # NaN fails too
+        return _threshold_rows(S, 1.0)
+    check_finite(S, "scores")
+    with np.errstate(over="ignore"):
+        A = _threshold_rows(S, 1.0)
+        off = np.abs(A.sum(axis=1) - 1.0) > 1e-12
+    if off.any():
+        raise ValueError(f"scores row {off.argmax()} is too large to project onto the simplex")
+    return A
 
 
 def squared_distance_to_simplex(s):
@@ -67,20 +83,16 @@ def squared_distance_to_simplex(s):
     """
     s = as_floats(s, "scores")
     d = s - simplex_project(s)
-    return float(d @ d)
-
-
-def _matrix(A):
-    """A finite matrix as a float array; a 1-d array is one row."""
-    A = np.atleast_2d(check_finite(A, "matrix"))
-    if A.ndim > 2:
-        raise ValueError(f"matrix must be 1-d or 2-d, got shape {A.shape}")
-    return A
+    with np.errstate(over="ignore"):
+        dist = float(d @ d)
+    if dist == np.inf:
+        raise ValueError("scores are too large: their squared distance to the simplex overflows")
+    return dist
 
 
 def nuclear_norm(A):
-    """Sum of singular values."""
-    return float(np.linalg.svd(_matrix(A), compute_uv=False).sum())
+    """Sum of singular values (numutil.nuclear_sum)."""
+    return float(nuclear_sum(np.linalg.svd(check_matrix(A), compute_uv=False)))
 
 
 def nuclear_ball_project(A, radius):
@@ -89,14 +101,19 @@ def nuclear_ball_project(A, radius):
     SVD, reconstruct with the singular values projected onto the L1
     ball: past the radius, nonnegative values project by the simplex
     threshold at that radius. A matrix already inside the ball
-    (including the zero matrix) is returned unchanged.
+    (including the zero matrix) is returned unchanged; one whose
+    projected singular values do not sum to the radius within 1e-12
+    (rounding lost it) is refused.
     """
-    A = _matrix(A)
+    A = check_matrix(A)
     check_numbers(dict(radius=radius), numbers.Real, above=0)
     U, sigma, V = svd_thin(A)
     if sigma.sum() <= radius:
         return A.copy()
-    return (U * _threshold_rows(sigma[None], radius)[0]) @ V.T
+    sigma = _threshold_rows(sigma[None], radius)[0]
+    if not abs(sigma.sum() - radius) <= 1e-12 * radius:
+        raise ValueError("matrix is too large to project: rounding loses the radius")
+    return (U * sigma) @ V.T
 
 
 def softmax_ref(s):
@@ -105,6 +122,7 @@ def softmax_ref(s):
     Exists only for non-convexity demonstrations; never used in
     training or inference.
     """
-    s = check_finite(s, "scores")
-    e = np.exp(s - s.max())
+    s = _vector(check_finite(s, "scores"))
+    with np.errstate(over="ignore"):  # below -max, s - max is -inf: weight 0
+        e = np.exp(s - s.max())
     return e / e.sum()

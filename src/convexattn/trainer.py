@@ -17,7 +17,7 @@ from . import dataio
 from .features import PatchSpec, lift, rff_init, zscore_fit
 from .losses import loss_functions
 from .model import ModelBundle, batch_class_scores, scores
-from .numutil import RngStream, check_finite, check_key, check_labels, check_numbers
+from .numutil import RngStream, as_array, check_finite, check_key, check_labels, check_numbers
 from .projections import nuclear_ball_project, nuclear_norm
 
 
@@ -191,11 +191,17 @@ def evaluate(bundle, X, y):
 
 
 def macro_f1(confusion):
-    """Unweighted mean of per-class F1 (0 when precision+recall = 0)."""
-    confusion = np.asarray(confusion)
+    """Unweighted mean of per-class F1 (0 when precision+recall = 0) of a
+    square matrix of integer counts >= 0, summed in float so none wraps."""
+    counts = as_array(confusion, "confusion")
+    square = counts.ndim == 2 and counts.shape[0] == counts.shape[1]
+    if counts.dtype.kind not in "iu" or not square or (counts < 0).any():
+        raise ValueError("confusion must be a square matrix of integer counts >= 0, "
+                         f"got dtype {counts.dtype}, shape {counts.shape}")
+    confusion = counts.astype(float)
     if confusion.sum() == 0:
-        raise ValueError("empty confusion matrix")
-    tp = np.diag(confusion).astype(float)
+        raise ValueError("confusion matrix is empty")
+    tp = np.diag(confusion)
     denom = confusion.sum(axis=0) + confusion.sum(axis=1)
     f1 = np.divide(2.0 * tp, denom, out=np.zeros(tp.size), where=denom > 0)
     return float(f1.mean())

@@ -277,13 +277,6 @@ def test_kernel_error_decreases_with_m():
     assert large < small
 
 
-def test_transform_rejects_wrong_dim():
-    spec = PatchSpec(channels=2, frames=4, patches=2)
-    rmap = rff_init(spec, 3, 1.0, RngStream(0))
-    with pytest.raises(ValueError):
-        rff_transform(np.zeros((2, 5)), rmap)
-
-
 def test_lift_matches_per_gesture_pipeline():
     spec = PatchSpec(channels=4, frames=10, patches=5)
     rmap = rff_init(spec, 6, 0.7, RngStream(4))

@@ -24,11 +24,6 @@ def test_hinge_hand_cases():
     assert hinge_loss(np.zeros((3, 4)), [0, 1, 2]) == pytest.approx(1.0)
 
 
-def test_hinge_rejects_single_class():
-    with pytest.raises(ValueError):
-        hinge_loss(np.ones((2, 1)), [0, 0])
-
-
 def test_hinge_nonnegative():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -206,8 +201,6 @@ def test_shape_mismatch_rejected():
         hinge_subgradient(Q, [0, 1], A, np.zeros((2, 2, 4)))
     with pytest.raises(ValueError):
         squared_gradient(Q, np.zeros((3, 2)), A, np.zeros((2, 2, 3)))
-    with pytest.raises(ValueError):
-        squared_loss(np.zeros((2, 3)), np.zeros((2, 4)))
     # a 6-row batch with the forward pass's scores: too few or too many
     # labels, and scores of the wrong shape, are named, not broadcast
     n, K = 6, 2
@@ -238,17 +231,7 @@ def test_loss_functions_table():
 def test_one_hot_edge_labels():
     assert one_hot([], 4).shape == (0, 4)
     assert np.array_equal(one_hot([1.0, 3.0], 4), one_hot(np.array([1, 3]), 4))
-    for labels in ([1.7], np.array([0.0, 2.5])):
-        with pytest.raises(ValueError, match=r"labels must be integers, got (1\.7|2\.5)"):
-            one_hot(labels, 4)
-    with pytest.raises(ValueError, match=r"got 1\.7"):
-        hinge_loss(np.zeros((1, 4)), [1.7])
-    # a label column would index a 2-hot block per row
-    with pytest.raises(ValueError, match=r"1-d, got shape \(2, 1\)"):
-        one_hot(np.array([[1], [2]]), 4)
-    for labels, bad in (([0, 4], "4"), (np.array([-1, 2]), "-1")):
-        with pytest.raises(ValueError, match=rf"labels must be in 0\.\.3, got {bad}$"):
-            one_hot(labels, 4)
+    # the refusals are examples in test_boundary
 
 
 @st.composite

@@ -5,13 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from convexattn.features import PatchSpec, rff_init, rff_transform, zscore_fit
-from convexattn.losses import hinge_loss, squared_loss
-from convexattn.model import ModelBundle, batch_class_scores, predict, scores
 from convexattn.numutil import RngStream, as_floats, check_numbers, svd_thin
-from convexattn.projections import nuclear_ball_project, nuclear_norm, simplex_project
-from convexattn.trainer import TrainConfig, evaluate, kfold_evaluate, train
-from convexattn.verify import convexity_check, nonexpansiveness_sweep
+
+from test_boundary import COUNTS, NOT_REAL, NOT_REAL_ROWS, ROWS, refuses
 
 
 def test_svd_identity():
@@ -50,11 +46,6 @@ def test_svd_properties_random_sizes():
         # nuclear norm consistent with the Gram-eigenvalue oracle
         ev = np.maximum(np.linalg.eigvalsh(M.T @ M if c <= r else M @ M.T), 0.0)
         assert abs(s.sum() - np.sqrt(ev).sum()) <= 1e-8 * max(1.0, s.sum())
-
-
-def test_svd_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        svd_thin(np.array([[1.0, np.nan]]))
 
 
 def test_gauss_clt_bound():
@@ -159,45 +150,6 @@ def test_check_numbers_order_and_messages():
             check_numbers(values, kind, **bounds)
 
 
-# The public functions check their own counts and scales before they
-# touch their data, so no dataset, config or model is needed here.
-@pytest.mark.parametrize("call,message", [
-    (lambda: kfold_evaluate(None, None, folds=2.0), "folds must be an integer, got 2.0"),
-    (lambda: kfold_evaluate(None, None, folds=True), "folds must be an integer, got True"),
-    (lambda: kfold_evaluate(None, None, jobs=1.5), "jobs must be an integer, got 1.5"),
-    (lambda: kfold_evaluate(None, None, jobs=True), "jobs must be an integer, got True"),
-    (lambda: convexity_check(None, None, None, trials=2.5), "trials must be an integer, got 2.5"),
-    (lambda: convexity_check(None, None, None, noise_stddev=math.inf),
-     "noise_stddev must be finite, got inf"),
-    (lambda: nonexpansiveness_sweep(pairs=2.5), "pairs must be an integer, got 2.5"),
-    (lambda: nonexpansiveness_sweep(dim=0), "dim must be >= 1, got 0"),
-    (lambda: rff_init(PatchSpec(4, 10, 10), 3, math.nan, RngStream(0)),
-     "gamma must be finite, got nan"),
-    (lambda: rff_init(PatchSpec(4, 10, 10), 3, math.inf, RngStream(0)),
-     "gamma must be finite, got inf"),
-    (lambda: rff_init(PatchSpec(4, 10, 10), 2.5, 1.0, RngStream(0)),
-     "m must be an integer, got 2.5"),
-    # sqrt(2 * gamma), the weight scale, overflows past half the float range
-    (lambda: rff_init(PatchSpec(4, 10, 10), 3, 1e308, RngStream(0)),
-     f"gamma must be at most {2**1023 * (1 - 2**-53)}, got 1e+308"),
-    (lambda: train((np.random.default_rng(0).normal(size=(2, 4, 10)), np.array([0, 1])),
-                   TrainConfig(nuclear_radius=1.0, m=3, gamma=1e308, eta=0.01, epochs=1,
-                               batch_size=1, batches_per_epoch=1, frames=10, patches=10,
-                               n_classes=2)),
-     f"gamma must be at most {2**1023 * (1 - 2**-53)}, got 1e+308"),
-    (lambda: nuclear_ball_project(np.eye(2), math.nan), "radius must be finite, got nan"),
-    (lambda: nuclear_norm(np.ones((2, 3, 4))), "matrix must be 1-d or 2-d, got shape (2, 3, 4)"),
-    (lambda: nuclear_ball_project(np.ones((2, 3, 4)), 1.0),
-     "matrix must be 1-d or 2-d, got shape (2, 3, 4)"),
-], ids=["folds-float", "folds-bool", "jobs-float", "jobs-bool", "trials-float",
-        "noise-infinite", "pairs-float", "dim-zero", "gamma-nan", "gamma-infinite",
-        "m-float", "gamma-overflow", "train-gamma-overflow", "radius-nan", "norm-3d",
-        "project-3d"])
-def test_public_functions_refuse_bad_counts_and_scales(call, message):
-    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-        call()
-
-
 def test_as_floats_keeps_float64_and_casts_real_numbers():
     x = np.zeros((4, 10))
     assert as_floats(x) is x  # never copied, so no bit moves
@@ -206,41 +158,18 @@ def test_as_floats_keeps_float64_and_casts_real_numbers():
         assert got.dtype == np.float64 and np.array_equal(got, np.asarray(a))
 
 
-# One input of each public array entry point: the cases below make it
-# complex, text, object or bool, and each is refused before any work.
-SPEC = PatchSpec(4, 10, 10)
-RMAP = rff_init(SPEC, 3, 1.0, RngStream(0))
-BUNDLE = ModelBundle(rff=RMAP, weights=np.zeros((4, 10, 3)), spec=SPEC,
-                     norm_mean=np.zeros(4), norm_std=np.ones(4), loss_kind="hinge")
-GESTURES = np.ones((4, 4, 10))
-LABELS = np.arange(4)
-TINY = TrainConfig(nuclear_radius=1.0, m=3, gamma=1.0, eta=0.01, epochs=1, batch_size=1,
-                   batches_per_epoch=1, frames=10, patches=10)
-NOT_REAL = {"complex": lambda a: a + 1j, "text": lambda a: a.astype(str),
-            "object": lambda a: a.astype(object), "bool": lambda a: a > 0}
+# The boundary table's count and dtype examples: test_boundary.COUNTS,
+# and each row of NOT_REAL_ROWS made complex, text, object or bool.
+@pytest.mark.parametrize("call,message", COUNTS.values(), ids=COUNTS)
+def test_public_functions_refuse_bad_counts_and_scales(call, message):
+    refuses(call, message)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", list(NOT_REAL))
-@pytest.mark.parametrize("call,valid,name", [
-    (lambda a: train((a, LABELS), TINY), GESTURES, "dataset"),
-    (lambda a: evaluate(BUNDLE, a, LABELS), GESTURES, "dataset"),
-    (lambda a: scores(a, BUNDLE), GESTURES, "gesture"),
-    (lambda a: predict(a, BUNDLE), GESTURES[0], "gesture"),
-    (zscore_fit, GESTURES, "dataset"),
-    (lambda a: rff_transform(a, RMAP), np.ones((10, 4)), "patches"),
-    (lambda a: batch_class_scores(a, BUNDLE.weights), np.ones((2, 10, 3)), "features"),
-    (simplex_project, np.ones(3), "scores"),
-    (lambda a: nuclear_ball_project(a, 1.0), np.eye(2), "matrix"),
-    (lambda a: hinge_loss(a, [0, 1]), np.ones((2, 3)), "scores"),
-    (lambda a: squared_loss(a, np.eye(3)[:2]), np.ones((2, 3)), "scores"),
-], ids=["train", "evaluate", "scores", "predict", "zscore_fit", "rff_transform",
-        "batch_class_scores", "simplex_project", "nuclear_ball_project", "hinge_loss",
-        "squared_loss"])
-def test_public_functions_refuse_arrays_that_are_not_real(call, valid, name, kind):
+@pytest.mark.parametrize("name", NOT_REAL_ROWS)
+def test_public_functions_refuse_arrays_that_are_not_real(name, kind):
     # each used to run on the real part (after a ComplexWarning), on the
     # parsed text, or on bools read as 0/1
-    bad = NOT_REAL[kind](valid)
-    message = f"{name} must hold real numbers, got dtype {bad.dtype}"
-    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-        call(bad)
+    row = ROWS[name]
+    bad = NOT_REAL[kind](row.valid)
+    refuses(lambda: row.call(bad), f"{row.names[0]} must hold real numbers, got dtype {bad.dtype}")
