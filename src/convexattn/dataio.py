@@ -1,5 +1,8 @@
 """Gesture datasets: synthetic generation and CSV I/O."""
 
+import codecs
+import collections
+import itertools
 import json
 import numbers
 from dataclasses import dataclass, field
@@ -282,23 +285,28 @@ def _read_sidecar(path):
     return tuple(meta["class_names"]), meta["sample_rate"], meta.get("meta", {})
 
 
-def _parse_rows(lines, C):
-    """One parse of CSV data lines into (gesture ids, class names,
-    frames, (n, C) values), or None when a line does not parse.
-
-    Ids and class names stay the lines' exact strings, and frames go
-    through int(). Stricter than the per-field int()/float() reading:
-    a value with '_' or non-ASCII digits, or a frame beyond int64, does
-    not parse. Blank lines are skipped.
+def _parse_rows(source, C):
+    """One parse of CSV data lines, a list or an open text file from its
+    current line: the distinct ids and class names, each a list in order
+    of first appearance, and per row the indices of its id and class
+    name in them, its int() frame and its (C,) values; or None when a
+    line does not parse. Stricter than the per-field int()/float()
+    reading: a value with '_' or non-ASCII digits, or a frame beyond
+    int64, does not parse. Blank lines are skipped.
     """
-    dtype = [("gid", object), ("class", object), ("frame", object),
-             ("values", float, (C,))]
+    # each field's distinct strings, numbered from 0 as they first appear
+    gids, names, frames = (collections.defaultdict(itertools.count().__next__)
+                           for _ in range(3))
+    dtype = [("gid", np.intp), ("class", np.intp), ("frame", np.intp), ("values", float, (C,))]
     try:
-        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        frame = rows["frame"].astype(np.int64)
+        rows = np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                          encoding=None,  # converters get str, not bytes, on numpy < 2
+                          converters={0: gids.__getitem__, 1: names.__getitem__,
+                                      2: frames.__getitem__})
+        frame = np.array([int(s) for s in frames], dtype=np.int64)[rows["frame"]]
     except (ValueError, OverflowError):
         return None
-    return rows["gid"], rows["class"], frame, rows["values"]
+    return list(gids), list(names), rows["gid"], rows["class"], frame, rows["values"]
 
 
 def _line_fault(line, C, class_names, first_class):
@@ -324,23 +332,24 @@ def _line_fault(line, C, class_names, first_class):
     return "numbers must be plain ASCII decimals without '_', and frames below 2**63"
 
 
-def _good_prefix(lines, C):
+def _good_prefix(lines, C, failed=False):
     """(end, rows): lines[end] is the first bad data line, or end is
     len(lines), and rows the one parse of lines[1:end] (None for none).
 
     A line is bad when it is blank or has a "\x1f" in a value, which the
     parse skips or strips where float() refuses them, or when the parse
     refuses it. The lines before the first blank or "\x1f" line take one
-    parse; only when it fails is its first bad line found by bisection
-    (a parse fails exactly when one of its lines does), and the lines
-    before that one take one more parse.
+    parse, which ``failed`` says has already failed; only when it fails
+    is its first bad line found by bisection (a parse fails exactly when
+    one of its lines does), and the lines before that one take one more
+    parse.
     """
     end = lines.index("") if "" in lines else len(lines)
     if "\x1f" in "\n".join(lines[:end]):
         # a line of fewer than 4 fields is bad whatever its last one holds
         end = next((i for i in range(1, end) if "\x1f" in lines[i].split(",", 3)[-1]), end)
     before = lines[1:end]
-    rows = _parse_rows(before, C) if before else None
+    rows = _parse_rows(before, C) if before and not failed else None
     if before and rows is None:
         # before[:lo] parses and before[lo:hi] holds a line that does not
         lo, hi = 0, len(before)
@@ -352,6 +361,34 @@ def _good_prefix(lines, C):
                 lo = mid
         end, rows = lo + 1, _parse_rows(before[:lo], C) if lo else None
     return end, rows
+
+
+# bytes the pre-pass of load_csv reads at a time
+CSV_BLOCK = 1 << 16
+
+# the line breaks of str.splitlines but "\n", and "\x1f", which the
+# parse strips from a value where float() refuses it
+_UNCLEAN = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\x1f")
+
+
+def _clean_line_count(f):
+    """The number of lines of the binary file f, or None unless it is
+    UTF-8 with "\n" its only line break, no blank line and no character
+    of _UNCLEAN: then the parse sees each line str.splitlines() makes."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    count, last = 0, True  # whether the bytes so far end a line
+    try:
+        while block := f.read(CSV_BLOCK):
+            text = decode(block)
+            nl = np.frombuffer(block, np.uint8) == 10  # a "\n" byte is always a "\n"
+            if (last and nl[0]) or (nl[1:] & nl[:-1]).any() or any(c in text for c in _UNCLEAN):
+                return None
+            count += np.count_nonzero(nl)
+            last = nl[-1]
+        decode(b"", True)
+    except UnicodeDecodeError:
+        return None
+    return count + (not last)
 
 
 def load_csv(path):
@@ -377,66 +414,77 @@ def load_csv(path):
     is reported at its line. A file ``save_csv`` wrote loads to the same
     bits in every version.
 
-    A file with no fault takes one parse. Otherwise one search finds the
-    first bad line (blank, a "\x1f" in a value, or a line the parse
-    refuses), the lines before it take one parse and their row checks,
-    and the bad line's diagnostic is named once.
+    A file with no fault is parsed once, from the open file, after a
+    pre-pass over its bytes; a row keeps only the index of its id, class
+    and frame among their distinct strings. Lines are split only to name
+    a fault: one search finds the first bad line (blank, a "\x1f" in a
+    value, or a line the parse refuses), the lines before it take one
+    parse and their row checks, and the bad line's diagnostic is named
+    once. A failed parse of a clean file is that search's first parse.
     """
     path = Path(path)
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        # the line of the byte as splitlines() numbers the file's lines
-        raw = e.object
-        line = len((raw[:e.start].decode("utf-8") + "?").splitlines())
-        raise ValueError(f"{path}:{line}: byte 0x{raw[e.start]:02x} is not UTF-8 "
-                         f"({e.reason})") from None
-    lines = text.splitlines()
-    del text  # the lines hold it; dropped before the parse
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if header[:3] != ["gesture_id", "class", "frame"]:
-        raise ValueError(f"{path}:1: missing columns, got {lines[0]!r}")
-    chan_cols = header[3:]
-    C = len(chan_cols)
-    if chan_cols != [f"ch{c}" for c in range(C)] or C == 0:
-        raise ValueError(f"{path}:1: malformed channel columns")
+    with open(path, encoding="utf-8", newline="\n") as f:
+        count = _clean_line_count(f.buffer)
+        clean = count is not None
+        f.seek(0)
+        if clean:
+            header = f.readline().removesuffix("\n")
+        else:  # the lines are split only to name a fault
+            data = f.buffer.read()
+            try:
+                lines = data.decode("utf-8").splitlines()
+            except UnicodeDecodeError as e:
+                # the line of the byte as splitlines() numbers the file's lines
+                line = len((data[:e.start].decode("utf-8") + "?").splitlines())
+                raise ValueError(f"{path}:{line}: byte 0x{data[e.start]:02x} is not UTF-8 "
+                                 f"({e.reason})") from None
+            header, count = "".join(lines[:1]), len(lines)
+        if not count:
+            raise ValueError(f"{path}: empty file")
+        columns = header.split(",")
+        if columns[:3] != ["gesture_id", "class", "frame"]:
+            raise ValueError(f"{path}:1: missing columns, got {header!r}")
+        C = len(columns) - 3
+        if columns[3:] != [f"ch{c}" for c in range(C)] or C == 0:
+            raise ValueError(f"{path}:1: malformed channel columns")
 
-    class_names, sample_rate, extra = _read_sidecar(path)
+        class_names, sample_rate, extra = _read_sidecar(path)
 
-    if len(lines) == 1:
-        raise ValueError(f"{path}: no gesture rows")
-    end, rows = _good_prefix(lines, C)
-    if rows is None:  # the first data line is bad
-        raise ValueError(f"{path}:2: {_line_fault(lines[1], C, class_names, {})}")
-    gid, cname, frame, values = rows
-    n = len(gid)
+        if count == 1:
+            raise ValueError(f"{path}: no gesture rows")
+        rows = _parse_rows(f, C) if clean else None
+        if clean and rows is None:
+            f.seek(0)
+            lines = f.read().splitlines()
+    end = None
+    if rows is None:
+        end, rows = _good_prefix(lines, C, failed=clean)
+        if rows is None:  # the first data line is bad
+            raise ValueError(f"{path}:2: {_line_fault(lines[1], C, class_names, {})}")
+    gids, names, group, code, frame, values = rows
+    n = len(group)
 
-    # gestures in order of first appearance; a run is a stretch of rows
-    # with one gesture id, so a file of whole gestures has one per gesture
-    starts = np.flatnonzero(np.r_[True, gid[1:] != gid[:-1]])
-    groups = {}
-    run_group = [groups.setdefault(g, len(groups)) for g in gid[starts].tolist()]
-    group = np.repeat(run_group, np.diff(np.r_[starts, n]))
-    first = starts[np.unique(run_group, return_index=True)[1]]
+    # each gesture's first row: where the running maximum of the id
+    # indices, which count up from 0 in order of first appearance, reaches it
+    first = np.searchsorted(np.maximum.accumulate(group), np.arange(len(gids)))
 
     # the first row of unknown class or of a class its gesture did not
     # start with, then the first bad line
-    labels = np.array([class_names.index(c) if c in class_names else -1
-                       for c in cname[first].tolist()])
-    bad = np.flatnonzero((labels[group] < 0) | (cname != cname[first][group]))
+    known = np.array([class_names.index(c) if c in class_names else -1 for c in names])
+    labels = known[code[first]]
+    bad = np.flatnonzero((labels[group] < 0) | (code != code[first][group]))
     if bad.size:
         r = int(bad[0])
-        if cname[r] not in class_names:
-            raise ValueError(f"{path}:{r + 2}: unknown class label {cname[r]!r}")
-        raise ValueError(f"{path}:{r + 2}: class changes within gesture {gid[r]}")
-    if end < len(lines):
-        fault = _line_fault(lines[end], C, class_names, dict(zip(groups, cname[first].tolist())))
+        if known[code[r]] < 0:
+            raise ValueError(f"{path}:{r + 2}: unknown class label {names[code[r]]!r}")
+        raise ValueError(f"{path}:{r + 2}: class changes within gesture {gids[group[r]]}")
+    if end is not None and end < len(lines):
+        fault = _line_fault(lines[end], C, class_names,
+                            dict(zip(gids, [names[c] for c in code[first]])))
         raise ValueError(f"{path}:{end + 1}: {fault}")
-    bad = ~np.isfinite(values).all(axis=1)
+    bad = ~np.isfinite(values)
     if bad.any():
-        raise ValueError(f"{path}:{int(bad.argmax()) + 2}: non-finite value")
+        raise ValueError(f"{path}:{int(bad.any(axis=1).argmax()) + 2}: non-finite value")
 
     # rows gesture by gesture, each gesture's in file order
     order = np.argsort(group, kind="stable")
@@ -445,10 +493,11 @@ def load_csv(path):
     gap = np.flatnonzero(frame[order] != expected)
     if gap.size:
         r = int(order[gap[0]])
-        raise ValueError(f"{path}:{r + 2}: gap in frame indices for gesture {gid[r]}")
+        raise ValueError(f"{path}:{r + 2}: gap in frame indices for gesture {gids[group[r]]}")
     ragged = np.flatnonzero(counts != counts[0])
     if ragged.size:
         raise ValueError(f"{path}:{int(first[ragged[0]]) + 2}: ragged gestures, "
                          f"frame counts {set(counts.tolist())}")
     samples = values[order].reshape(len(counts), counts[0], C).transpose(0, 2, 1)
-    return Dataset(samples, labels, gid[first], class_names, sample_rate, extra)
+    return Dataset(samples, labels, np.array(gids, dtype=object), class_names, sample_rate,
+                   extra)

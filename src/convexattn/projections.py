@@ -38,7 +38,9 @@ def _threshold_rows(S, radius):
     w = V.cumsum(axis=1)
     w += radius
     w /= _ranks(p)
-    rho_1 = (V[:, 1:] < w[:, 1:]).sum(axis=1)  # rho - 1: j = 1 holds exactly
+    c = np.less(V, w)
+    c[:, 0] = False  # j = 1 holds exactly: c counts rho - 1, the j >= 2
+    rho_1 = c.sum(axis=1)
     rho_1 += np.arange(0, n * p, p)  # flat index of w_rho
     np.add(S, w.ravel()[rho_1][:, None], out=V)
     return np.maximum(V, 0.0, out=V)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -211,11 +212,19 @@ def test_csv_bad_sidecar_names_its_path(tmp_path, text, fault):
 HEADER = b"gesture_id,class,frame,ch0\n"
 
 
+def _at_block_end(tail, back):
+    """A header, one gesture row padded with zeros, then tail, whose first
+    byte is ``back`` bytes before the end of load_csv's first block."""
+    head = HEADER + b"0,north,0,1."
+    return head + b"0" * (dataio.CSV_BLOCK - back - len(head) - 1) + b"\n" + tail
+
+
 @pytest.mark.parametrize("data,line,byte", [
     (HEADER + b"0,north,0,1.0\n\xff", 3, "0xff"),
     (HEADER + b"0,north,0,1\xfe.0\n0,north,1,1.0\n", 2, "0xfe"),
     (HEADER.replace(b"\n", b"\r\n") + b"0,north,0,1.0\r\n0,north,1,\xe2\x82\r\n", 3, "0xe2"),
-], ids=["trailing", "in-a-value", "crlf-truncated-sequence"])
+    (_at_block_end(b"1,north,0,\xff\n", -5), 3, "0xff"),
+], ids=["trailing", "in-a-value", "crlf-truncated-sequence", "past-the-first-block"])
 def test_csv_undecodable_byte_reports_its_line(tmp_path, data, line, byte):
     p = tmp_path / "bad.csv"
     p.write_bytes(data)
@@ -345,13 +354,20 @@ def test_csv_fault_past_line_1000_reports_its_line(tmp_path, fault, message):
 
 
 def _counting_parse(monkeypatch):
-    """Count dataio._parse_rows calls from here on."""
+    """Count dataio._parse_rows calls from here on, each as the number of
+    data lines it parses: a list's length, or an open file's lines from
+    where the parse starts."""
     calls = []
     parse = dataio._parse_rows
 
-    def counted(lines, C):
-        calls.append(len(lines))
-        return parse(lines, C)
+    def counted(source, C):
+        if isinstance(source, list):
+            calls.append(len(source))
+        else:
+            start = source.tell()
+            calls.append(sum(1 for _ in source))
+            source.seek(start)
+        return parse(source, C)
 
     monkeypatch.setattr(dataio, "_parse_rows", counted)
     return calls
@@ -394,6 +410,44 @@ def test_csv_strict_fault_on_the_last_row_takes_a_bisection(tmp_path, monkeypatc
     with pytest.raises(ValueError, match=r"late\.csv:30001: numbers must be plain ASCII"):
         load_csv(p)
     assert len(calls) <= 2 * math.ceil(math.log2(len(rows))) + 2
+    # the failed parse of the clean file is the bisection's first
+    assert calls[0] == len(rows) and calls.count(len(rows)) == 1
+
+
+def test_csv_clean_file_is_parsed_once_from_the_file(tmp_path, monkeypatch):
+    # no sidecar, whose class names are checked with str.splitlines
+    rows = [f"{g},north,{t},1.0,2.0,3.0,4.0" for g in range(3000) for t in range(10)]
+    p = tmp_path / "clean.csv"
+    p.write_text("\n".join(["gesture_id,class,frame,ch0,ch1,ch2,ch3", *rows]) + "\n")
+    calls = _counting_parse(monkeypatch)
+    split = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "splitlines":
+            split.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        back = load_csv(p)
+    finally:
+        sys.setprofile(None)
+    assert calls == [30000] and split == []
+    assert back.samples.shape == (3000, 4, 10)
+
+
+def test_load_csv_peak_memory_is_bounded(tmp_path):
+    # the held-out set of perfbench's swipe-fit: 1000 swipes, 30001
+    # lines; numpy reports its buffers to tracemalloc
+    p = tmp_path / "held_out.csv"
+    save_csv(synth_generate(SynthConfig(kind="swipe", samples_per_class=250, seed=1)), p)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        load_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * p.stat().st_size
 
 
 # three faults the parse alone would not order: a blank line it skips,
@@ -829,3 +883,57 @@ def test_csv_edge_files_match_reference(tmp_path, name, rows):
         assert ours == ref
     else:
         _assert_same_dataset(ours, ref)
+
+
+def _in_row(ch):
+    """Two one-frame gestures with ch inside the second's id, class name
+    or value."""
+    return {where: (HEADER.decode() + "0,north,0,1\n" + row + "\n").encode()
+            for where, row in [("id", f"1{ch}1,south,0,2"), ("class", f"1,so{ch}uth,0,2"),
+                               ("value", f"1,south,0,2{ch}5")]}
+
+
+BYTE_FILES = {
+    "crlf": HEADER.replace(b"\n", b"\r\n") + b"0,north,0,1\r\n0,north,1,2\r\n",
+    "lone-cr": HEADER.replace(b"\n", b"\r") + b"0,north,0,1\r0,north,1,2\r",
+    "no-final-newline": HEADER + b"0,north,0,1\n0,north,1,2",
+    "bom": b"\xef\xbb\xbf" + HEADER + b"0,north,0,1\n",
+    "header-only": HEADER,
+    "header-only-no-newline": HEADER.rstrip(b"\n"),
+    "non-ascii": HEADER + "\u00e9,n\u00f6rd,0,1\n\U0001f44b,s\u00fcd,0,2\n".encode(),
+    # a character of two, two and three bytes, and a blank line, across
+    # the end of the pre-pass's first block
+    "split-id": _at_block_end("\u00e9,north,0,2\n".encode(), 1),
+    "split-class": _at_block_end("1,n\u00f6rd,0,2\n".encode(), 4),
+    "split-line-separator": _at_block_end("1,north,0,2\u20285\n".encode(), 13),
+    "split-blank-line": _at_block_end(b"\n1,north,0,2\n", 0),
+    **{f"{where}-{ord(ch):02x}": data for ch in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\x00"
+       for where, data in _in_row(ch).items()},
+}
+
+
+@pytest.mark.parametrize("data", BYTE_FILES.values(), ids=BYTE_FILES)
+def test_csv_bytes_load_as_the_line_reader_reads_them(tmp_path, data):
+    # a file the pre-pass finds clean is parsed from the file, any other
+    # is split into lines: both read what str.splitlines() makes of it
+    p = tmp_path / "g.csv"
+    p.write_bytes(data)
+    Path(f"{p}.meta.json").write_text(json.dumps(
+        {"class_names": ["north", "south", "n\u00f6rd", "s\u00fcd"], "sample_rate": 250}))
+    ours, ref = _outcome(load_csv, p), _outcome(_reference_load, p)
+    if isinstance(ref, str):
+        assert ours == ref
+    else:
+        _assert_same_dataset(ours, ref)
+
+
+def test_csv_named_like_gzip_is_read_as_written(tmp_path):
+    # np.loadtxt decompresses a path by its suffix; the parse gets an open file
+    p = tmp_path / "g.csv.gz"
+    save_csv(_tap_set(), p)
+    _assert_same_dataset(load_csv(p), _reference_load(p))
+
+
+def test_clean_check_refuses_the_other_line_breaks_and_the_unit_separator():
+    breaks = {c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) > 1}
+    assert set(dataio._UNCLEAN) == breaks - {"\n"} | {"\x1f"}
