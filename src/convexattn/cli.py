@@ -128,7 +128,7 @@ def cmd_predict(args):
     header = "gesture_id,predicted_class," + ",".join(f"score_{c}" for c in ds.class_names[:K])
     out = header + "\n" + ("%s,%s" + ",%.9g" * K + "\n") * len(f) % tuple(cells.ravel())
     if args.out:
-        Path(args.out).write_text(out)
+        Path(args.out).write_text(out, encoding="utf-8")
     else:
         sys.stdout.write(out)
     return 0

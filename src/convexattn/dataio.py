@@ -1,6 +1,5 @@
 """Gesture datasets: synthetic generation and CSV I/O."""
 
-import codecs
 import collections
 import itertools
 import json
@@ -363,29 +362,27 @@ def _good_prefix(lines, C, failed=False):
     return end, rows
 
 
-# bytes the pre-pass of load_csv reads at a time
+# characters the pre-pass of load_csv reads at a time
 CSV_BLOCK = 1 << 16
 
-# the line breaks of str.splitlines but "\n", and "\x1f", which the
-# parse strips from a value where float() refuses it
-_UNCLEAN = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\x1f")
+# the line breaks of str.splitlines that universal newlines do not
+# translate to "\n", and "\x1f", which the parse strips from a value
+# where float() refuses it
+_UNCLEAN = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\x1f")
 
 
 def _clean_line_count(f):
-    """The number of lines of the binary file f, or None unless it is
-    UTF-8 with "\n" its only line break, no blank line and no character
-    of _UNCLEAN: then the parse sees each line str.splitlines() makes."""
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    count, last = 0, True  # whether the bytes so far end a line
+    """The number of lines of the text file f, or None unless it decodes
+    and has no blank line and no character of _UNCLEAN: then the parse
+    sees each line str.splitlines() makes."""
+    count, last = 0, True  # whether the text so far ends a line
     try:
-        while block := f.read(CSV_BLOCK):
-            text = decode(block)
-            nl = np.frombuffer(block, np.uint8) == 10  # a "\n" byte is always a "\n"
+        while text := f.read(CSV_BLOCK):
+            nl = np.frombuffer(text.encode(), np.uint8) == 10  # a "\n" byte is always a "\n"
             if (last and nl[0]) or (nl[1:] & nl[:-1]).any() or any(c in text for c in _UNCLEAN):
                 return None
             count += np.count_nonzero(nl)
             last = nl[-1]
-        decode(b"", True)
     except UnicodeDecodeError:
         return None
     return count + (not last)
@@ -410,33 +407,35 @@ def load_csv(path):
     line 100. Ids and class names are kept as written, frames are read
     as int() reads them, and values as float() does except that a value
     with '_' or non-ASCII digits is refused at its line. The file is
-    read as UTF-8 whatever the locale, and a byte that does not decode
-    is reported at its line. A file ``save_csv`` wrote loads to the same
-    bits in every version.
+    read as UTF-8 text whatever the locale, with universal newlines
+    ("\r\n" and "\r" end a line as "\n" does), and a byte that does not
+    decode is reported at its line. A file ``save_csv`` wrote loads to
+    the same bits in every version.
 
-    A file with no fault is parsed once, from the open file, after a
-    pre-pass over its bytes; a row keeps only the index of its id, class
-    and frame among their distinct strings. Lines are split only to name
-    a fault: one search finds the first bad line (blank, a "\x1f" in a
-    value, or a line the parse refuses), the lines before it take one
-    parse and their row checks, and the bad line's diagnostic is named
-    once. A failed parse of a clean file is that search's first parse.
+    An LF, CRLF or CR file with no fault is parsed once, from the open
+    file, after a pre-pass over its text; a row keeps only the index of
+    its id, class and frame among their distinct strings. Lines are split
+    only to name a fault, or for the other line breaks: one search finds
+    the first bad line (blank, a "\x1f" in a value, or a line the parse
+    refuses), the lines before it take one parse and their row checks,
+    and the bad line's diagnostic is named once. A failed parse of a
+    clean file is that search's first parse.
     """
     path = Path(path)
-    with open(path, encoding="utf-8", newline="\n") as f:
-        count = _clean_line_count(f.buffer)
+    with open(path, encoding="utf-8") as f:
+        count = _clean_line_count(f)
         clean = count is not None
         f.seek(0)
         if clean:
             header = f.readline().removesuffix("\n")
         else:  # the lines are split only to name a fault
-            data = f.buffer.read()
             try:
-                lines = data.decode("utf-8").splitlines()
+                lines = f.read().splitlines()
             except UnicodeDecodeError as e:
-                # the line of the byte as splitlines() numbers the file's lines
-                line = len((data[:e.start].decode("utf-8") + "?").splitlines())
-                raise ValueError(f"{path}:{line}: byte 0x{data[e.start]:02x} is not UTF-8 "
+                # e.object holds the file's bytes from its start: the line
+                # of the byte as splitlines() numbers the file's lines
+                line = len((e.object[:e.start].decode("utf-8") + "?").splitlines())
+                raise ValueError(f"{path}:{line}: byte 0x{e.object[e.start]:02x} is not UTF-8 "
                                  f"({e.reason})") from None
             header, count = "".join(lines[:1]), len(lines)
         if not count:

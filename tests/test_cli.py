@@ -187,6 +187,22 @@ def test_predict_output_schema(workdir, capsys):
     assert correct >= 40 * 0.99
 
 
+def test_predict_out_is_utf8_whatever_the_locale(workdir, tmp_path, capsys):
+    # load_csv reads UTF-8 whatever the locale, and --out writes the ids
+    # it kept as UTF-8 too
+    d, data, _, model = workdir
+    lines = data.read_text(encoding="utf-8").splitlines()
+    accented = tmp_path / "accented.csv"
+    accented.write_text("\n".join(lines[:1] + ["g\u00e9" + line for line in lines[1:]]) + "\n",
+                        encoding="utf-8")
+    out = tmp_path / "predicted.csv"
+    assert run(capsys, "predict", "--model", str(model), "--data", str(accented),
+               "--out", str(out)) == (0, "", "")
+    code, stdout, _ = run(capsys, "predict", "--model", str(model), "--data", str(accented))
+    assert code == 0 and "\ng\u00e90," in stdout
+    assert out.read_bytes() == stdout.encode("utf-8")
+
+
 def test_predict_bad_model_exit_2(workdir, tmp_path, capsys):
     d, data, _, _ = workdir
     bad = tmp_path / "junk.model"

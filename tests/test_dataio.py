@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -96,21 +97,21 @@ def test_csv_round_trip(tmp_path):
 
 def test_csv_header_rejected(tmp_path):
     p = tmp_path / "bad.csv"
-    p.write_text("id,class,frame,ch0\n0,north,0,1.0\n")
+    p.write_text("id,class,frame,ch0\n0,north,0,1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="missing columns"):
         load_csv(p)
 
 
 def test_csv_bad_class_rejected(tmp_path):
     p = tmp_path / "bad.csv"
-    p.write_text("gesture_id,class,frame,ch0\n0,upward,0,1.0\n")
+    p.write_text("gesture_id,class,frame,ch0\n0,upward,0,1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown class"):
         load_csv(p)
 
 
 def test_csv_header_only_rejected(tmp_path):
     p = tmp_path / "empty.csv"
-    p.write_text("gesture_id,class,frame,ch0,ch1\n")
+    p.write_text("gesture_id,class,frame,ch0,ch1\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"empty\.csv: no gesture rows"):
         load_csv(p)
 
@@ -118,7 +119,8 @@ def test_csv_header_only_rejected(tmp_path):
 def test_csv_frame_gap_rejected(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text(
-        "gesture_id,class,frame,ch0\n0,north,0,1.0\n0,north,2,1.0\n"
+        "gesture_id,class,frame,ch0\n0,north,0,1.0\n0,north,2,1.0\n",
+        encoding="utf-8",
     )
     with pytest.raises(ValueError, match=r"bad\.csv:3: gap in frame indices for gesture 0$"):
         load_csv(p)
@@ -126,7 +128,8 @@ def test_csv_frame_gap_rejected(tmp_path):
     # on line 6 is reported before gesture 3's on line 4
     p.write_text(
         "gesture_id,class,frame,ch0\n5,north,0,1\n3,south,0,1\n3,south,2,1\n"
-        "5,north,1,1\n5,north,3,1\n"
+        "5,north,1,1\n5,north,3,1\n",
+        encoding="utf-8",
     )
     with pytest.raises(ValueError, match=r"bad\.csv:6: gap in frame indices for gesture 5$"):
         load_csv(p)
@@ -134,7 +137,7 @@ def test_csv_frame_gap_rejected(tmp_path):
 
 def test_csv_field_count_rejected(tmp_path):
     p = tmp_path / "bad.csv"
-    p.write_text("gesture_id,class,frame,ch0,ch1\n0,north,0,1.0\n")
+    p.write_text("gesture_id,class,frame,ch0,ch1\n0,north,0,1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="expected 5 fields"):
         load_csv(p)
 
@@ -143,14 +146,16 @@ def test_csv_ragged_rejected(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text(
         "gesture_id,class,frame,ch0\n"
-        "0,north,0,1.0\n0,north,1,1.0\n1,south,0,1.0\n"
+        "0,north,0,1.0\n0,north,1,1.0\n1,south,0,1.0\n",
+        encoding="utf-8",
     )
     with pytest.raises(ValueError, match=r"bad\.csv:4: ragged gestures"):
         load_csv(p)
     # the first gesture sets the count: gesture 1 is reported, not 0
     p.write_text(
         "gesture_id,class,frame,ch0\n"
-        "0,north,0,1.0\n1,south,0,1.0\n1,south,1,1.0\n2,east,0,1.0\n2,east,1,1.0\n"
+        "0,north,0,1.0\n1,south,0,1.0\n1,south,1,1.0\n2,east,0,1.0\n2,east,1,1.0\n",
+        encoding="utf-8",
     )
     with pytest.raises(ValueError, match=r"bad\.csv:3: ragged gestures"):
         load_csv(p)
@@ -213,17 +218,19 @@ HEADER = b"gesture_id,class,frame,ch0\n"
 
 
 def _at_block_end(tail, back):
-    """A header, one gesture row padded with zeros, then tail, whose first
-    byte is ``back`` bytes before the end of load_csv's first block."""
+    """A header and one gesture row padded with zeros, then tail, whose
+    first character is ``back`` characters before the end of the
+    pre-pass's first block. Up to tail the file is ASCII with "\n" line
+    ends, so there a character is a byte."""
     head = HEADER + b"0,north,0,1."
-    return head + b"0" * (dataio.CSV_BLOCK - back - len(head) - 1) + b"\n" + tail
+    return head + b"0" * (dataio.CSV_BLOCK - back - len(head)) + tail
 
 
 @pytest.mark.parametrize("data,line,byte", [
     (HEADER + b"0,north,0,1.0\n\xff", 3, "0xff"),
     (HEADER + b"0,north,0,1\xfe.0\n0,north,1,1.0\n", 2, "0xfe"),
     (HEADER.replace(b"\n", b"\r\n") + b"0,north,0,1.0\r\n0,north,1,\xe2\x82\r\n", 3, "0xe2"),
-    (_at_block_end(b"1,north,0,\xff\n", -5), 3, "0xff"),
+    (_at_block_end(b"\n1,north,0,\xff\n", -4), 3, "0xff"),
 ], ids=["trailing", "in-a-value", "crlf-truncated-sequence", "past-the-first-block"])
 def test_csv_undecodable_byte_reports_its_line(tmp_path, data, line, byte):
     p = tmp_path / "bad.csv"
@@ -284,10 +291,10 @@ def test_synth_config_validation():
 
 def test_csv_nonnumeric_fields_report_line(tmp_path):
     p = tmp_path / "bad.csv"
-    p.write_text("gesture_id,class,frame,ch0\n0,north,0,1.0\n0,north,1.5,2.0\n")
+    p.write_text("gesture_id,class,frame,ch0\n0,north,0,1.0\n0,north,1.5,2.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.csv:3: frame '1\.5' is not an integer"):
         load_csv(p)
-    p.write_text("gesture_id,class,frame,ch0\n0,north,0,abc\n")
+    p.write_text("gesture_id,class,frame,ch0\n0,north,0,abc\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.csv:2: .*'abc'"):
         load_csv(p)
 
@@ -295,18 +302,19 @@ def test_csv_nonnumeric_fields_report_line(tmp_path):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_csv_nonfinite_value_reports_line(tmp_path, value):
     p = tmp_path / "bad.csv"
-    p.write_text("gesture_id,class,frame,ch0\n0,north,0,nan\n".replace("nan", value))
+    p.write_text("gesture_id,class,frame,ch0\n0,north,0,nan\n".replace("nan", value),
+                 encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.csv:2: non-finite value"):
         load_csv(p)
     p.write_text("gesture_id,class,frame,ch0,ch1\n0,north,0,1,2\n1,south,0,3,4\n"
-                 f"0,north,1,5,6\n1,south,1,{value},8\n")
+                 f"0,north,1,5,6\n1,south,1,{value},8\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.csv:5: non-finite value"):
         load_csv(p)
 
 
 def test_csv_empty_file_rejected(tmp_path):
     p = tmp_path / "void.csv"
-    p.write_text("")
+    p.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match=r"void\.csv: empty file"):
         load_csv(p)
 
@@ -314,7 +322,7 @@ def test_csv_empty_file_rejected(tmp_path):
 def test_csv_class_change_within_gesture_reports_line(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("gesture_id,class,frame,ch0\n0,north,0,1\n1,east,0,2\n"
-                 "0,south,1,3\n1,east,1,4\n")
+                 "0,south,1,3\n1,east,1,4\n", encoding="utf-8")
     with pytest.raises(ValueError,
                        match=r"bad\.csv:4: class changes within gesture 0$"):
         load_csv(p)
@@ -323,13 +331,14 @@ def test_csv_class_change_within_gesture_reports_line(tmp_path):
 def test_csv_blank_line_reports_line(tmp_path):
     # a blank line is a row with one field, never skipped
     p = tmp_path / "bad.csv"
-    p.write_text("gesture_id,class,frame,ch0,ch1\n0,north,0,1,2\n\n0,north,1,3,4\n")
+    p.write_text("gesture_id,class,frame,ch0,ch1\n0,north,0,1,2\n\n0,north,1,3,4\n",
+                 encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.csv:3: expected 5 fields$"):
         load_csv(p)
-    p.write_text("gesture_id,class,frame,ch0,ch1\n\n\n")
+    p.write_text("gesture_id,class,frame,ch0,ch1\n\n\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.csv:2: expected 5 fields$"):
         load_csv(p)
-    p.write_text("gesture_id,class,frame,ch0,ch1\n0,north,0,1,2\n\n")
+    p.write_text("gesture_id,class,frame,ch0,ch1\n0,north,0,1,2\n\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.csv:3: expected 5 fields$"):
         load_csv(p)
 
@@ -348,7 +357,7 @@ def test_csv_fault_past_line_1000_reports_its_line(tmp_path, fault, message):
     rows = [f"{g},north,{t},1.0,2.0" for g in range(1, 750) for t in range(2)]
     p = tmp_path / "long.csv"
     p.write_text("\n".join(["gesture_id,class,frame,ch0,ch1", *rows,
-                            "0,north,0,1.0,2.0", fault]) + "\n")
+                            "0,north,0,1.0,2.0", fault]) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"long\.csv:1501: {re.escape(message)}$"):
         load_csv(p)
 
@@ -379,7 +388,7 @@ def test_csv_late_fault_parses_the_lines_before_it_once(tmp_path, monkeypatch):
     rows = [f"{g},north,{t},1.0,2.0,3.0,4.0" for g in range(3000) for t in range(10)]
     p = tmp_path / "late.csv"
     p.write_text("\n".join(["gesture_id,class,frame,ch0,ch1,ch2,ch3",
-                            *rows[:-1], "", rows[-1]]) + "\n")
+                            *rows[:-1], "", rows[-1]]) + "\n", encoding="utf-8")
     calls = _counting_parse(monkeypatch)
     with pytest.raises(ValueError, match=r"late\.csv:30001: expected 7 fields$"):
         load_csv(p)
@@ -391,7 +400,7 @@ def test_csv_strict_fault_before_a_blank_line_is_found_by_bisection(tmp_path, mo
     # first line parses and the second does not
     p = tmp_path / "odd.csv"
     p.write_text("gesture_id,class,frame,ch0\n0,north,0,1\n0,north,1,1_0\n"
-                 "0,north,2,2\n\n0,north,3,3\n")
+                 "0,north,2,2\n\n0,north,3,3\n", encoding="utf-8")
     calls = _counting_parse(monkeypatch)
     with pytest.raises(ValueError, match=r"odd\.csv:3: numbers must be plain ASCII"):
         load_csv(p)
@@ -405,7 +414,8 @@ def test_csv_strict_fault_on_the_last_row_takes_a_bisection(tmp_path, monkeypatc
     rows = [f"{g},north,{t},1.0,2.0,3.0,4.0" for g in range(3000) for t in range(10)]
     rows[-1] = rows[-1].replace("4.0", "4_0")
     p = tmp_path / "late.csv"
-    p.write_text("\n".join(["gesture_id,class,frame,ch0,ch1,ch2,ch3", *rows]) + "\n")
+    p.write_text("\n".join(["gesture_id,class,frame,ch0,ch1,ch2,ch3", *rows]) + "\n",
+                 encoding="utf-8")
     calls = _counting_parse(monkeypatch)
     with pytest.raises(ValueError, match=r"late\.csv:30001: numbers must be plain ASCII"):
         load_csv(p)
@@ -414,11 +424,16 @@ def test_csv_strict_fault_on_the_last_row_takes_a_bisection(tmp_path, monkeypatc
     assert calls[0] == len(rows) and calls.count(len(rows)) == 1
 
 
-def test_csv_clean_file_is_parsed_once_from_the_file(tmp_path, monkeypatch):
+NEWLINES = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
+
+
+@pytest.mark.parametrize("newline", NEWLINES.values(), ids=NEWLINES)
+def test_csv_clean_file_is_parsed_once_from_the_file(tmp_path, monkeypatch, newline):
     # no sidecar, whose class names are checked with str.splitlines
     rows = [f"{g},north,{t},1.0,2.0,3.0,4.0" for g in range(3000) for t in range(10)]
     p = tmp_path / "clean.csv"
-    p.write_text("\n".join(["gesture_id,class,frame,ch0,ch1,ch2,ch3", *rows]) + "\n")
+    text = "\n".join(["gesture_id,class,frame,ch0,ch1,ch2,ch3", *rows]) + "\n"
+    p.write_bytes(text.encode().replace(b"\n", newline))
     calls = _counting_parse(monkeypatch)
     split = []
 
@@ -435,11 +450,13 @@ def test_csv_clean_file_is_parsed_once_from_the_file(tmp_path, monkeypatch):
     assert back.samples.shape == (3000, 4, 10)
 
 
-def test_load_csv_peak_memory_is_bounded(tmp_path):
+@pytest.mark.parametrize("newline", NEWLINES.values(), ids=NEWLINES)
+def test_load_csv_peak_memory_is_bounded(tmp_path, newline):
     # the held-out set of perfbench's swipe-fit: 1000 swipes, 30001
     # lines; numpy reports its buffers to tracemalloc
     p = tmp_path / "held_out.csv"
     save_csv(synth_generate(SynthConfig(kind="swipe", samples_per_class=250, seed=1)), p)
+    p.write_bytes(p.read_bytes().replace(b"\n", newline))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -464,14 +481,14 @@ ROW_FAULTS = {
 def test_csv_first_of_three_faults_is_reported_at_its_line(tmp_path, monkeypatch, order):
     rows = [f"0,north,{t},{t}" for t in range(8)]
     p = tmp_path / "g.csv"
-    p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n")
+    p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n", encoding="utf-8")
     calls = _counting_parse(monkeypatch)
     load_csv(p)
     assert calls == [8]
     # the faults on rows 2, 4 and 6, at lines 4, 6 and 8
     for t, name in zip((2, 4, 6), order):
         rows[t] = ROW_FAULTS[name][0](t)
-    p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n")
+    p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n", encoding="utf-8")
     assert _outcome(load_csv, p) == f"{p}:4: {ROW_FAULTS[order[0]][1]}"
 
 
@@ -590,12 +607,12 @@ def _reference_save(dataset, path):
         for t in range(X.shape[1]):
             vals = ",".join(f"{v:.17g}" for v in X[:, t])
             lines.append(f"{gid},{name},{t},{vals}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _reference_load(path):
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -606,7 +623,7 @@ def _reference_load(path):
         raise ValueError(f"{path}:1: malformed channel columns")
     sidecar = Path(f"{path}.meta.json")
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
         class_names, sample_rate = tuple(meta["class_names"]), meta["sample_rate"]
         extra = meta.get("meta", {})
     else:
@@ -814,7 +831,7 @@ def corrupted_files(draw):
 @given(text=corrupted_files())
 def test_load_csv_matches_reference_on_corrupt_files(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("bad") / "g.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     ours, ref = _outcome(load_csv, path), _outcome(_reference_load, path)
     if isinstance(ref, str):
         assert ours == ref
@@ -827,7 +844,7 @@ def test_csv_value_syntax_only_float_takes_is_rejected_with_its_line(tmp_path, v
     # float() reads '_' separators and non-ASCII digits; the loader's
     # parse does not, and names the line
     p = tmp_path / "odd.csv"
-    p.write_text(f"gesture_id,class,frame,ch0\n0,north,0,1\n0,north,1,{value}\n")
+    p.write_text(f"gesture_id,class,frame,ch0\n0,north,0,1\n0,north,1,{value}\n", encoding="utf-8")
     assert _reference_load(p).samples[0, 0, 1] == float(value)
     with pytest.raises(ValueError, match=r"odd\.csv:3: numbers must be plain ASCII"):
         load_csv(p)
@@ -838,7 +855,7 @@ def test_csv_value_syntax_fault_reported_before_a_later_fault(tmp_path):
     # that int() and float() see
     p = tmp_path / "odd.csv"
     p.write_text("gesture_id,class,frame,ch0\n0,north,0,1_0\n0,north,1,2\n"
-                 "1,east,0,3\n1,west,1,4\n")
+                 "1,east,0,3\n1,west,1,4\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"odd\.csv:2: numbers must be plain ASCII"):
         load_csv(p)
     assert _outcome(_reference_load, p) == f"{p}:5: class changes within gesture 1"
@@ -848,7 +865,8 @@ def test_csv_frame_beyond_int64_rejected_with_its_line(tmp_path):
     # int() reads it and the per-line loader reported a frame gap; the
     # parse holds frames as int64 and names the line
     p = tmp_path / "odd.csv"
-    p.write_text("gesture_id,class,frame,ch0\n0,north,0,1\n0,north,9223372036854775808,2\n")
+    p.write_text("gesture_id,class,frame,ch0\n0,north,0,1\n0,north,9223372036854775808,2\n",
+                 encoding="utf-8")
     with pytest.raises(ValueError, match="gap in frame indices for gesture 0"):
         _reference_load(p)
     with pytest.raises(ValueError, match=r"odd\.csv:3: numbers must be plain ASCII"):
@@ -859,7 +877,7 @@ def test_csv_frame_beyond_int64_rejected_with_its_line(tmp_path):
 def test_csv_frame_reads_as_int_does(tmp_path, frame, expected):
     p = tmp_path / "g.csv"
     rows = [f"0,north,{t},{t}" for t in range(10)] + [f"0,north,{frame},10"]
-    p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n")
+    p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n", encoding="utf-8")
     back = load_csv(p)
     assert back.samples.shape == (1, 1, expected + 1)
     _assert_same_dataset(back, _reference_load(p))
@@ -877,7 +895,7 @@ def test_csv_frame_reads_as_int_does(tmp_path, frame, expected):
 ])
 def test_csv_edge_files_match_reference(tmp_path, name, rows):
     p = tmp_path / "g.csv"
-    p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n")
+    p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n", encoding="utf-8")
     ours, ref = _outcome(load_csv, p), _outcome(_reference_load, p)
     if isinstance(ref, str):
         assert ours == ref
@@ -901,12 +919,14 @@ BYTE_FILES = {
     "header-only": HEADER,
     "header-only-no-newline": HEADER.rstrip(b"\n"),
     "non-ascii": HEADER + "\u00e9,n\u00f6rd,0,1\n\U0001f44b,s\u00fcd,0,2\n".encode(),
-    # a character of two, two and three bytes, and a blank line, across
-    # the end of the pre-pass's first block
-    "split-id": _at_block_end("\u00e9,north,0,2\n".encode(), 1),
-    "split-class": _at_block_end("1,n\u00f6rd,0,2\n".encode(), 4),
-    "split-line-separator": _at_block_end("1,north,0,2\u20285\n".encode(), 13),
-    "split-blank-line": _at_block_end(b"\n1,north,0,2\n", 0),
+    # the end of the pre-pass's first block: a character of two, two and
+    # three bytes as its last character, and a blank line's two "\n" and
+    # a "\r\n" on either side of it
+    "split-id": _at_block_end("\n\u00e9,north,0,2\n".encode(), 2),
+    "split-class": _at_block_end("\n1,n\u00f6rd,0,2\n".encode(), 5),
+    "split-line-separator": _at_block_end("\n1,north,0,2\u20285\n".encode(), 13),
+    "split-blank-line": _at_block_end(b"\n\n1,north,0,2\n", 1),
+    "split-crlf": _at_block_end(b"\r\n1,north,0,2\r\n", 1),
     **{f"{where}-{ord(ch):02x}": data for ch in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\x00"
        for where, data in _in_row(ch).items()},
 }
@@ -915,11 +935,13 @@ BYTE_FILES = {
 @pytest.mark.parametrize("data", BYTE_FILES.values(), ids=BYTE_FILES)
 def test_csv_bytes_load_as_the_line_reader_reads_them(tmp_path, data):
     # a file the pre-pass finds clean is parsed from the file, any other
-    # is split into lines: both read what str.splitlines() makes of it
+    # is split into lines: both read what str.splitlines() makes of it,
+    # with "\r\n" and "\r" read as "\n"
     p = tmp_path / "g.csv"
     p.write_bytes(data)
-    Path(f"{p}.meta.json").write_text(json.dumps(
-        {"class_names": ["north", "south", "n\u00f6rd", "s\u00fcd"], "sample_rate": 250}))
+    names = ["north", "south", "n\u00f6rd", "s\u00fcd"]
+    Path(f"{p}.meta.json").write_text(json.dumps({"class_names": names, "sample_rate": 250}),
+                                      encoding="utf-8")
     ours, ref = _outcome(load_csv, p), _outcome(_reference_load, p)
     if isinstance(ref, str):
         assert ours == ref
@@ -936,4 +958,9 @@ def test_csv_named_like_gzip_is_read_as_written(tmp_path):
 
 def test_clean_check_refuses_the_other_line_breaks_and_the_unit_separator():
     breaks = {c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) > 1}
-    assert set(dataio._UNCLEAN) == breaks - {"\n"} | {"\x1f"}
+    assert set(dataio._UNCLEAN) == breaks - {"\n", "\r"} | {"\x1f"}
+    # read as text with universal newlines, as load_csv reads a file, the
+    # breaks left out of _UNCLEAN end a line as "\n" and the others stay
+    for c in breaks:
+        text = io.TextIOWrapper(io.BytesIO(f"a{c}b".encode()), encoding="utf-8").read()
+        assert text == (f"a{c}b" if c in dataio._UNCLEAN else "a\nb"), repr(c)

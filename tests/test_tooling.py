@@ -4,6 +4,7 @@ import importlib
 import inspect
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -49,6 +50,26 @@ def test_perfbench_tap_serve_traced_counts():
     # (serialize, deserialize, patchify, features_for, class_scores) is a
     # failed operation
     run_tap_serve("--trace", "1")
+
+
+# the cases whose files hold non-ASCII text: each reads and writes it as UTF-8
+LOCALE_SENSITIVE = (
+    "tests/test_dataio.py::test_csv_value_syntax_only_float_takes_is_rejected_with_its_line",
+    "tests/test_dataio.py::test_csv_frame_reads_as_int_does",
+    "tests/test_dataio.py::test_csv_bytes_load_as_the_line_reader_reads_them",
+    "tests/test_cli.py::test_predict_out_is_utf8_whatever_the_locale",
+)
+
+
+def test_non_ascii_cases_pass_under_an_ascii_locale():
+    # the C locale, with neither UTF-8 mode nor C-locale coercion: a file
+    # the package or a test opens with the locale's encoding fails here
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *LOCALE_SENSITIVE],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_no_unused_imports():
