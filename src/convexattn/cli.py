@@ -243,7 +243,8 @@ def build_parser():
     s.add_argument("--mode", choices=["kfold", "split"], default="kfold")
     s.add_argument("--folds", type=int, default=10)
     s.add_argument("--jobs", type=int, default=1,
-                   help="fold-level worker processes (results identical)")
+                   help="fold-level worker processes, at most one per fold "
+                        "(results identical)")
     add_cfg(s)
     s.set_defaults(func=cmd_eval)
 

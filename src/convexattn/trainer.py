@@ -258,8 +258,9 @@ def kfold_evaluate(dataset, config, folds=10, jobs=1):
     checked) before any fold trains. Std is the population standard
     deviation.
 
-    jobs > 1 trains folds in worker processes; the pool's map yields
-    their results in fold order, so the report is identical either way.
+    jobs > 1 trains folds in worker processes, at most one per fold; the
+    pool's map yields their results in fold order, so the report is
+    identical either way.
     """
     check_numbers(dict(folds=folds), numbers.Integral, least=2)
     check_numbers(dict(jobs=jobs), numbers.Integral, least=1)
@@ -274,7 +275,7 @@ def kfold_evaluate(dataset, config, folds=10, jobs=1):
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, folds)) as pool:
             results = list(pool.map(_run_fold, work))
     return CvResult(
         fold_accuracy=[acc for acc, _ in results],

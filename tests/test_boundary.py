@@ -24,7 +24,15 @@ from hypothesis import strategies as st
 
 from convexattn.features import PatchSpec, patchify, rff_init, rff_transform, zscore_fit
 from convexattn.losses import hinge_loss, one_hot, squared_loss
-from convexattn.model import ModelBundle, batch_class_scores, class_scores, predict, scores
+from convexattn.model import (
+    ModelBundle,
+    batch_class_scores,
+    class_scores,
+    deserialize,
+    predict,
+    scores,
+    serialize,
+)
 from convexattn.numutil import RngStream, check_labels, svd_thin
 from convexattn.projections import (
     nuclear_ball_project,
@@ -308,6 +316,11 @@ EXAMPLES = {
         "patches must be finite, and small enough that x W + b does not overflow"),
     "rff-wrong-dim": (lambda: rff_transform(np.zeros((2, 5)), RMAP),
                       "patches shape (2, 5) does not match map patch_dim 4"),
+    "serialize-16-bit": (lambda: serialize(BUNDLE, 16), "precision must be 32 or 64, got 16"),
+    # the header's loss-kind byte, at offset 7, one past the last kind
+    "deserialize-loss-kind-2": (
+        lambda: deserialize(serialize(BUNDLE)[:7] + b"\x02" + serialize(BUNDLE)[8:]),
+        "bad loss kind 2"),
 }
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convexattn import cli, dataio
+from convexattn import cli, dataio, trainer
 from convexattn.cli import main
 from convexattn.model import load_model, predict, save_model
 
@@ -51,13 +51,6 @@ def test_synth_writes_csv_and_sidecar(tmp_path, capsys):
     assert "8 samples" in stdout
     assert out.exists()
     assert (tmp_path / "g.csv.meta.json").exists()
-
-
-def test_synth_bad_kind_exit_2(tmp_path, capsys):
-    code, _, err = run(capsys, "synth", "--kind", "pinch",
-                       "--out", str(tmp_path / "x.csv"))
-    assert code == 2
-    assert "valid kinds" in err
 
 
 @pytest.mark.parametrize("flag,value,field", [
@@ -103,63 +96,19 @@ def test_train_deterministic_model_bytes(workdir, tmp_path, capsys):
     assert m1.read_bytes() == m2.read_bytes()
 
 
-def test_train_missing_data_exit_2(workdir, capsys):
-    d, _, cfg, _ = workdir
-    code, _, err = run(capsys, "train", "--data", str(d / "nope.csv"),
-                       "--config", str(cfg), "--out-model", str(d / "m"))
-    assert code == 2
-    assert "not found" in err
-
-
-def test_train_without_config_exit_2(workdir, capsys):
-    d, data, _, _ = workdir
-    code, _, err = run(capsys, "train", "--data", str(data),
-                       "--out-model", str(d / "m"))
-    assert code == 2
-    assert "--preset or --config" in err
-
-
-def test_unknown_config_key_exit_2(workdir, tmp_path, capsys):
-    d, data, _, _ = workdir
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"learning_rate": 0.1}')
-    code, _, err = run(capsys, "train", "--data", str(data),
-                       "--config", str(bad), "--out-model", str(d / "m"))
-    assert code == 2
-    assert "unknown config keys" in err
-
-
-def test_unknown_loss_kind_exit_2(workdir, tmp_path, capsys):
-    d, data, cfg, _ = workdir
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(dict(json.loads(cfg.read_text()), loss_kind="Hinge")))
-    code, _, err = run(capsys, "train", "--data", str(data),
-                       "--config", str(bad), "--out-model", str(d / "m"))
-    assert code == 2
-    assert "unknown loss kind 'Hinge'" in err
-    assert "Traceback" not in err
-
-
-def test_config_not_an_object_exit_2(workdir, tmp_path, capsys):
-    d, data, _, _ = workdir
-    bad = tmp_path / "bad.json"
-    bad.write_text("5")
-    code, _, err = run(capsys, "train", "--data", str(data),
-                       "--config", str(bad), "--out-model", str(d / "m"))
-    assert code == 2
-    assert "JSON object" in err
-
-
-def test_config_missing_frames_exit_2(workdir, tmp_path, capsys):
-    d, data, cfg, _ = workdir
-    values = json.loads(cfg.read_text())
-    del values["frames"]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(values))
-    code, _, err = run(capsys, "train", "--data", str(data),
-                       "--config", str(bad), "--out-model", str(d / "m"))
-    assert code == 2
-    assert "frames" in err
+def test_train_report_holds_what_train_reports(workdir, tmp_path, capsys):
+    # one line per epoch from 1: the loss, train accuracy and nuclear
+    # norm of trainer.train on the same data and config, as printed
+    _, data, _, _ = workdir
+    cfg, report = tmp_path / "cfg.json", tmp_path / "report.tsv"
+    cfg.write_text('{"epochs": 3}')
+    code, _, err = run(capsys, "train", "--data", str(data), "--preset", "tap", "--config",
+                       str(cfg), "--out-model", str(tmp_path / "m"), "--report", str(report))
+    assert code == 0, err
+    _, rep = trainer.train(dataio.load_csv(data), trainer.config_from(json.loads(config_line(err))))
+    rows = zip(rep.epoch_loss, rep.epoch_accuracy, rep.epoch_nuclear_norm)
+    assert report.read_text().splitlines() == ["epoch\tloss\ttrain_accuracy\tnuclear_norm", *(
+        f"{i}\t{loss:.12g}\t{acc:.6f}\t{norm:.12g}" for i, (loss, acc, norm) in enumerate(rows, 1))]
 
 
 def test_unknown_preset_exit_2(workdir, capsys):
@@ -201,15 +150,6 @@ def test_predict_out_is_utf8_whatever_the_locale(workdir, tmp_path, capsys):
     code, stdout, _ = run(capsys, "predict", "--model", str(model), "--data", str(accented))
     assert code == 0 and "\ng\u00e90," in stdout
     assert out.read_bytes() == stdout.encode("utf-8")
-
-
-def test_predict_bad_model_exit_2(workdir, tmp_path, capsys):
-    d, data, _, _ = workdir
-    bad = tmp_path / "junk.model"
-    bad.write_bytes(b"not a model at all")
-    code, _, err = run(capsys, "predict", "--model", str(bad),
-                       "--data", str(data))
-    assert code == 2
 
 
 def test_verify_passes_on_trained_model(workdir, capsys):
@@ -306,39 +246,6 @@ def test_predict_one_channel_csv_exit_2(workdir, tmp_path, capsys):
     assert stdout == ""
 
 
-def test_config_variance_meta_rejected_exit_2(workdir, tmp_path, capsys):
-    d, data, cfg, _ = workdir
-    bad = tmp_path / "old.json"
-    bad.write_text(json.dumps(dict(json.loads(cfg.read_text()), variance_meta=50)))
-    code, _, err = run(capsys, "train", "--data", str(data),
-                       "--config", str(bad), "--out-model", str(d / "m"))
-    assert code == 2
-    assert "variance_meta" in err
-
-
-@pytest.mark.parametrize("command", ["verify", "bench", "export"])
-def test_header_only_csv_exit_2(workdir, tmp_path, capsys, command):
-    d, _, _, model = workdir
-    empty = tmp_path / "empty.csv"
-    empty.write_text("gesture_id,class,frame,ch0,ch1,ch2,ch3\n")
-    extra = ["--out", str(tmp_path / "m32")] if command == "export" else []
-    code, stdout, err = run(capsys, command, "--model", str(model),
-                            "--data", str(empty), *extra)
-    assert code == 2
-    assert "no gesture rows" in err
-    assert "label parity" not in stdout
-
-
-@pytest.mark.parametrize("iters", ["0", "-1"])
-def test_bench_nonpositive_iters_exit_2(workdir, capsys, iters):
-    d, data, _, model = workdir
-    code, stdout, err = run(capsys, "bench", "--model", str(model),
-                            "--data", str(data), "--iters", iters)
-    assert code == 2
-    assert "--iters must be >= 1" in err
-    assert stdout == ""
-
-
 @pytest.mark.parametrize("noise,message", [
     ("0", "--noise must be > 0, got 0.0"),
     ("-1", "--noise must be > 0, got -1.0"),
@@ -366,13 +273,16 @@ def swipe_csv(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def bad_files(workdir, tmp_path_factory):
-    """Copies of the tap CSV, each with a sidecar load_csv must refuse,
-    its first three lines followed by a line that is not UTF-8, its
-    first two classes alone, and the config with a byte that is not
-    UTF-8, configs with a bad field, its taps scaled by 1e200 and set
-    to +-1e308, whose z-score statistics overflow, and the model with
-    norm stats of a tap model trained on taps scaled by 1e40, past the
-    32-bit range, by the placeholder name the fault table uses."""
+    """The fault table's bad inputs, by placeholder name: copies of the
+    tap CSV with a sidecar load_csv must refuse ({meta_*}), its first
+    three lines and a line that is not UTF-8 ({not_utf8}), its header
+    alone ({header_only}), its first two classes alone ({two_classes}),
+    its taps scaled by 1e200 ({huge}) and set to +-1e308 ({near_max}),
+    whose z-score statistics overflow; the tap model with norm stats
+    past the 32-bit range ({big_model}) and a file too short for a model
+    header ({junk_model}); the config with a byte that is not UTF-8
+    ({cfg_not_utf8}), and configs with a bad, unknown or missing field
+    ({cfg_*}, each named for its fault)."""
     d = tmp_path_factory.mktemp("sidecars")
     sidecars = {
         "meta_garbled": "{", "meta_list": "[1]",
@@ -388,6 +298,8 @@ def bad_files(workdir, tmp_path_factory):
     csvs["not_utf8"] = d / "not_utf8.csv"
     head = workdir[1].read_bytes().split(b"\n")[:3]
     csvs["not_utf8"].write_bytes(b"\n".join(head + [b"0,north,3,\xff"]) + b"\n")
+    csvs["header_only"] = d / "header_only.csv"
+    csvs["header_only"].write_bytes(head[0] + b"\n")
     taps = dataio.load_csv(workdir[1])
     csvs["two_classes"] = d / "two.csv"
     two = taps.labels < 2
@@ -401,30 +313,27 @@ def bad_files(workdir, tmp_path_factory):
     csvs["big_model"] = d / "big.model"
     save_model(replace(bundle, norm_mean=1e40 * bundle.norm_mean,
                        norm_std=1e40 * bundle.norm_std), csvs["big_model"])
+    csvs["junk_model"] = d / "junk.model"
+    csvs["junk_model"].write_bytes(b"not a model at all")
     csvs["cfg_not_utf8"] = d / "cfg.json"
     csvs["cfg_not_utf8"].write_bytes(workdir[2].read_bytes().replace(b"}", b', "\xff": 1}'))
-    csvs["cfg_float_m"] = d / "float_m.json"
-    csvs["cfg_float_m"].write_text(json.dumps(dict(json.loads(workdir[2].read_text()), m=2.5)))
-    csvs["cfg_inf_gamma"] = d / "inf_gamma.json"
-    csvs["cfg_inf_gamma"].write_text(json.dumps(
-        dict(json.loads(workdir[2].read_text()), gamma="G")).replace('"G"', "1e400"))
-    csvs["cfg_zero_patches"] = d / "zero_patches.json"
-    csvs["cfg_zero_patches"].write_text(
-        json.dumps(dict(json.loads(workdir[2].read_text()), patches=0)))
+    cfg = json.loads(workdir[2].read_text())
+    configs = {"float_m": dict(cfg, m=2.5), "zero_patches": dict(cfg, patches=0),
+               "inf_gamma": dict(cfg, gamma="G"), "unknown_key": {"learning_rate": 0.1},
+               "loss_hinge": dict(cfg, loss_kind="Hinge"), "not_an_object": 5,
+               "no_frames": {k: v for k, v in cfg.items() if k != "frames"},
+               "variance_meta": dict(cfg, variance_meta=50)}
+    for name, values in configs.items():
+        csvs[f"cfg_{name}"] = d / f"{name}.json"
+        # a gamma of 1e400, which JSON reads as infinity
+        csvs[f"cfg_{name}"].write_text(json.dumps(values).replace('"G"', "1e400"))
     return csvs
 
 
-# (argv, what the one error line must name); {nope} is a file that does
-# not exist, {missing} a path in a directory that does not exist, {dir} a
-# directory, {meta_*} a CSV with a bad sidecar, {not_utf8} a CSV whose
-# line 4 is not UTF-8, {two_classes} a CSV that names two classes,
-# {cfg_not_utf8} a config that is not UTF-8, {cfg_float_m} a config
-# whose m is 2.5, {cfg_inf_gamma} one whose gamma is 1e400, which JSON
-# reads as infinity, {cfg_zero_patches} one whose patches is 0, {huge}
-# and {near_max} CSVs whose z-score statistics overflow, and {big_model}
-# a model whose norm stats are past the 32-bit range.
-# {data} holds 10 taps per class. Each fault comes
-# before any output is printed or written.
+# (argv, what the one error line must name); {data} holds 10 taps per
+# class, {nope} does not exist, {missing} is in a directory that does
+# not exist, {dir} is a directory, and the other files are bad_files'.
+# Each fault comes before any output is printed or written.
 @pytest.mark.parametrize("argv,named", [
     ("predict --model {nope} --data {data}", "{nope}: not found"),
     ("bench --model {model} --data {nope}", "{nope}: not found"),
@@ -473,6 +382,25 @@ def bad_files(workdir, tmp_path_factory):
     ("train --data {near_max} --config {cfg} --out-model {out}",
      "channel 0: z-score statistics are not finite"),
     ("export --model {big_model} --out {out}", "norm_mean does not fit in a 32-bit model"),
+    ("synth --kind pinch --out {out}", "unknown gesture kind 'pinch'; valid kinds: tap, swipe"),
+    ("train --data {nope} --config {cfg} --out-model {out}", "{nope}: not found"),
+    ("train --data {data} --out-model {out}", "need --preset or --config"),
+    ("train --data {data} --config {cfg_unknown_key} --out-model {out}",
+     "unknown config keys ['learning_rate']"),
+    ("train --data {data} --config {cfg_variance_meta} --out-model {out}",
+     "unknown config keys ['variance_meta']"),
+    ("train --data {data} --config {cfg_loss_hinge} --out-model {out}",
+     "unknown loss kind 'Hinge'"),
+    ("train --data {data} --config {cfg_not_an_object} --out-model {out}",
+     "{cfg_not_an_object}: config must be a JSON object"),
+    ("train --data {data} --config {cfg_no_frames} --out-model {out}",
+     "required positional argument: 'frames'"),
+    ("predict --model {junk_model} --data {data}",
+     "{junk_model}: truncated payload: header incomplete"),
+    *((f"{command} --model {{model}} --data {{header_only}}", "{header_only}: no gesture rows")
+      for command in ("verify", "bench", "export --out {out}")),
+    *((f"bench --model {{model}} --data {{data}} --iters {n}", f"--iters must be >= 1, got {n}")
+      for n in (0, -1)),
 ], ids=[
     "model-not-found", "data-not-found", "bench-mismatched-data",
     "export-mismatched-data", "predict-mismatched-data", "verify-mismatched-data",
@@ -487,6 +415,11 @@ def bad_files(workdir, tmp_path_factory):
     "config-gamma-infinite", "config-patches-zero",
     "eval-one-fold", "eval-no-jobs", "eval-more-folds-than-taps",
     "train-statistics-overflow", "train-near-max-values", "export-32-bit-overflow",
+    "synth-unknown-kind", "train-data-not-found", "train-without-config",
+    "config-unknown-key", "config-variance-meta", "config-unknown-loss-kind",
+    "config-not-an-object", "config-without-frames", "predict-junk-model",
+    "verify-header-only", "bench-header-only", "export-header-only",
+    "bench-zero-iters", "bench-negative-iters",
 ])
 def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, bad_files, tmp_path,
                                                  capsys, argv, named):

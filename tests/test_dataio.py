@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,72 +96,6 @@ def test_csv_round_trip(tmp_path):
         assert back.sample_rate == loaded and type(back.sample_rate) is type(loaded)
 
 
-def test_csv_header_rejected(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("id,class,frame,ch0\n0,north,0,1.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="missing columns"):
-        load_csv(p)
-
-
-def test_csv_bad_class_rejected(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("gesture_id,class,frame,ch0\n0,upward,0,1.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown class"):
-        load_csv(p)
-
-
-def test_csv_header_only_rejected(tmp_path):
-    p = tmp_path / "empty.csv"
-    p.write_text("gesture_id,class,frame,ch0,ch1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"empty\.csv: no gesture rows"):
-        load_csv(p)
-
-
-def test_csv_frame_gap_rejected(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text(
-        "gesture_id,class,frame,ch0\n0,north,0,1.0\n0,north,2,1.0\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(ValueError, match=r"bad\.csv:3: gap in frame indices for gesture 0$"):
-        load_csv(p)
-    # gestures are checked in order of first appearance: gesture 5's gap
-    # on line 6 is reported before gesture 3's on line 4
-    p.write_text(
-        "gesture_id,class,frame,ch0\n5,north,0,1\n3,south,0,1\n3,south,2,1\n"
-        "5,north,1,1\n5,north,3,1\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(ValueError, match=r"bad\.csv:6: gap in frame indices for gesture 5$"):
-        load_csv(p)
-
-
-def test_csv_field_count_rejected(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("gesture_id,class,frame,ch0,ch1\n0,north,0,1.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="expected 5 fields"):
-        load_csv(p)
-
-
-def test_csv_ragged_rejected(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text(
-        "gesture_id,class,frame,ch0\n"
-        "0,north,0,1.0\n0,north,1,1.0\n1,south,0,1.0\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(ValueError, match=r"bad\.csv:4: ragged gestures"):
-        load_csv(p)
-    # the first gesture sets the count: gesture 1 is reported, not 0
-    p.write_text(
-        "gesture_id,class,frame,ch0\n"
-        "0,north,0,1.0\n1,south,0,1.0\n1,south,1,1.0\n2,east,0,1.0\n2,east,1,1.0\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(ValueError, match=r"bad\.csv:3: ragged gestures"):
-        load_csv(p)
-
-
 def test_csv_without_sidecar_uses_defaults(tmp_path):
     ds = synth_generate(SynthConfig(kind="tap", samples_per_class=2, seed=6))
     path = tmp_path / "g.csv"
@@ -214,31 +149,6 @@ def test_csv_bad_sidecar_names_its_path(tmp_path, text, fault):
     assert str(e.value).startswith(f"{tmp_path / 'g.csv.meta.json'}: {fault}")
 
 
-HEADER = b"gesture_id,class,frame,ch0\n"
-
-
-def _at_block_end(tail, back):
-    """A header and one gesture row padded with zeros, then tail, whose
-    first character is ``back`` characters before the end of the
-    pre-pass's first block. Up to tail the file is ASCII with "\n" line
-    ends, so there a character is a byte."""
-    head = HEADER + b"0,north,0,1."
-    return head + b"0" * (dataio.CSV_BLOCK - back - len(head)) + tail
-
-
-@pytest.mark.parametrize("data,line,byte", [
-    (HEADER + b"0,north,0,1.0\n\xff", 3, "0xff"),
-    (HEADER + b"0,north,0,1\xfe.0\n0,north,1,1.0\n", 2, "0xfe"),
-    (HEADER.replace(b"\n", b"\r\n") + b"0,north,0,1.0\r\n0,north,1,\xe2\x82\r\n", 3, "0xe2"),
-    (_at_block_end(b"\n1,north,0,\xff\n", -4), 3, "0xff"),
-], ids=["trailing", "in-a-value", "crlf-truncated-sequence", "past-the-first-block"])
-def test_csv_undecodable_byte_reports_its_line(tmp_path, data, line, byte):
-    p = tmp_path / "bad.csv"
-    p.write_bytes(data)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: byte {byte} is not UTF-8"):
-        load_csv(p)
-
-
 def test_csv_is_utf8_whatever_the_locale(tmp_path):
     # an ASCII locale, with neither UTF-8 mode nor C-locale coercion
     path = tmp_path / "g.csv"
@@ -287,79 +197,6 @@ def test_synth_config_validation():
                       noise_stddev=np.float64(0.1), amplitude=2, drift_rate=-0.01)
     assert len(synth_generate(cfg).samples) == 8
     assert SynthConfig(kind="swipe").frames == 30
-
-
-def test_csv_nonnumeric_fields_report_line(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("gesture_id,class,frame,ch0\n0,north,0,1.0\n0,north,1.5,2.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"bad\.csv:3: frame '1\.5' is not an integer"):
-        load_csv(p)
-    p.write_text("gesture_id,class,frame,ch0\n0,north,0,abc\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"bad\.csv:2: .*'abc'"):
-        load_csv(p)
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_csv_nonfinite_value_reports_line(tmp_path, value):
-    p = tmp_path / "bad.csv"
-    p.write_text("gesture_id,class,frame,ch0\n0,north,0,nan\n".replace("nan", value),
-                 encoding="utf-8")
-    with pytest.raises(ValueError, match=r"bad\.csv:2: non-finite value"):
-        load_csv(p)
-    p.write_text("gesture_id,class,frame,ch0,ch1\n0,north,0,1,2\n1,south,0,3,4\n"
-                 f"0,north,1,5,6\n1,south,1,{value},8\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"bad\.csv:5: non-finite value"):
-        load_csv(p)
-
-
-def test_csv_empty_file_rejected(tmp_path):
-    p = tmp_path / "void.csv"
-    p.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"void\.csv: empty file"):
-        load_csv(p)
-
-
-def test_csv_class_change_within_gesture_reports_line(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("gesture_id,class,frame,ch0\n0,north,0,1\n1,east,0,2\n"
-                 "0,south,1,3\n1,east,1,4\n", encoding="utf-8")
-    with pytest.raises(ValueError,
-                       match=r"bad\.csv:4: class changes within gesture 0$"):
-        load_csv(p)
-
-
-def test_csv_blank_line_reports_line(tmp_path):
-    # a blank line is a row with one field, never skipped
-    p = tmp_path / "bad.csv"
-    p.write_text("gesture_id,class,frame,ch0,ch1\n0,north,0,1,2\n\n0,north,1,3,4\n",
-                 encoding="utf-8")
-    with pytest.raises(ValueError, match=r"bad\.csv:3: expected 5 fields$"):
-        load_csv(p)
-    p.write_text("gesture_id,class,frame,ch0,ch1\n\n\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"bad\.csv:2: expected 5 fields$"):
-        load_csv(p)
-    p.write_text("gesture_id,class,frame,ch0,ch1\n0,north,0,1,2\n\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"bad\.csv:3: expected 5 fields$"):
-        load_csv(p)
-
-
-@pytest.mark.parametrize("fault,message", [
-    ("0,north,1,1.0,2.0,3.0", "expected 5 fields"),
-    ("0,north,1.0,1.0,2.0", "frame '1.0' is not an integer"),
-    ("0,up,1,1.0,2.0", "unknown class label 'up'"),
-    ("0,north,1,x,2.0", "could not convert string to float: 'x'"),
-    ("0,south,1,1.0,2.0", "class changes within gesture 0"),
-    ("0,north,1,1.0,inf", "non-finite value"),
-])
-def test_csv_fault_past_line_1000_reports_its_line(tmp_path, fault, message):
-    # 1498 good rows on lines 2-1499, gesture 0's first row on line 1500,
-    # then the fault on line 1501
-    rows = [f"{g},north,{t},1.0,2.0" for g in range(1, 750) for t in range(2)]
-    p = tmp_path / "long.csv"
-    p.write_text("\n".join(["gesture_id,class,frame,ch0,ch1", *rows,
-                            "0,north,0,1.0,2.0", fault]) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"long\.csv:1501: {re.escape(message)}$"):
-        load_csv(p)
 
 
 def _counting_parse(monkeypatch):
@@ -839,113 +676,185 @@ def test_load_csv_matches_reference_on_corrupt_files(tmp_path_factory, text):
         _assert_same_dataset(ours, ref)
 
 
-@pytest.mark.parametrize("value", ["1_0", "١", "1.5١"])
-def test_csv_value_syntax_only_float_takes_is_rejected_with_its_line(tmp_path, value):
-    # float() reads '_' separators and non-ASCII digits; the loader's
-    # parse does not, and names the line
-    p = tmp_path / "odd.csv"
-    p.write_text(f"gesture_id,class,frame,ch0\n0,north,0,1\n0,north,1,{value}\n", encoding="utf-8")
-    assert _reference_load(p).samples[0, 0, 1] == float(value)
-    with pytest.raises(ValueError, match=r"odd\.csv:3: numbers must be plain ASCII"):
-        load_csv(p)
+# -- the file contract: each file case once, for load_csv and the reference
 
 
-def test_csv_value_syntax_fault_reported_before_a_later_fault(tmp_path):
-    # the first bad line is named even when a later line has a fault
-    # that int() and float() see
-    p = tmp_path / "odd.csv"
-    p.write_text("gesture_id,class,frame,ch0\n0,north,0,1_0\n0,north,1,2\n"
-                 "1,east,0,3\n1,west,1,4\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"odd\.csv:2: numbers must be plain ASCII"):
-        load_csv(p)
-    assert _outcome(_reference_load, p) == f"{p}:5: class changes within gesture 1"
+def _csv(*rows, header="gesture_id,class,frame,ch0"):
+    """A CSV's text: the header, then the rows, each line ending in "\n"."""
+    return "".join(f"{line}\n" for line in (header, *rows))
 
 
-def test_csv_frame_beyond_int64_rejected_with_its_line(tmp_path):
-    # int() reads it and the per-line loader reported a frame gap; the
-    # parse holds frames as int64 and names the line
-    p = tmp_path / "odd.csv"
-    p.write_text("gesture_id,class,frame,ch0\n0,north,0,1\n0,north,9223372036854775808,2\n",
-                 encoding="utf-8")
-    with pytest.raises(ValueError, match="gap in frame indices for gesture 0"):
-        _reference_load(p)
-    with pytest.raises(ValueError, match=r"odd\.csv:3: numbers must be plain ASCII"):
-        load_csv(p)
+HEADER = _csv().encode()
+H5 = "gesture_id,class,frame,ch0,ch1"
 
 
-@pytest.mark.parametrize("frame,expected", [("1_0", 10), ("١٠", 10), (" 10 ", 10)])
-def test_csv_frame_reads_as_int_does(tmp_path, frame, expected):
-    p = tmp_path / "g.csv"
-    rows = [f"0,north,{t},{t}" for t in range(10)] + [f"0,north,{frame},10"]
-    p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    back = load_csv(p)
-    assert back.samples.shape == (1, 1, expected + 1)
-    _assert_same_dataset(back, _reference_load(p))
-
-
-@pytest.mark.parametrize("name,rows", [
-    # float() does not strip the unit separator; numpy's parse does
-    ("separator-value", ["0,north,0,1", "0,north,1,\x1f1"]),
-    ("separator-id", ["\x1f,north,0,1", "\x1f,north,1,2"]),
-    # interleaved gestures load in first-appearance order, frames in file order
-    ("interleaved", [f"{g},{c},{t},{g * 100 + t}" for t in range(40)
-                     for g, c in ((7, "west"), (3, "east"))]),
-    # the set of frame counts prints as the per-line loader built it
-    ("ragged", ["0,north,0,1"] + [f"1,south,{t},1" for t in range(9)]),
-])
-def test_csv_edge_files_match_reference(tmp_path, name, rows):
-    p = tmp_path / "g.csv"
-    p.write_text("gesture_id,class,frame,ch0\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    ours, ref = _outcome(load_csv, p), _outcome(_reference_load, p)
-    if isinstance(ref, str):
-        assert ours == ref
-    else:
-        _assert_same_dataset(ours, ref)
+def _at_block_end(tail, back):
+    """A header and one gesture row padded with zeros, then tail, whose
+    first character is ``back`` characters before the end of the
+    pre-pass's first block. Up to tail the file is ASCII with "\n" line
+    ends, so there a character is a byte."""
+    head = HEADER + b"0,north,0,1."
+    return head + b"0" * (dataio.CSV_BLOCK - back - len(head)) + tail
 
 
 def _in_row(ch):
-    """Two one-frame gestures with ch inside the second's id, class name
-    or value."""
-    return {where: (HEADER.decode() + "0,north,0,1\n" + row + "\n").encode()
+    """Two one-frame gestures with ch in the second's id, class name or value."""
+    return {where: _csv("0,north,0,1", row).encode()
             for where, row in [("id", f"1{ch}1,south,0,2"), ("class", f"1,so{ch}uth,0,2"),
                                ("value", f"1,south,0,2{ch}5")]}
 
 
-BYTE_FILES = {
-    "crlf": HEADER.replace(b"\n", b"\r\n") + b"0,north,0,1\r\n0,north,1,2\r\n",
-    "lone-cr": HEADER.replace(b"\n", b"\r") + b"0,north,0,1\r0,north,1,2\r",
-    "no-final-newline": HEADER + b"0,north,0,1\n0,north,1,2",
-    "bom": b"\xef\xbb\xbf" + HEADER + b"0,north,0,1\n",
-    "header-only": HEADER,
-    "header-only-no-newline": HEADER.rstrip(b"\n"),
-    "non-ascii": HEADER + "\u00e9,n\u00f6rd,0,1\n\U0001f44b,s\u00fcd,0,2\n".encode(),
-    # the end of the pre-pass's first block: a character of two, two and
-    # three bytes as its last character, and a blank line's two "\n" and
-    # a "\r\n" on either side of it
-    "split-id": _at_block_end("\n\u00e9,north,0,2\n".encode(), 2),
-    "split-class": _at_block_end("\n1,n\u00f6rd,0,2\n".encode(), 5),
-    "split-line-separator": _at_block_end("\n1,north,0,2\u20285\n".encode(), 13),
-    "split-blank-line": _at_block_end(b"\n\n1,north,0,2\n", 1),
-    "split-crlf": _at_block_end(b"\r\n1,north,0,2\r\n", 1),
-    **{f"{where}-{ord(ch):02x}": data for ch in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\x00"
-       for where, data in _in_row(ch).items()},
+LOADS = "loads"
+NAMES = ["north", "south", "n\u00f6rd", "s\u00fcd"]
+STRICT = "numbers must be plain ASCII decimals without '_', and frames below 2**63"
+# 1498 good rows on lines 2-1499, then gesture 0's first row on line 1500
+LONG = [*(f"{g},north,{t},1.0,2.0" for g in range(1, 750) for t in range(2)), "0,north,0,1.0,2.0"]
+
+Case = namedtuple("Case", "file outcome reference sidecar", defaults=(None, None))
+
+# file (text or bytes) -> load_csv's outcome: "loads", or its whole
+# message for a file named g.csv. reference is the per-line loader's
+# outcome where it differs on purpose; sidecar, the class names of a
+# .meta.json beside the file.
+CSV_FILES = {
+    "empty": Case("", "g.csv: empty file"),
+    "header-misnamed": Case(_csv("0,north,0,1.0", header="id,class,frame,ch0"),
+                            "g.csv:1: missing columns, got 'id,class,frame,ch0'"),
+    "header-no-channel": Case(_csv("0,north,0", header="gesture_id,class,frame"),
+                              "g.csv:1: malformed channel columns"),
+    "header-channel-from-1": Case(_csv("0,north,0,1", header="gesture_id,class,frame,ch1"),
+                                  "g.csv:1: malformed channel columns"),
+    "header-only-five-columns": Case(_csv(header=H5), "g.csv: no gesture rows"),
+    "unknown-class": Case(_csv("0,upward,0,1.0"), "g.csv:2: unknown class label 'upward'"),
+    "too-few-fields": Case(_csv("0,north,0,1.0", header=H5), "g.csv:2: expected 5 fields"),
+    "frame-not-an-integer": Case(_csv("0,north,0,1.0", "0,north,1.5,2.0"),
+                                 "g.csv:3: frame '1.5' is not an integer"),
+    "value-not-a-number": Case(_csv("0,north,0,abc"),
+                               "g.csv:2: could not convert string to float: 'abc'"),
+    **{f"{v}-first-row": Case(_csv(f"0,north,0,{v}"), "g.csv:2: non-finite value")
+       for v in ("nan", "inf", "-inf")},
+    **{f"{v}-after-good-rows": Case(_csv("0,north,0,1,2", "1,south,0,3,4", "0,north,1,5,6",
+                                         f"1,south,1,{v},8", header=H5),
+                                    "g.csv:5: non-finite value") for v in ("nan", "inf", "-inf")},
+    "class-change": Case(_csv("0,north,0,1", "1,east,0,2", "0,south,1,3", "1,east,1,4"),
+                         "g.csv:4: class changes within gesture 0"),
+    "frame-gap": Case(_csv("0,north,0,1.0", "0,north,2,1.0"),
+                      "g.csv:3: gap in frame indices for gesture 0"),
+    # gestures are checked in order of first appearance: gesture 5's gap
+    # on line 6 is reported before gesture 3's on line 4
+    "frame-gap-first-gesture-first": Case(
+        _csv("5,north,0,1", "3,south,0,1", "3,south,2,1", "5,north,1,1", "5,north,3,1"),
+        "g.csv:6: gap in frame indices for gesture 5"),
+    "ragged": Case(_csv("0,north,0,1.0", "0,north,1,1.0", "1,south,0,1.0"),
+                   "g.csv:4: ragged gestures, frame counts {1, 2}"),
+    # the first gesture sets the count: gesture 1 is reported, not 0
+    "ragged-first-gesture-sets-the-count": Case(
+        _csv("0,north,0,1.0", "1,south,0,1.0", "1,south,1,1.0", "2,east,0,1.0", "2,east,1,1.0"),
+        "g.csv:3: ragged gestures, frame counts {1, 2}"),
+    # the set of frame counts prints as the per-line loader built it
+    "ragged-counts": Case(_csv("0,north,0,1", *(f"1,south,{t},1" for t in range(9))),
+                          "g.csv:3: ragged gestures, frame counts {1, 9}"),
+    # a blank line is a row with one field, never skipped
+    "blank-line": Case(_csv("0,north,0,1,2", "", "0,north,1,3,4", header=H5),
+                       "g.csv:3: expected 5 fields"),
+    "blank-lines-only": Case(_csv("", "", header=H5), "g.csv:2: expected 5 fields"),
+    "blank-last-line": Case(_csv("0,north,0,1,2", "", header=H5), "g.csv:3: expected 5 fields"),
+    **{f"line-1501-{name}": Case(_csv(*LONG, fault, header=H5), f"g.csv:1501: {message}")
+       for name, fault, message in [
+           ("fields", "0,north,1,1.0,2.0,3.0", "expected 5 fields"),
+           ("frame", "0,north,1.0,1.0,2.0", "frame '1.0' is not an integer"),
+           ("class", "0,up,1,1.0,2.0", "unknown class label 'up'"),
+           ("value", "0,north,1,x,2.0", "could not convert string to float: 'x'"),
+           ("class-change", "0,south,1,1.0,2.0", "class changes within gesture 0"),
+           ("nonfinite", "0,north,1,1.0,inf", "non-finite value")]},
+    # float() reads '_' separators and non-ASCII digits; the parse refuses them
+    **{f"value-{name}": Case(_csv("0,north,0,1", f"0,north,1,{v}"), f"g.csv:3: {STRICT}", LOADS)
+       for name, v in [("underscore", "1_0"), ("arabic-digit", "١"),
+                       ("arabic-decimal", "1.5١")]},
+    # the first bad line is named before a later one that int() and float() see
+    "value-underscore-before-a-class-change": Case(
+        _csv("0,north,0,1_0", "0,north,1,2", "1,east,0,3", "1,west,1,4"), f"g.csv:2: {STRICT}",
+        "g.csv:5: class changes within gesture 1"),
+    # a line the parse refuses is named by the first of its checks that fails
+    "unknown-class-and-underscore": Case(_csv("0,north,0,1", "1,bogus,0,1_0"),
+                                         "g.csv:3: unknown class label 'bogus'"),
+    "class-change-and-underscore": Case(_csv("0,north,0,1", "0,south,1,1_0"),
+                                        "g.csv:3: class changes within gesture 0"),
+    # int() reads it, and the per-line loader reported a gap; the parse holds int64
+    "frame-past-int64": Case(_csv("0,north,0,1", "0,north,9223372036854775808,2"),
+                             f"g.csv:3: {STRICT}", "g.csv:3: gap in frame indices for gesture 0"),
+    # frames are read as int() reads them
+    **{f"frame-{name}": Case(_csv(*(f"0,north,{t},{t}" for t in range(10)), f"0,north,{f},10"),
+                             LOADS)
+       for name, f in [("underscore", "1_0"), ("arabic-digits", "١٠"), ("spaces", " 10 ")]},
+    # float() does not strip the unit separator; numpy's parse does
+    "separator-value": Case(_csv("0,north,0,1", "0,north,1,\x1f1"),
+                            "g.csv:3: could not convert string to float: '\\x1f1'"),
+    "separator-id": Case(_csv("\x1f,north,0,1", "\x1f,north,1,2"), LOADS),
+    # interleaved gestures load in first-appearance order, frames in file order
+    "interleaved": Case(_csv(*(f"{g},{c},{t},{g * 100 + t}" for t in range(40)
+                               for g, c in ((7, "west"), (3, "east")))), LOADS),
+    # the reference names no line for a byte that does not decode
+    "byte-trailing": Case(
+        HEADER + b"0,north,0,1.0\n\xff", "g.csv:3: byte 0xff is not UTF-8 (invalid start byte)",
+        "'utf-8' codec can't decode byte 0xff in position 41: invalid start byte"),
+    "byte-in-a-value": Case(
+        HEADER + b"0,north,0,1\xfe.0\n0,north,1,1.0\n",
+        "g.csv:2: byte 0xfe is not UTF-8 (invalid start byte)",
+        "'utf-8' codec can't decode byte 0xfe in position 38: invalid start byte"),
+    "byte-crlf-truncated-sequence": Case(
+        HEADER.replace(b"\n", b"\r\n") + b"0,north,0,1.0\r\n0,north,1,\xe2\x82\r\n",
+        "g.csv:3: byte 0xe2 is not UTF-8 (invalid continuation byte)",
+        "'utf-8' codec can't decode bytes in position 53-54: invalid continuation byte"),
+    "byte-past-the-first-block": Case(
+        _at_block_end(b"\n1,north,0,\xff\n", -4),
+        "g.csv:3: byte 0xff is not UTF-8 (invalid start byte)",
+        "'utf-8' codec can't decode byte 0xff in position 65551: invalid start byte"),
+    # what str.splitlines() makes of the bytes, with "\r\n" and "\r" read
+    # as "\n", whether the pre-pass finds the file clean or not
+    **{name: Case(data, outcome, sidecar=NAMES) for name, data, outcome in [
+        ("crlf", HEADER.replace(b"\n", b"\r\n") + b"0,north,0,1\r\n0,north,1,2\r\n", LOADS),
+        ("lone-cr", HEADER.replace(b"\n", b"\r") + b"0,north,0,1\r0,north,1,2\r", LOADS),
+        ("no-final-newline", HEADER + b"0,north,0,1\n0,north,1,2", LOADS),
+        ("bom", b"\xef\xbb\xbf" + HEADER + b"0,north,0,1\n",
+         "g.csv:1: missing columns, got '\\ufeffgesture_id,class,frame,ch0'"),
+        ("header-only", HEADER, "g.csv: no gesture rows"),
+        ("header-only-no-newline", HEADER.rstrip(b"\n"), "g.csv: no gesture rows"),
+        ("non-ascii", HEADER + "\u00e9,n\u00f6rd,0,1\n\U0001f44b,s\u00fcd,0,2\n".encode(), LOADS),
+        # the end of the pre-pass's first block: a character of two, two
+        # and three bytes as its last character, and a blank line's two
+        # "\n" and a "\r\n" on either side of it
+        ("split-id", _at_block_end("\n\u00e9,north,0,2\n".encode(), 2), LOADS),
+        ("split-class", _at_block_end("\n1,n\u00f6rd,0,2\n".encode(), 5), LOADS),
+        ("split-line-separator", _at_block_end("\n1,north,0,2\u20285\n".encode(), 13),
+         "g.csv:4: expected 4 fields"),
+        ("split-blank-line", _at_block_end(b"\n\n1,north,0,2\n", 1), "g.csv:3: expected 4 fields"),
+        ("split-crlf", _at_block_end(b"\r\n1,north,0,2\r\n", 1), LOADS),
+        # a line break inside a row's id or class name leaves line 3
+        # short, inside its value line 4
+        *((f"{where}-{ord(ch):02x}", data, f"g.csv:{line}: expected 4 fields")
+          for ch in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+          for (where, data), line in zip(_in_row(ch).items(), (3, 3, 4))),
+        # a NUL does not
+        ("id-00", _in_row("\x00")["id"], LOADS),
+        ("class-00", _in_row("\x00")["class"], "g.csv:3: unknown class label 'so\\x00uth'"),
+        ("value-00", _in_row("\x00")["value"],
+         "g.csv:3: could not convert string to float: '2\\x005'")]},
 }
 
 
-@pytest.mark.parametrize("data", BYTE_FILES.values(), ids=BYTE_FILES)
-def test_csv_bytes_load_as_the_line_reader_reads_them(tmp_path, data):
-    # a file the pre-pass finds clean is parsed from the file, any other
-    # is split into lines: both read what str.splitlines() makes of it,
-    # with "\r\n" and "\r" read as "\n"
-    p = tmp_path / "g.csv"
-    p.write_bytes(data)
-    names = ["north", "south", "n\u00f6rd", "s\u00fcd"]
-    Path(f"{p}.meta.json").write_text(json.dumps({"class_names": names, "sample_rate": 250}),
-                                      encoding="utf-8")
-    ours, ref = _outcome(load_csv, p), _outcome(_reference_load, p)
-    if isinstance(ref, str):
-        assert ours == ref
-    else:
+@pytest.mark.parametrize("case", CSV_FILES.values(), ids=CSV_FILES)
+def test_csv_bytes_load_as_the_line_reader_reads_them(tmp_path, monkeypatch, case):
+    # g.csv in the working directory: the path a message names
+    monkeypatch.chdir(tmp_path)
+    Path("g.csv").write_bytes(case.file if isinstance(case.file, bytes) else case.file.encode())
+    if case.sidecar:
+        Path("g.csv.meta.json").write_text(
+            json.dumps({"class_names": case.sidecar, "sample_rate": 250}), encoding="utf-8")
+    ours, ref = _outcome(load_csv, "g.csv"), _outcome(_reference_load, "g.csv")
+    said = [o if isinstance(o, str) else LOADS for o in (ours, ref)]
+    assert said == [case.outcome, case.reference or case.outcome]
+    if said == [LOADS, LOADS]:
         _assert_same_dataset(ours, ref)
 
 

@@ -211,6 +211,8 @@ def test_rff_init_rejects():
         rff_init(spec, 0, 1.0, RngStream(0))
     with pytest.raises(ValueError):
         rff_init(spec, 4, 0.0, RngStream(0))
+    with pytest.raises(TypeError, match="^rng must be an RngStream$"):
+        rff_init(spec, 4, 1.0, np.random.default_rng(0))
 
 
 def test_transform_zero_input_zero_phase():

@@ -193,9 +193,10 @@ def _with_value(bundle, field, value):
      "norm_mean must hold real numbers, got dtype <U32"),
     (lambda b: dict(norm_mean=b.norm_mean.astype(object)),
      "norm_mean must hold real numbers, got dtype object"),
+    (lambda b: dict(loss_kind="Hinge"), "unknown loss kind 'Hinge'"),
 ], ids=["2d-weights", "1d-W", "list-norm_std", "zero-norm_std", "negative-norm_std",
         "nan-gamma", "inf-gamma", "zero-gamma", "complex-norm_mean", "text-norm_mean",
-        "object-norm_mean"])
+        "object-norm_mean", "unknown-loss-kind"])
 def test_bundle_refuses_what_its_loader_refuses(fault, message):
     # the bundle owns the loader's rank and value rules: none of these
     # reaches serialize, or predict to blame the gesture

@@ -54,8 +54,6 @@ def test_perfbench_tap_serve_traced_counts():
 
 # the cases whose files hold non-ASCII text: each reads and writes it as UTF-8
 LOCALE_SENSITIVE = (
-    "tests/test_dataio.py::test_csv_value_syntax_only_float_takes_is_rejected_with_its_line",
-    "tests/test_dataio.py::test_csv_frame_reads_as_int_does",
     "tests/test_dataio.py::test_csv_bytes_load_as_the_line_reader_reads_them",
     "tests/test_cli.py::test_predict_out_is_utf8_whatever_the_locale",
 )
@@ -137,7 +135,7 @@ BOUNDARY_EXEMPT = {
     "kfold_evaluate": "takes its data through check_dataset, which train's row covers",
     "split_evaluate": "takes its data through check_dataset, which train's row covers",
     "convexity_check": "takes its data through check_dataset, which train's row covers",
-    "load_csv": "reads a file; test_dataio's corrupted-file property covers its faults",
+    "load_csv": "reads a file; test_dataio's CSV_FILES table and corrupt-file property cover it",
     "save_csv": "writes a Dataset; test_dataio's fault table and property cover it",
     "synth_generate": "takes a SynthConfig, which checks its own fields",
     "rff_init": "takes a spec and numbers; their refusals are COUNTS examples",
@@ -163,6 +161,30 @@ def test_boundary_table_covers_exports():
     assert sorted(exported - set(ROWS) - set(BOUNDARY_EXEMPT)) == []
     assert sorted(set(BOUNDARY_EXEMPT) - exported) == []
     assert sorted(set(BOUNDARY_EXEMPT) & set(ROWS)) == []
+
+
+def test_every_load_csv_diagnostic_has_a_file_case():
+    # each message load_csv raises or _line_fault returns, with every
+    # {...} read as ".+", ends the outcome of some CSV_FILES row
+    from test_dataio import CSV_FILES
+
+    messages = []
+    for f in ast.parse((ROOT / "src" / "convexattn" / "dataio.py").read_text("utf-8")).body:
+        if isinstance(f, ast.FunctionDef) and f.name in ("load_csv", "_line_fault"):
+            messages += [n.value for n in ast.walk(f) if isinstance(n, ast.Return)]
+            messages += [n.args[0] for n in ast.walk(f) if isinstance(n, ast.Call)
+                         and getattr(n.func, "id", None) == "ValueError"]
+
+    def pattern(message):
+        parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+        return "".join(".+" if isinstance(p, ast.FormattedValue) else re.escape(p.value)
+                       for p in parts)
+
+    patterns = [pattern(m) for m in messages if isinstance(m, ast.JoinedStr)
+                or isinstance(m, ast.Constant) and isinstance(m.value, str)]
+    assert len(patterns) > 10, patterns  # the walk found the messages
+    outcomes = [case.outcome for case in CSV_FILES.values()]
+    assert [p for p in patterns if not any(re.search(f"{p}$", o) for o in outcomes)] == []
 
 
 def test_demo_imports_resolve():

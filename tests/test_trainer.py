@@ -1,3 +1,4 @@
+import concurrent.futures
 import pickle
 import re
 import warnings
@@ -390,6 +391,30 @@ def test_kfold_parallel_matches_serial():
     parallel = kfold_evaluate(ds, cfg, folds=2, jobs=2)
     assert serial.fold_accuracy == parallel.fold_accuracy
     assert serial.fold_f1 == parallel.fold_f1
+
+
+def test_kfold_starts_at_most_one_worker_per_fold(monkeypatch):
+    # a pool that records its size and maps in this process, so no
+    # worker starts: jobs=64 over 2 folds asks for 2 workers
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    ds, cfg = tap_dataset(8, noise=0.02), tiny_config(epochs=2)
+    assert kfold_evaluate(ds, cfg, folds=2, jobs=64) == kfold_evaluate(ds, cfg, folds=2, jobs=1)
+    assert sizes == [2]
 
 
 @pytest.mark.parametrize("seed", [2**64 - 2, np.uint64(2**64 - 2)])
