@@ -1,9 +1,9 @@
 """Convex attention classifier for capacitive gesture signals.
 
-A tiny, fully convex gesture recognizer: random Fourier features fix
-the nonlinearity at initialization, attention weights come from
-Euclidean projection onto the probability simplex, training minimizes a
-convex loss under a nuclear-norm constraint.
+A tiny gesture recognizer: random Fourier features fix the nonlinearity
+at initialization, attention weights come from Euclidean projection onto
+the probability simplex, and training minimizes a loss that is convex in
+the weights for fixed attention, under a nuclear-norm constraint.
 """
 
 from .dataio import Dataset, SynthConfig, load_csv, save_csv, synth_generate

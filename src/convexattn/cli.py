@@ -14,6 +14,7 @@ Diagnostics go to stderr; data goes to stdout or files.
 import argparse
 import json
 import numbers
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -284,7 +285,12 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:  # devnull under stdout: the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        message = "stdout: Broken pipe"
     except OSError as e:
         reason = "not found" if isinstance(e, FileNotFoundError) else e.strerror
         message = f"{e.filename}: {reason}" if e.filename else str(e)

@@ -1,8 +1,8 @@
 """Executable checks of the convexity properties the design relies on.
 
-Midpoint convexity trials around a trained model, nonexpansiveness
-sweeps of the simplex projection, and the softmax Jensen-violation
-counterexample. Every check returns a machine-readable record.
+Fixed-attention midpoint convexity trials around a trained model,
+nonexpansiveness sweeps of the simplex projection, and the softmax
+Jensen-violation counterexample; each returns a machine-readable record.
 """
 
 import numbers
@@ -12,7 +12,7 @@ import numpy as np
 
 from .features import lift
 from .losses import loss_functions
-from .model import batch_class_scores
+from .model import _score
 from .numutil import RngStream, check_numbers
 from .projections import simplex_project_rows, squared_distance_to_simplex, softmax_ref
 from .trainer import check_dataset
@@ -36,21 +36,13 @@ class ConvexityTrialReport:
         return self.satisfied == self.trials
 
 
-def pipeline_loss(A, Q, y, loss_kind):
-    """Full-pipeline loss at weight tensor A: attention is recomputed
-    from A, not frozen at the trained weights."""
-    loss, _, target = loss_functions(loss_kind)
-    f, _, _ = batch_class_scores(Q, A)
-    return loss(f, target(y, A.shape[0]))
-
-
 def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None):
-    """Midpoint convexity protocol around the trained weights, for the
-    loss the bundle was trained with.
-
-    Each trial perturbs the trained tensor with Gaussian noise twice and
-    checks loss(midpoint) <= mean of the endpoint losses, within
-    tolerance 1e-6.
+    """Midpoint convexity protocol for the loss the bundle was trained
+    with, attention frozen at the trained weights: the scores are then
+    linear in the weights, as the gradients take them, so the loss is
+    convex at any weights and noise. Each trial perturbs the trained
+    tensor with Gaussian noise twice and checks loss(midpoint) <= mean
+    of the endpoint losses, within tolerance 1e-6.
     """
     check_numbers(dict(trials=trials), numbers.Integral, least=1)
     check_numbers(dict(noise_stddev=noise_stddev), numbers.Real, above=0)
@@ -60,15 +52,16 @@ def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None):
     rng = rng or RngStream(0)
     Q = lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
     A0 = bundle.weights
+    alpha = _score(Q, A0)[1]
+    loss, _, target = loss_functions(bundle.loss_kind)
+    Y = target(y, A0.shape[0])
     violations = np.empty(trials)
     for t in range(trials):
         g = rng.derive(1000 + t)
         noise = g.gauss(2 * A0.size, 0.0, noise_stddev)
         A1 = A0 + noise[: A0.size].reshape(A0.shape)
         A2 = A0 + noise[A0.size:].reshape(A0.shape)
-        l1 = pipeline_loss(A1, Q, y, bundle.loss_kind)
-        l2 = pipeline_loss(A2, Q, y, bundle.loss_kind)
-        lm = pipeline_loss(0.5 * (A1 + A2), Q, y, bundle.loss_kind)
+        l1, l2, lm = (loss(_score(Q, A, alpha)[0], Y) for A in (A1, A2, 0.5 * (A1 + A2)))
         violations[t] = lm - 0.5 * (l1 + l2)
     satisfied = int(np.count_nonzero(violations <= CONVEXITY_TOL))
     return ConvexityTrialReport(

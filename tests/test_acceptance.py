@@ -62,8 +62,9 @@ def timed(fn, *args, **kwargs):
 @pytest.fixture(scope="module")
 def tap_cv_seed0(tap_dataset):
     """Tap-tuned 10-fold CV at seed 0: criterion 7's tap run and
-    criterion 8's first seed."""
-    return timed(kfold_evaluate, tap_dataset, preset_config("tap-tuned", seed=0), folds=10)
+    criterion 8's first seed, on two worker processes."""
+    return timed(kfold_evaluate, tap_dataset, preset_config("tap-tuned", seed=0), folds=10,
+                 jobs=2)
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +113,8 @@ def test_criterion_3_softmax_counterexample():
 
 
 def test_criterion_4_convexity_protocol(tap_dataset, tap_tuned_fit):
-    # each loss is verified around the minimizer trained under that loss;
-    # the hinge one is the tap_tuned_fit fixture's
+    # each model's own loss, with attention frozen at its weights; the
+    # hinge model is the tap_tuned_fit fixture's
     (hinge, _), fit_s = tap_tuned_fit
     t0 = time.perf_counter()
     squared, _ = train(tap_dataset, preset_config("tap-tuned", seed=0, loss_kind="squared"))
@@ -170,6 +171,7 @@ def test_criterion_7_recognition_10fold(tap_cv_seed0, swipe_dataset):
         swipe_dataset,
         preset_config("swipe-tuned", seed=0, loss_kind="squared"),
         folds=10,
+        jobs=2,
     )
     dt = tap_s + swipe_s
     ok = (tap.mean_accuracy >= 0.99 and tap.std_accuracy <= 0.02

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convexattn import cli, dataio, trainer
+from convexattn import cli, dataio, trainer, verify
 from convexattn.cli import main
 from convexattn.model import load_model, predict, save_model
 
@@ -37,7 +37,7 @@ def workdir(tmp_path_factory):
     }))
     model = d / "taps.model"
     # squared loss, so the CLI round trips cover the non-default kind;
-    # verify checks each model's own loss
+    # verify checks the model's own loss, attention frozen at its weights
     assert main(["train", "--data", str(data), "--config", str(cfg),
                  "--loss", "squared", "--out-model", str(model)]) == 0
     return d, data, cfg, model
@@ -153,18 +153,21 @@ def test_predict_out_is_utf8_whatever_the_locale(workdir, tmp_path, capsys):
 
 
 def test_verify_passes_on_trained_model(workdir, capsys):
+    # the default trial count at any noise: with attention frozen at the
+    # model's weights, every trial holds
     d, data, _, model = workdir
-    code, stdout, _ = run(capsys, "verify", "--model", str(model),
-                          "--data", str(data), "--trials", "20")
-    assert code == 0
-    assert "squared: 20/20" in stdout
-    assert "hinge:" not in stdout
-    # the violation spread: min <= median <= max, the mean inside [min, max]
-    spread = re.search(r"mean violation (\S+), min (\S+), median (\S+), max (\S+)\)", stdout)
-    mean, lo, mid, hi = map(float, spread.groups())
-    assert lo <= mid <= hi and lo <= mean <= hi
-    assert "nonexpansiveness" in stdout
-    assert "jensen_violated=True" in stdout
+    for noise in ("0.1", "1.0", "10"):
+        code, stdout, err = run(capsys, "verify", "--model", str(model),
+                                "--data", str(data), "--noise", noise)
+        assert (code, err) == (0, ""), (noise, stdout)
+        assert stdout.startswith("squared: 100/100 satisfied")
+        assert "hinge:" not in stdout
+        # the violation spread: min <= median <= max, the mean inside [min, max]
+        spread = re.search(r"mean violation (\S+), min (\S+), median (\S+), max (\S+)\)", stdout)
+        mean, lo, mid, hi = map(float, spread.groups())
+        assert lo <= mid <= hi and lo <= mean <= hi
+        assert "nonexpansiveness" in stdout
+        assert "jensen_violated=True" in stdout
 
 
 def test_verify_checks_hinge_model_own_loss(workdir, tmp_path, capsys):
@@ -172,10 +175,9 @@ def test_verify_checks_hinge_model_own_loss(workdir, tmp_path, capsys):
     model = tmp_path / "hinge.model"
     assert run(capsys, "train", "--data", str(data), "--config", str(cfg),
                "--loss", "hinge", "--out-model", str(model))[0] == 0
-    code, stdout, _ = run(capsys, "verify", "--model", str(model),
-                          "--data", str(data), "--trials", "20")
+    code, stdout, _ = run(capsys, "verify", "--model", str(model), "--data", str(data))
     assert code == 0
-    assert "hinge: 20/20" in stdout
+    assert "hinge: 100/100" in stdout
     assert "squared:" not in stdout
 
 
@@ -189,6 +191,25 @@ def test_verify_deterministic(workdir, capsys):
         assert code == 0
         outs.append(stdout)
     assert outs[0] == outs[1]
+
+
+# one failing report per check: verify still prints all three lines
+FAILED_CHECKS = {
+    "convexity_check": verify.ConvexityTrialReport(5, 4, 0.0, -1.0, 0.0, 1.0, "squared", 0.1),
+    "nonexpansiveness_sweep": verify.NonexpansivenessReport(1000, 0, 2.0, False),
+    "softmax_counterexample": verify.SoftmaxCounterexample(0.5, 0.5, False, True),
+}
+
+
+@pytest.mark.parametrize("check", FAILED_CHECKS)
+def test_verify_failed_check_exits_1(workdir, capsys, monkeypatch, check):
+    d, data, _, model = workdir
+    monkeypatch.setattr(verify, check, lambda *args, **kwargs: FAILED_CHECKS[check])
+    code, stdout, err = run(capsys, "verify", "--model", str(model),
+                            "--data", str(data), "--trials", "5")
+    assert (code, err) == (1, "")
+    heads = [line.split(":")[0] for line in stdout.splitlines()]
+    assert heads == ["squared", "nonexpansiveness", "softmax counterexample"]
 
 
 def test_bench_reports_latency(workdir, capsys):
@@ -469,6 +490,28 @@ def test_entry_point_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"{tmp_path / 'nope.csv'}: not found" in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_2(tmp_path, unbuffered):
+    # stdout is a pipe whose read end is closed: the write fails at the
+    # print when unbuffered, at the flush after the command otherwise
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "convexattn.cli", "synth", "--kind", "tap",
+             "--n-per-class", "3", "--out", str(tmp_path / "s.csv")],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: stdout: Broken pipe\n"
 
 
 def config_line(err):

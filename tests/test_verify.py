@@ -13,46 +13,51 @@ from convexattn.verify import (
     NonexpansivenessReport,
     convexity_check,
     nonexpansiveness_sweep,
-    pipeline_loss,
     softmax_counterexample,
 )
-
-
-def _train_tap(loss_kind):
-    ds = synth_generate(SynthConfig(kind="tap", samples_per_class=10, seed=0))
-    cfg = TrainConfig(
-        nuclear_radius=5.158, m=9, gamma=0.789, eta=0.0297, epochs=60,
-        batch_size=16, batches_per_epoch=32, seed=0, loss_kind=loss_kind,
-        frames=10, patches=10,
-    )
-    bundle, _ = train(ds, cfg)
-    X, y = ds.stacked()
-    return bundle, X, y
+from reference_kernels import fixed_alpha_scores, scores
 
 
 @pytest.fixture(scope="module")
 def trained():
-    return _train_tap("squared")
+    """A squared-loss tap bundle and its data; replace(bundle, loss_kind=...)
+    checks the other loss at the same weights."""
+    ds = synth_generate(SynthConfig(kind="tap", samples_per_class=10, seed=0))
+    cfg = TrainConfig(
+        nuclear_radius=5.158, m=9, gamma=0.789, eta=0.0297, epochs=60,
+        batch_size=16, batches_per_epoch=32, seed=0, loss_kind="squared",
+        frames=10, patches=10,
+    )
+    bundle, _ = train(ds, cfg)
+    return bundle, ds.samples, ds.labels
 
 
-def test_pipeline_loss_matches_direct(trained):
+def test_convexity_check_passes_both_losses(trained):
+    # attention is frozen at the trained weights, so the loss is convex in
+    # the weights whichever loss it is and however far the noise reaches
     bundle, X, y = trained
-    Q = lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
-    # zero weights: hinge loss is exactly 1 (all margins violated equally)
-    assert pipeline_loss(np.zeros_like(bundle.weights), Q, y, "hinge") == pytest.approx(1.0)
-
-
-def test_convexity_check_passes_both_losses():
-    # each loss is checked around the minimizer trained under that loss;
-    # around a mismatched minimizer the recomputed-attention objective
-    # can show ~1e-3 midpoint violations
     for kind in ("hinge", "squared"):
-        bundle, X, y = _train_tap(kind)
-        rep = convexity_check(bundle, X, y, trials=50, rng=RngStream(1))
-        assert rep.passed
-        assert rep.satisfied == rep.trials == 50
-        assert rep.max_violation <= 1e-6
-        assert rep.loss_kind == kind
+        for noise in (0.1, 1.0, 10.0):
+            rep = convexity_check(replace(bundle, loss_kind=kind), X, y, trials=100,
+                                  noise_stddev=noise, rng=RngStream(1))
+            assert (rep.loss_kind, rep.noise_stddev) == (kind, noise)
+            assert rep.satisfied == rep.trials == 100, (kind, noise, rep.max_violation)
+            assert rep.passed and rep.max_violation <= 1e-6
+
+
+@pytest.mark.parametrize("noise", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_squared_midpoint_gap_is_the_closed_form(trained, seed, noise):
+    # the squared loss of scores linear in A has midpoint gap
+    # -sum ||f_alpha(A1 - A2)||^2 / (4n), alpha frozen at the trained weights
+    bundle, X, y = trained
+    rep = convexity_check(bundle, X, y, trials=1, noise_stddev=noise, rng=RngStream(seed))
+    A0 = bundle.weights
+    Q = lift(X, (bundle.norm_mean, bundle.norm_std), bundle.spec, bundle.rff)
+    draw = RngStream(seed).derive(1000).gauss(2 * A0.size, 0.0, noise)
+    D = (draw[: A0.size] - draw[A0.size:]).reshape(A0.shape)
+    f = fixed_alpha_scores(Q, D, scores(Q, A0)[1])
+    assert rep.mean_violation == pytest.approx(-np.sum(f**2) / (4 * len(X)), rel=1e-12)
 
 
 def test_convexity_check_deterministic(trained):
