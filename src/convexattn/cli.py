@@ -196,8 +196,8 @@ def cmd_export(args):
     ds = dataio.load_csv(args.data) if args.data else None
     if ds is not None:
         trainer.check_dataset(ds, bundle)
-    nbytes = save_model(bundle, args.out, precision=args.precision)
-    print(f"wrote {args.precision}-bit model ({nbytes} bytes) to {args.out}")
+    nbytes = save_model(bundle, args.out, precision=32)
+    print(f"wrote 32-bit model ({nbytes} bytes) to {args.out}")
     if ds is not None:
         exported = load_model(args.out)
         labels = scores(ds.samples, bundle).argmax(axis=1)
@@ -272,7 +272,6 @@ def build_parser():
     s = sub.add_parser("export", help="write a compact 32-bit model file")
     s.add_argument("--model", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--precision", type=int, choices=[32, 64], default=32)
     s.add_argument("--data", default=None, help="optional parity-check dataset")
     s.set_defaults(func=cmd_export)
     return p

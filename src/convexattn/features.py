@@ -75,20 +75,27 @@ def zscore_fit(X):
     A channel whose stddev is at most 1e-8 of its largest magnitude is
     constant at any scale (a channel of zeros too): its stddev is clamped
     to 1, with a warning naming it, so normalization never divides by ~0.
-    Statistics that overflow are refused, naming the channel. The sums
-    run over one C-contiguous (n, T, C) arrangement, a view of load_csv's
-    arrays, so the input's memory layout never moves a bit of the result.
+    The moments are taken in units of 2**e, e the np.frexp exponent of
+    the channel's largest magnitude. np.ldexp scales exactly, so no
+    square under- or overflows at any finite scale and no bit of an
+    ordinary-scale result moves; non-finite data is refused, naming the
+    channel. The sums run over one C-contiguous (n, T, C) arrangement, a
+    view of load_csv's arrays, so the input's memory layout never moves
+    a bit of the result.
     """
     X = as_floats(X, "dataset")
     if X.ndim != 3 or X.shape[0] < 2:
         raise ValueError(f"dataset must be an (n, C, T) array with n >= 2, got shape {X.shape}")
     X = np.ascontiguousarray(X.transpose(0, 2, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
+    top, e = np.frexp(np.abs(X).max(axis=(0, 1)))
+    X = np.ldexp(X, -e)
+    with np.errstate(invalid="ignore"):
         mean, std = X.mean(axis=(0, 1)), X.std(axis=(0, 1))
     bad = np.flatnonzero(~np.isfinite(mean) | ~np.isfinite(std))
     if bad.size:
         raise ValueError(f"channel {bad[0]}: z-score statistics are not finite")
-    flat = std <= 1e-8 * np.abs(X).max(axis=(0, 1))
+    flat = std <= 1e-8 * top
+    mean, std = np.ldexp(mean, e), np.ldexp(std, e)
     if flat.any():
         warnings.warn(f"constant channels {np.flatnonzero(flat).tolist()}: stddev clamped to 1")
         std = np.where(flat, 1.0, std)

@@ -2,14 +2,14 @@
 
 Both gradients treat the attention weights as fixed (stop-gradient):
 attention is recomputed per mini-batch, then the loss is differentiated
-through the scores only. Both end in one contraction, _contract, which
-adds the per-sample terms in sample order, as einsum's
-``nkp,npm->kpm`` does, so its bits are einsum's.
+through the scores only, so each takes the scores f at that attention
+and no weights. Both end in one contraction, _contract, which adds the
+per-sample terms in sample order, as einsum's ``nkp,npm->kpm`` does.
 """
 
 import numpy as np
 
-from .model import LOSS_KINDS, _score
+from .model import LOSS_KINDS
 from .numutil import as_floats, check_finite, check_labels
 
 
@@ -48,14 +48,13 @@ def _finite(loss):
     return float(loss)
 
 
-def _fixed_attention(Q, A, alpha, f):
-    """(Q, alpha, f) as float arrays checked against Q and A; f, when
-    omitted, is model._score's scores at the fixed attention alpha."""
+def _fixed_attention(Q, alpha, f):
+    """(Q, alpha, f) as float arrays: Q (n, P, m), alpha (n, K, P), f (n, K)."""
     Q = as_floats(Q, "features")
     alpha = as_floats(alpha, "alpha")
-    if alpha.shape != Q.shape[:1] + A.shape[:2]:
-        raise ValueError(f"alpha shape {alpha.shape} != {Q.shape[:1] + A.shape[:2]}")
-    f = _score(Q, A, alpha)[0] if f is None else as_floats(f, "scores")
+    f = as_floats(f, "scores")
+    if Q.ndim != 3 or alpha.ndim != 3 or alpha.shape[::2] != Q.shape[:2]:
+        raise ValueError(f"alpha shape {alpha.shape} does not match features {Q.shape}")
     if f.shape != alpha.shape[:2]:
         raise ValueError(f"scores shape {f.shape} != {alpha.shape[:2]}")
     return Q, alpha, f
@@ -76,15 +75,15 @@ def _contract(coeff, alpha, Q):
     return G.reshape(K, P, m)
 
 
-def hinge_subgradient(Q, labels, A, alpha, f=None):
+def hinge_subgradient(Q, labels, alpha, f):
     """Subgradient of the hinge loss w.r.t. the weight tensor.
 
-    Q: (n, P, m) features; alpha (n, K, P) and f (n, K) as returned by
-    model.batch_class_scores (f is recomputed when omitted). Per violating
-    sample the rival block gains alpha*Q_p and the true-class block loses
-    it; samples with margin <= 0 contribute the zero subgradient.
+    Q: (n, P, m) features; alpha (n, K, P) and f (n, K), the forward
+    pass's attention and the scores at it. Per violating sample the rival
+    block gains alpha*Q_p and the true-class block loses it; samples with
+    margin <= 0 contribute the zero subgradient.
     """
-    Q, alpha, f = _fixed_attention(Q, A, alpha, f)
+    Q, alpha, f = _fixed_attention(Q, alpha, f)
     Y, rival, idx, margin = _margins(f, labels)
     coeff = 0.0 - Y  # +0.0 off the label, as a zero-filled start gives
     coeff[idx, rival] = 1.0
@@ -103,13 +102,13 @@ def squared_loss(f, Y):
         return _finite(np.einsum("nk,nk->", r, r) / f.shape[0])
 
 
-def squared_gradient(Q, Y, A, alpha, f=None):
+def squared_gradient(Q, Y, alpha, f):
     """Gradient of the squared loss w.r.t. the weight tensor.
 
     Block (k, p) receives 2 (f_k - Y_k) alpha[k, p] Q_p per sample,
     averaged over the batch; f is as in hinge_subgradient.
     """
-    Q, alpha, f = _fixed_attention(Q, A, alpha, f)
+    Q, alpha, f = _fixed_attention(Q, alpha, f)
     Y = np.atleast_2d(as_floats(Y, "targets"))
     if Y.shape != f.shape:
         raise ValueError(f"target shape {Y.shape} != scores {f.shape}")

@@ -165,7 +165,7 @@ def train(dataset, config):
             idx = batch_rng.integers(config.batch_size, n)
             Qb = Q[idx]
             f, alpha, _ = batch_class_scores(Qb, A)
-            A -= config.eta * grad_fn(Qb, Y[idx], A, alpha, f)
+            A -= config.eta * grad_fn(Qb, Y[idx], alpha, f)
         A = nuclear_ball_project(flat(A), config.nuclear_radius).reshape(A.shape)
 
         f, _, _ = batch_class_scores(Q, A)

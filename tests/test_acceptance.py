@@ -214,12 +214,12 @@ def test_criterion_9_gradient_checks():
         if np.any(np.abs(margins) <= 1e-3):
             continue  # hinge kink exclusion
         D = rng.normal(size=A.shape)
-        g = hinge_subgradient(Q, y, A, alpha)
+        g = hinge_subgradient(Q, y, alpha, f)
         fd = (hinge_loss(fixed_alpha_scores(Q, A + h * D, alpha), y)
               - hinge_loss(fixed_alpha_scores(Q, A - h * D, alpha), y)) / (2 * h)
         worst_h = max(worst_h, abs(fd - float((g * D).sum())))
         Y = one_hot(y, K)
-        g = squared_gradient(Q, Y, A, alpha)
+        g = squared_gradient(Q, Y, alpha, f)
         fd = (squared_loss(fixed_alpha_scores(Q, A + h * D, alpha), Y)
               - squared_loss(fixed_alpha_scores(Q, A - h * D, alpha), Y)) / (2 * h)
         worst_s = max(worst_s, abs(fd - float((g * D).sum())))

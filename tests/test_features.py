@@ -78,10 +78,11 @@ def test_zscore_fit_needs_two_samples():
 SCALES = [1e-15, 1e-12, 1.0, 1e12]
 
 
-@pytest.mark.parametrize("s", SCALES)
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-100, *SCALES, 1e100, 1e200, 1e300])
 def test_zscore_fit_is_scale_free(s):
-    # picofarads or raw counts: the statistics scale with the data, and
-    # no channel is called constant for being small
+    # picofarads or raw counts: the statistics scale with the data, no
+    # channel is called constant for being small, and no square of the
+    # data under- or overflows near the ends of the float range
     X = np.random.default_rng(2).normal(3.0, 2.0, size=(20, 4, 10))
     mean, std = zscore_fit(X)
     with warnings.catch_warnings():
@@ -104,14 +105,24 @@ def test_zscore_constant_channel_clamped_at_every_scale(s):
     assert mean[0] == s
 
 
-@pytest.mark.parametrize("values", [
-    lambda X: 1e200 * X,  # the variance overflows
-    lambda X: np.where(X > np.median(X), 1e308, -1e308),  # the sums overflow
+@pytest.mark.parametrize("scale,values", [
+    (1e200, lambda X: X),  # squares in the data's units would overflow
+    (1e308, lambda X: np.where(X > np.median(X), 1.0, -1.0)),  # so would sums
 ], ids=["huge", "near-max"])
-def test_zscore_fit_refuses_non_finite_statistics(values):
+def test_zscore_fit_is_finite_near_the_float_range(scale, values):
+    X = values(synth_generate(SynthConfig(kind="tap", samples_per_class=5, seed=0)).samples)
+    mean, std = zscore_fit(X)
+    m, sd = zscore_fit(scale * X)
+    assert np.allclose(m, scale * mean, rtol=1e-12, atol=0)
+    assert np.allclose(sd, scale * std, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_zscore_fit_refuses_non_finite_statistics(bad):
     X = synth_generate(SynthConfig(kind="tap", samples_per_class=5, seed=0)).samples
-    with pytest.raises(ValueError, match=r"^channel 0: z-score statistics are not finite$"):
-        zscore_fit(values(X))
+    X[3, 2, 4] = bad
+    with pytest.raises(ValueError, match=r"^channel 2: z-score statistics are not finite$"):
+        zscore_fit(X)
 
 
 def test_patchify_tap_shape():

@@ -12,7 +12,7 @@ from convexattn.losses import (
     squared_gradient,
     squared_loss,
 )
-from convexattn.model import batch_class_scores
+from convexattn.model import _score, batch_class_scores
 
 import reference_kernels
 from reference_kernels import fixed_alpha_scores
@@ -49,11 +49,10 @@ def test_hinge_subgradient_zero_when_no_violation():
     A = rng.normal(size=(2, 4, 2))
     _, alpha, _ = batch_class_scores(Q, A)
     # force huge margins for class 0
-    f = fixed_alpha_scores(Q, A, alpha)
     big = A * 0
     big[0] = 100.0 * Q.mean(axis=0)
     y = np.zeros(3, dtype=int)
-    g = hinge_subgradient(Q, y, big, alpha)
+    g = hinge_subgradient(Q, y, alpha, fixed_alpha_scores(Q, big, alpha))
     assert np.allclose(g, 0.0)
 
 
@@ -65,37 +64,11 @@ def test_hinge_subgradient_single_violator_blocks():
     alpha = np.zeros((1, K, P))
     alpha[0, :, 1] = 1.0
     y = np.array([0])
-    g = hinge_subgradient(Q, y, A, alpha)
+    g = hinge_subgradient(Q, y, alpha, fixed_alpha_scores(Q, A, alpha))
     nonzero_blocks = {
         (k, p) for k in range(K) for p in range(P) if np.any(g[k, p] != 0)
     }
     assert nonzero_blocks == {(0, 1), (1, 1)}  # true class and lowest rival
-
-
-def test_hinge_finite_difference():
-    rng = np.random.default_rng(4)
-    h = 1e-6
-    checked = 0
-    while checked < 50:
-        n, P, m, K = 4, 3, 2, 3
-        Q = rng.normal(size=(n, P, m))
-        A = rng.normal(size=(K, P, m))
-        y = rng.integers(0, K, n)
-        _, alpha, _ = batch_class_scores(Q, A)
-        f = fixed_alpha_scores(Q, A, alpha)
-        idx = np.arange(n)
-        rival = np.where(one_hot(y, K) > 0, -np.inf, f).max(axis=1)
-        margins = 1.0 - f[idx, y] + rival
-        if np.any(np.abs(margins) <= 1e-3):
-            continue  # skip kink neighborhoods
-        g = hinge_subgradient(Q, y, A, alpha)
-        D = rng.normal(size=A.shape)
-        fd = (
-            hinge_loss(fixed_alpha_scores(Q, A + h * D, alpha), y)
-            - hinge_loss(fixed_alpha_scores(Q, A - h * D, alpha), y)
-        ) / (2 * h)
-        assert abs(fd - float((g * D).sum())) <= 1e-5
-        checked += 1
 
 
 def test_squared_hand_cases():
@@ -117,9 +90,9 @@ def test_squared_gradient_zero_at_minimum():
     n, P, m, K = 2, 3, 2, 2
     Q = rng.normal(size=(n, P, m))
     A = rng.normal(size=(K, P, m))
-    _, alpha, _ = batch_class_scores(Q, A)
+    f, alpha, _ = batch_class_scores(Q, A)
     Y = fixed_alpha_scores(Q, A, alpha)  # targets equal to predictions
-    g = squared_gradient(Q, Y, A, alpha)
+    g = squared_gradient(Q, Y, alpha, f)
     assert np.allclose(g, 0.0, atol=1e-12)
 
 
@@ -133,7 +106,7 @@ def test_squared_gradient_uniform_attention_closed_form():
     alpha = np.full((1, K, P), 1.0 / P)
     Y = one_hot([1], K)
     f = fixed_alpha_scores(Q, A, alpha)
-    g = squared_gradient(Q, Y, A, alpha)
+    g = squared_gradient(Q, Y, alpha, f)
     for k in range(K):
         for p in range(P):
             expect = 2.0 * (f[0, k] - Y[0, k]) * Q[0, p] / P
@@ -150,7 +123,7 @@ def test_squared_finite_difference():
         y = rng.integers(0, K, n)
         Y = one_hot(y, K)
         _, alpha, _ = batch_class_scores(Q, A)
-        g = squared_gradient(Q, Y, A, alpha)
+        g = squared_gradient(Q, Y, alpha, fixed_alpha_scores(Q, A, alpha))
         D = rng.normal(size=A.shape)
         fd = (
             squared_loss(fixed_alpha_scores(Q, A + h * D, alpha), Y)
@@ -179,39 +152,37 @@ def test_squared_convex_along_lines():
 
 @pytest.mark.parametrize("P,m", [(10, 9), (30, 3)])
 def test_gradients_reuse_forward_scores(P, m):
-    # the 5-argument form with the forward pass's f gives the same bits
-    # as the 4-argument form, which recomputes f
+    # train passes the forward pass's f to the gradients: it is, bit for
+    # bit, the fixed-attention score at the forward pass's own alpha
     rng = np.random.default_rng(P)
     n, K = 16, 4
     Q = np.sqrt(2.0 / m) * np.cos(rng.normal(size=(n, P, m)))
     A = rng.normal(scale=0.3, size=(K, P, m))
-    labels = rng.integers(0, K, size=n)
     f, alpha, _ = batch_class_scores(Q, A)
-    assert np.array_equal(hinge_subgradient(Q, labels, A, alpha, f),
-                          hinge_subgradient(Q, labels, A, alpha))
-    Y = one_hot(labels, K)
-    assert np.array_equal(squared_gradient(Q, Y, A, alpha, f),
-                          squared_gradient(Q, Y, A, alpha))
+    fixed = _score(Q, A, alpha)[0]
+    assert np.array_equal(f.view(np.uint64), fixed.view(np.uint64))
 
 
 def test_shape_mismatch_rejected():
     Q = np.zeros((2, 3, 2))
-    A = np.zeros((2, 3, 2))
-    with pytest.raises(ValueError):
-        hinge_subgradient(Q, [0, 1], A, np.zeros((2, 2, 4)))
-    with pytest.raises(ValueError):
-        squared_gradient(Q, np.zeros((3, 2)), A, np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match="alpha shape"):
+        hinge_subgradient(Q, [0, 1], np.zeros((2, 2, 4)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="target shape"):
+        squared_gradient(Q, np.zeros((3, 2)), np.zeros((2, 2, 3)), np.zeros((2, 2)))
+    for bad_rank in (Q[0], Q[..., None]):
+        with pytest.raises(ValueError, match="alpha shape"):
+            hinge_subgradient(bad_rank, [0, 1], np.zeros((2, 2, 3)), np.zeros((2, 2)))
     # a 6-row batch with the forward pass's scores: too few or too many
     # labels, and scores of the wrong shape, are named, not broadcast
     n, K = 6, 2
     Q, alpha, f = np.zeros((n, 3, 2)), np.zeros((n, K, 3)), np.zeros((n, K))
     for labels in ([0], [0] * 7):
         with pytest.raises(ValueError, match="labels length must match score rows"):
-            hinge_subgradient(Q, labels, A, alpha, f)
+            hinge_subgradient(Q, labels, alpha, f)
     for grad, target in ((hinge_subgradient, [0] * n), (squared_gradient, np.zeros((n, K)))):
         for bad in (np.zeros((n, K + 1)), np.zeros((n - 1, K)), np.zeros(n)):
             with pytest.raises(ValueError, match="scores shape"):
-                grad(Q, target, A, alpha, bad)
+                grad(Q, target, alpha, bad)
 
 
 def test_loss_functions_table():
@@ -236,7 +207,7 @@ def test_one_hot_edge_labels():
 
 @st.composite
 def gradient_cases(draw):
-    """(Q, labels, A, alpha, f) for n 1-40, K 2-5, P 1-30 and m 1-9,
+    """(Q, labels, alpha, f) for n 1-40, K 2-5, P 1-30 and m 1-9,
     with entries of Q and alpha set to 0.0 or -0.0 and scores f on a
     grid of ties, zero margins and both zeros, or continuous."""
     n, K, P, m = (draw(st.integers(lo, hi)) for lo, hi in ((1, 40), (2, 5), (1, 30), (1, 9)))
@@ -254,8 +225,7 @@ def gradient_cases(draw):
         f = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(n, K))
     else:
         f = rng.normal(size=(n, K))
-    A = np.zeros((K, P, m))  # only its shape is read when f is given
-    return Q, rng.integers(0, K, n), A, alpha, f
+    return Q, rng.integers(0, K, n), alpha, f
 
 
 GRADIENT_PROPERTY = settings(max_examples=300, deadline=None,
@@ -265,8 +235,8 @@ GRADIENT_PROPERTY = settings(max_examples=300, deadline=None,
 @GRADIENT_PROPERTY
 @given(case=gradient_cases())
 def test_hinge_subgradient_matches_einsum_bitwise(case):
-    Q, labels, A, alpha, f = case
-    got = hinge_subgradient(Q, labels, A, alpha, f)
+    Q, labels, alpha, f = case
+    got = hinge_subgradient(Q, labels, alpha, f)
     want = reference_kernels.hinge_subgradient(Q, labels, alpha, f)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -274,10 +244,10 @@ def test_hinge_subgradient_matches_einsum_bitwise(case):
 @GRADIENT_PROPERTY
 @given(case=gradient_cases())
 def test_squared_gradient_matches_einsum_bitwise(case):
-    Q, labels, A, alpha, f = case
+    Q, labels, alpha, f = case
     # one-hot targets give coefficients 2 (f - Y) of -0.0 where f is
     # -0.0 off the label, and 0.0 where f equals its target
     Y = one_hot(labels, f.shape[1])
-    got = squared_gradient(Q, Y, A, alpha, f)
+    got = squared_gradient(Q, Y, alpha, f)
     want = reference_kernels.squared_gradient(Q, Y, alpha, f)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

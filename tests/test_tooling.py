@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import importlib
@@ -219,3 +220,45 @@ def test_readme_commands_parse():
         except SystemExit:
             refused.append(f"convexattn {shlex.join(argv)}: {stderr.getvalue().strip()}")
     assert not refused, refused
+
+
+def test_every_cli_option_is_exercised():
+    # every option string a subcommand defines (argparse's -h/--help
+    # aside) is a whole token of some invocation in tests/test_cli.py: a
+    # one-word argv string, or a command line that starts with its
+    # subcommand, so --out is not matched by --out-model
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {o for sub in commands.values() for a in sub._actions
+               if not isinstance(a, argparse._HelpAction) for o in a.option_strings}
+    tokens = set()
+    for node in ast.walk(ast.parse((ROOT / "tests" / "test_cli.py").read_text("utf-8"))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words = node.value.split()
+            if len(words) == 1 or words and words[0] in commands:
+                tokens.update(words)
+    assert len(options) > 10, options  # the walk found the options
+    assert sorted(options - tokens) == []
+
+
+def test_claims_ledger_names_checks_that_exist():
+    # the README's claims ledger: one row per claim of the abstract, each
+    # with a status, and every test (tests/<file>.py::<name>) or script
+    # (studies/, perfbench/) a row names exists
+    text = (ROOT / "README.md").read_text("utf-8")
+    section = text.split("\n## Claims ledger\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")][2:]
+    assert len(rows) == 7, rows
+    missing = []
+    for claim, check, measured, status in rows:
+        assert status.startswith(("holds", "fails", "not checked")), (claim, status)
+        refs = re.findall(r"`((?:tests|studies|perfbench)/[\w/.-]+\.py)(?:::(\w+))?", check)
+        assert refs or status == "not checked", (claim, check)
+        for path, name in refs:
+            file = ROOT / path
+            defined = ({f.name for f in ast.parse(file.read_text("utf-8")).body
+                        if isinstance(f, ast.FunctionDef)} if file.is_file() else set())
+            if not file.is_file() or name and name not in defined:
+                missing.append(f"{claim}: {path}{'::' + name if name else ''}")
+    assert not missing, missing
