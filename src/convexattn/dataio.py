@@ -4,7 +4,7 @@ import collections
 import itertools
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,14 +48,12 @@ SWIPE_DIRECTIONS = np.array(
 class Dataset:
     """Gestures as arrays: ``samples`` (n, C, T) floats and ``labels``
     (n,) ints, with ``ids`` the CSV's gesture_id strings, or None for a
-    generated set."""
+    generated set, and ``class_names`` the names the labels index."""
 
     samples: np.ndarray
     labels: np.ndarray
     ids: np.ndarray = None
     class_names: tuple = CLASS_NAMES
-    sample_rate: float = 250.0
-    meta: dict = field(default_factory=dict)
 
     @property
     def channels(self):
@@ -155,10 +153,7 @@ def synth_generate(config):
         if config.noise_stddev:
             X = X + noise.reshape(n, C, T)
         samples[k * n:(k + 1) * n] = X
-    return Dataset(
-        samples, np.repeat(np.arange(K), n),
-        meta={"kind": config.kind, "seed": config.seed, "synthetic": True},
-    )
+    return Dataset(samples, np.repeat(np.arange(K), n))
 
 
 # gestures per formatted block of save_csv: bounds its memory, not its bytes
@@ -166,20 +161,21 @@ CSV_CHUNK = 256
 
 
 def save_csv(dataset, path):
-    """Write gesture_id,class,frame,ch0..chN rows plus a JSON sidecar.
+    """Write gesture_id,class,frame,ch0..chN rows plus a JSON sidecar
+    ``{"class_names": [...]}``.
 
     Each gesture's rows are written together, frames 0..T-1 in order,
     gestures numbered 0.. in dataset order. Values use ``%.17g``, which
-    round-trips every double, and a dataset's file is byte-identical
-    across versions. See :func:`load_csv` for what a reader checks.
+    round-trips every double, and a dataset's CSV is byte-identical
+    across versions; the sidecar changed once, when it dropped the keys
+    no reader used. See :func:`load_csv` for what a reader checks.
 
     Before the file is opened, ``samples`` must be a nonempty (n, C, T)
-    array of real numbers (numutil.as_floats), its ``class_names`` and
-    ``sample_rate`` must be what :func:`load_csv` accepts in a sidecar
-    (distinct class names, none holding a ',' or a line break; a numpy
-    rate is written as the Python number it holds), its n labels must
-    index ``class_names``, every gesture must be finite, and ``meta``
-    must be JSON. Rows go to the file CSV_CHUNK gestures at a time.
+    array of real numbers (numutil.as_floats), its ``class_names`` must
+    be what :func:`load_csv` accepts in a sidecar (distinct class names,
+    none holding a ',' or a line break), its n labels must index
+    ``class_names``, and every gesture must be finite. Rows go to the
+    file CSV_CHUNK gestures at a time.
     """
     path = Path(path)
     samples = as_floats(dataset.samples, "samples")
@@ -188,10 +184,7 @@ def save_csv(dataset, path):
     if not len(samples):
         raise ValueError("cannot save an empty dataset")
     class_names = list(dataset.class_names)
-    rate = dataset.sample_rate
-    if isinstance(rate, np.number):
-        rate = rate.item()
-    fault = _sidecar_fault(class_names, rate)
+    fault = _sidecar_fault(class_names)
     if fault:
         raise ValueError(fault)
     labels = check_labels(dataset.labels, len(class_names), len(samples))
@@ -199,16 +192,6 @@ def save_csv(dataset, path):
     if bad.any():
         raise ValueError(f"gesture {int(bad.argmax())} has a non-finite value")
     _, C, T = samples.shape
-    try:
-        sidecar = json.dumps({
-            "sample_rate": rate,
-            "channels": C,
-            "frames": T,
-            "class_names": class_names,
-            "meta": dataset.meta,
-        }, indent=2) + "\n"
-    except TypeError as e:
-        raise ValueError(f"meta is not JSON: {e}") from None
     names = np.array(class_names, dtype=object)[labels]
     row = "%d,%s,%d" + ",%.17g" * C + "\n"
     with open(path, "w", encoding="utf-8") as f:
@@ -224,7 +207,8 @@ def save_csv(dataset, path):
             cells[:, :, 2] = range(T)
             cells[:, :, 3:] = X.transpose(0, 2, 1)
             f.write(row * (g * T) % tuple(cells.ravel()))
-    _sidecar_path(path).write_text(sidecar, encoding="utf-8")
+    _sidecar_path(path).write_text(json.dumps({"class_names": class_names}, indent=2) + "\n",
+                                   encoding="utf-8")
 
 
 def _sidecar_path(path):
@@ -244,12 +228,11 @@ def read_json_object(path, what):
     return value
 
 
-def _sidecar_fault(names, rate):
-    """Why a sidecar with these class_names and sample_rate would not
-    load, or None: names must be a list of distinct strings, each one
-    CSV field (no ',' and no line break that str.splitlines sees) that
-    UTF-8 encodes (no surrogate code point), and rate a finite number > 0
-    (not a string or a boolean)."""
+def _sidecar_fault(names):
+    """Why a sidecar with these class_names would not load, or None:
+    names must be a list of distinct strings, each one CSV field (no ','
+    and no line break that str.splitlines sees) that UTF-8 encodes (no
+    surrogate code point)."""
     if not (isinstance(names, list) and all(isinstance(c, str) for c in names)):
         return "class_names must be a list of strings"
     for i, c in enumerate(names):
@@ -259,29 +242,23 @@ def _sidecar_fault(names, rate):
             return f"class name {c!r} holds a ',' or a line break"
         if any("\ud800" <= ch <= "\udfff" for ch in c):
             return f"class name {c!r} holds a surrogate, which UTF-8 cannot encode"
-    try:
-        check_numbers(dict(sample_rate=rate), (int, float), above=0)
-    except ValueError:
-        return f"sample_rate must be a finite number > 0, got {rate!r}"
     return None
 
 
 def _read_sidecar(path):
-    """(class_names, sample_rate, meta) from the CSV's sidecar, or the
-    defaults without one. Anything but a UTF-8 JSON object with a
-    class_names list of strings and a finite sample_rate > 0 is a
-    ValueError naming the sidecar."""
+    """The class names in the CSV's sidecar, or CLASS_NAMES without one.
+    Anything but a UTF-8 JSON object whose class_names _sidecar_fault
+    accepts is a ValueError naming the sidecar; no other key is read."""
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
-        return CLASS_NAMES, 250.0, {}
+        return CLASS_NAMES
     meta = read_json_object(sidecar, "sidecar")
-    missing = [k for k in ("class_names", "sample_rate") if k not in meta]
-    if missing:
-        raise ValueError(f"{sidecar}: missing keys {missing}")
-    fault = _sidecar_fault(meta["class_names"], meta["sample_rate"])
+    if "class_names" not in meta:
+        raise ValueError(f"{sidecar}: missing keys ['class_names']")
+    fault = _sidecar_fault(meta["class_names"])
     if fault:
         raise ValueError(f"{sidecar}: {fault}")
-    return tuple(meta["class_names"]), meta["sample_rate"], meta.get("meta", {})
+    return tuple(meta["class_names"])
 
 
 def _parse_rows(source, C):
@@ -447,7 +424,7 @@ def load_csv(path):
         if columns[3:] != [f"ch{c}" for c in range(C)] or C == 0:
             raise ValueError(f"{path}:1: malformed channel columns")
 
-        class_names, sample_rate, extra = _read_sidecar(path)
+        class_names = _read_sidecar(path)
 
         if count == 1:
             raise ValueError(f"{path}: no gesture rows")
@@ -498,5 +475,4 @@ def load_csv(path):
         raise ValueError(f"{path}:{int(first[ragged[0]]) + 2}: ragged gestures, "
                          f"frame counts {set(counts.tolist())}")
     samples = values[order].reshape(len(counts), counts[0], C).transpose(0, 2, 1)
-    return Dataset(samples, labels, np.array(gids, dtype=object), class_names, sample_rate,
-                   extra)
+    return Dataset(samples, labels, np.array(gids, dtype=object), class_names)

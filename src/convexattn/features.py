@@ -168,7 +168,16 @@ def lift(X, stats, spec, rff):
     try:
         Z = _normalized(X, *stats)
     except FloatingPointError:
-        raise ValueError("gesture is too large: normalizing it overflows") from None
+        # X - mean can overflow where the z-score does not: retry in units
+        # of 2**e per channel, e the np.frexp exponent of the larger of
+        # max|X| and |mean|, as zscore_fit takes its moments
+        mean, std = stats
+        e = np.frexp(np.maximum(np.abs(X).max(axis=(0, 2)), np.abs(mean)))[1]
+        try:
+            with np.errstate(divide="raise", invalid="raise"):  # std in units of 2**e is 0
+                Z = _normalized(np.ldexp(X, -e[:, None]), np.ldexp(mean, -e), np.ldexp(std, -e))
+        except FloatingPointError:
+            raise ValueError("gesture is too large: normalizing it overflows") from None
     rows = np.empty((len(X), spec.patches, spec.patch_dim))
     for i, x in enumerate(Z):
         rows[i] = patchify(x, spec)

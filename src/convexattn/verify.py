@@ -42,7 +42,8 @@ def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None):
     linear in the weights, as the gradients take them, so the loss is
     convex at any weights and noise. Each trial perturbs the trained
     tensor with Gaussian noise twice and checks loss(midpoint) <= mean
-    of the endpoint losses, within tolerance 1e-6.
+    of the endpoint losses, within tolerance 1e-6. Noise so large that a
+    trial's loss is not finite is refused, naming noise_stddev.
     """
     check_numbers(dict(trials=trials), numbers.Integral, least=1)
     check_numbers(dict(noise_stddev=noise_stddev), numbers.Real, above=0)
@@ -61,8 +62,15 @@ def convexity_check(bundle, X, y, trials=100, noise_stddev=0.1, rng=None):
         noise = g.gauss(2 * A0.size, 0.0, noise_stddev)
         A1 = A0 + noise[: A0.size].reshape(A0.shape)
         A2 = A0 + noise[A0.size:].reshape(A0.shape)
-        l1, l2, lm = (loss(_score(Q, A, alpha)[0], Y) for A in (A1, A2, 0.5 * (A1 + A2)))
-        violations[t] = lm - 0.5 * (l1 + l2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                l1, l2, lm = (loss(_score(Q, A, alpha)[0], Y) for A in (A1, A2, 0.5 * (A1 + A2)))
+                violations[t] = lm - 0.5 * (l1 + l2)
+            except ValueError:  # scores or a loss that overflow
+                violations[t] = np.nan
+        if not np.isfinite(violations[t]):
+            raise ValueError(f"noise_stddev {noise_stddev!r} is too large: "
+                             f"trial {t}'s loss is not finite")
     satisfied = int(np.count_nonzero(violations <= CONVEXITY_TOL))
     return ConvexityTrialReport(
         trials=trials,

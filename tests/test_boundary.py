@@ -311,6 +311,9 @@ EXAMPLES = {
     "predict-too-large": (lambda: predict(HUGE[0], NARROW), OVERFLOWS),
     "scores-too-large": (lambda: scores(HUGE, NARROW), OVERFLOWS),
     "evaluate-too-large": (lambda: evaluate(NARROW, HUGE, LABELS), OVERFLOWS),
+    # a stddev so small beside 1e308 that it is 0 in lift's retry units
+    "predict-too-large-tiny-std": (
+        lambda: predict(HUGE[0], replace(BUNDLE, norm_std=np.full(4, 1e-17))), OVERFLOWS),
     "rff-phase-overflow": (
         lambda: rff_transform(np.full((2, 4), 1e308), RMAP),
         "patches must be finite, and small enough that x W + b does not overflow"),

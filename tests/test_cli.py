@@ -77,11 +77,13 @@ def test_synth_deterministic_bytes(tmp_path, capsys):
 @pytest.mark.parametrize("values", [
     lambda X: 1e200 * X,
     lambda X: np.where(X > 0.5, 1e308, -1e308),
-], ids=["huge", "near-max"])
+    lambda X: np.where(X > 0.5, 1.5e308, -1.5e308),
+], ids=["huge", "near-max", "past-half-max"])
 def test_train_takes_finite_data_near_the_float_range(workdir, tmp_path, capsys, values):
-    # the z-score statistics are scale-exact, so taps whose squares or sums
-    # would overflow train, and their model predicts each gesture's label
-    # as the raw taps' model does
+    # the z-score statistics are scale-exact, and lift retries in their
+    # units where X - mean overflows, so taps whose squares, sums or
+    # differences would overflow train, and their model predicts each
+    # gesture's label as the raw taps' model does
     _, data, cfg, model = workdir
     taps = dataio.load_csv(data)
     scaled, out = tmp_path / "scaled.csv", tmp_path / "scaled.model"
@@ -323,18 +325,18 @@ def bad_files(workdir, tmp_path_factory):
     tap CSV with a sidecar load_csv must refuse ({meta_*}), its first
     three lines and a line that is not UTF-8 ({not_utf8}), its header
     alone ({header_only}), its first two classes alone ({two_classes}),
-    its taps set to +-1.5e308 ({near_max}), which normalizing by their
-    z-score statistics overflows; the tap model with norm stats
-    past the 32-bit range ({big_model}) and a file too short for a model
-    header ({junk_model}); the config with a byte that is not UTF-8
+    its taps set to +-1.5e308 ({near_max}), which normalizing by the tap
+    model's z-score statistics overflows; the tap model with norm stats
+    past the 32-bit range ({big_model}) or scored by the hinge loss
+    ({hinge_model}), and a file too short for a model header
+    ({junk_model}); the config with a byte that is not UTF-8
     ({cfg_not_utf8}), and configs with a bad, unknown or missing field
     ({cfg_*}, each named for its fault)."""
     d = tmp_path_factory.mktemp("sidecars")
     sidecars = {
         "meta_garbled": "{", "meta_list": "[1]",
         "meta_no_names": '{"sample_rate": 250}',
-        "meta_no_rate": '{"class_names": ["north", "south", "east", "west"]}',
-        "meta_bad_names": '{"class_names": "nsew", "sample_rate": 250}',
+        "meta_bad_names": '{"class_names": "nsew"}',
     }
     csvs = {}
     for name, text in sidecars.items():
@@ -358,6 +360,8 @@ def bad_files(workdir, tmp_path_factory):
     csvs["big_model"] = d / "big.model"
     save_model(replace(bundle, norm_mean=1e40 * bundle.norm_mean,
                        norm_std=1e40 * bundle.norm_std), csvs["big_model"])
+    csvs["hinge_model"] = d / "hinge.model"
+    save_model(replace(bundle, loss_kind="hinge"), csvs["hinge_model"])
     csvs["junk_model"] = d / "junk.model"
     csvs["junk_model"].write_bytes(b"not a model at all")
     csvs["cfg_not_utf8"] = d / "cfg.json"
@@ -378,7 +382,8 @@ def bad_files(workdir, tmp_path_factory):
 # (argv, what the one error line must name); {data} holds 10 taps per
 # class, {nope} does not exist, {missing} is in a directory that does
 # not exist, {dir} is a directory, and the other files are bad_files'.
-# Each fault comes before any output is printed or written.
+# Each fault comes before any output is printed or written, and no
+# warning escapes: the table runs with warnings as errors.
 @pytest.mark.parametrize("argv,named", [
     ("predict --model {nope} --data {data}", "{nope}: not found"),
     ("bench --model {model} --data {nope}", "{nope}: not found"),
@@ -404,8 +409,6 @@ def bad_files(workdir, tmp_path_factory):
     ("predict --model {model} --data {meta_list}", "{meta_list}.meta.json: sidecar must be"),
     ("predict --model {model} --data {meta_no_names}",
      "{meta_no_names}.meta.json: missing keys ['class_names']"),
-    ("train --data {meta_no_rate} --config {cfg} --out-model {out}",
-     "{meta_no_rate}.meta.json: missing keys ['sample_rate']"),
     ("verify --model {model} --data {meta_bad_names}",
      "{meta_bad_names}.meta.json: class_names must be a list of strings"),
     ("predict --model {model} --data {not_utf8}", "{not_utf8}:4: byte 0xff is not UTF-8"),
@@ -422,8 +425,11 @@ def bad_files(workdir, tmp_path_factory):
     ("eval --data {data} --config {cfg} --folds 1", "folds must be >= 2"),
     ("eval --data {data} --config {cfg} --jobs 0", "jobs must be >= 1"),
     ("eval --data {data} --config {cfg} --folds 20", "class 0 has 10 samples, need >= 20"),
-    ("train --data {near_max} --config {cfg} --out-model {out}",
-     "gesture is too large: normalizing it overflows"),
+    ("predict --model {model} --data {near_max}", "gesture is too large: normalizing it overflows"),
+    ("verify --model {hinge_model} --data {data} --noise 1e308",
+     "noise_stddev 1e+308 is too large: trial 0's loss is not finite"),
+    ("verify --model {model} --data {data} --noise 1e160",
+     "noise_stddev 1e+160 is too large: trial 0's loss is not finite"),
     ("export --model {big_model} --out {out}", "norm_mean does not fit in a 32-bit model"),
     ("synth --kind pinch --out {out}", "unknown gesture kind 'pinch'; valid kinds: tap, swipe"),
     ("train --data {nope} --config {cfg} --out-model {out}", "{nope}: not found"),
@@ -453,17 +459,19 @@ def bad_files(workdir, tmp_path_factory):
     "predict-out-missing-dir", "export-out-missing-dir",
     "data-is-a-dir", "config-is-a-dir", "model-is-a-dir",
     "sidecar-invalid-json", "sidecar-not-an-object", "sidecar-without-class-names",
-    "sidecar-without-sample-rate", "sidecar-class-names-not-strings", "data-not-utf8",
+    "sidecar-class-names-not-strings", "data-not-utf8",
     "predict-fewer-class-names", "config-not-utf8", "config-m-not-an-integer",
     "config-gamma-infinite", "config-patches-zero",
     "eval-one-fold", "eval-no-jobs", "eval-more-folds-than-taps",
-    "train-near-max-values", "export-32-bit-overflow",
+    "predict-near-max-values", "verify-hinge-noise-overflow", "verify-squared-noise-overflow",
+    "export-32-bit-overflow",
     "synth-unknown-kind", "train-data-not-found", "train-without-config",
     "config-unknown-key", "config-variance-meta", "config-unknown-loss-kind",
     "config-not-an-object", "config-without-frames", "predict-junk-model",
     "verify-header-only", "bench-header-only", "export-header-only",
     "bench-zero-iters", "bench-negative-iters",
 ])
+@pytest.mark.filterwarnings("error")
 def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, bad_files, tmp_path,
                                                  capsys, argv, named):
     d, data, cfg, model = workdir

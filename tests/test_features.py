@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from convexattn import features
 from convexattn.dataio import SynthConfig, load_csv, save_csv, synth_generate
 from convexattn.features import (
     PatchSpec,
@@ -301,6 +302,26 @@ def test_lift_matches_per_gesture_pipeline():
     for i in range(7):
         Xn = (X[i] - mean[:, None]) / std[:, None]
         assert np.array_equal(Q[i], rff_transform(patchify(Xn, spec), rmap))
+
+
+def test_lift_retry_in_scaled_units_gives_the_same_bits(monkeypatch):
+    # where X - mean overflows, lift normalizes again in units of 2**e
+    # per channel; forced onto taps in raw counts, that retry moves no bit
+    X = 300.0 * synth_generate(SynthConfig(kind="tap", samples_per_class=20, seed=1)).samples + 2048
+    spec = PatchSpec(channels=4, frames=10, patches=10)
+    rmap, stats = rff_init(spec, 9, 0.789, RngStream(0)), zscore_fit(X)
+    direct = lift(X, stats, spec, rmap)
+    normalized, calls = features._normalized, []
+
+    def overflow_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise FloatingPointError("overflow encountered in subtract")
+        return normalized(*args)
+
+    monkeypatch.setattr(features, "_normalized", overflow_once)
+    assert np.array_equal(lift(X, stats, spec, rmap).view(np.uint64), direct.view(np.uint64))
+    assert len(calls) == 2 and not np.array_equal(calls[1][0], X)
 
 
 def test_lift_rejects_channel_mismatch():
