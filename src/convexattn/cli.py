@@ -6,9 +6,11 @@ Exit codes: 0 success; 1 a check failed (a ``verify`` check or export
 label parity), and nothing else; 2 an input fault: a missing or
 unreadable file, a bad CSV, model or config, data that does not fit the
 model, or an output that cannot be written. The library raises
-ValueError for bad input and the OS raises OSError; :func:`main` is the
-one place that turns either into a single ``error:`` line and exit 2.
-Diagnostics go to stderr; data goes to stdout or files.
+ValueError for bad input, the OS raises OSError, and numpy raises
+MemoryError for a count too large to allocate; :func:`main` is the one
+place that turns any of them into a single ``error:`` line and exit 2.
+Diagnostics go to stderr, a warning as one ``warning:`` line; data goes
+to stdout or files.
 """
 
 import argparse
@@ -17,6 +19,7 @@ import numbers
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -49,8 +52,7 @@ def _load_config(args, ds):
 
 def cmd_synth(args):
     cfg = dataio.SynthConfig(kind=args.kind, samples_per_class=args.n_per_class,
-                             noise_stddev=args.noise, amplitude=args.amplitude,
-                             drift_rate=args.drift, seed=args.seed)
+                             noise_stddev=args.noise, drift_rate=args.drift, seed=args.seed)
     ds = dataio.synth_generate(cfg)
     dataio.save_csv(ds, args.out)
     print(f"wrote {len(ds.samples)} samples ({len(ds.class_names)} classes) to {args.out}")
@@ -220,7 +222,6 @@ def build_parser():
     s.add_argument("--kind", required=True)
     s.add_argument("--n-per-class", type=int, default=100)
     s.add_argument("--noise", type=float, default=0.05)
-    s.add_argument("--amplitude", type=float, default=1.0)
     s.add_argument("--drift", type=float, default=0.0)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
@@ -283,6 +284,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    # a warning is shown as one line; which are raised, and which the
+    # filters turn into errors, does not change
+    shown, warnings.formatwarning = warnings.formatwarning, lambda m, *_: f"warning: {m}\n"
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
@@ -293,8 +297,10 @@ def main(argv=None):
     except OSError as e:
         reason = "not found" if isinstance(e, FileNotFoundError) else e.strerror
         message = f"{e.filename}: {reason}" if e.filename else str(e)
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:  # MemoryError: a count too large to allocate
         message = str(e)
+    finally:
+        warnings.formatwarning = shown
     print(f"error: {message}", file=sys.stderr)
     return 2
 

@@ -69,7 +69,6 @@ class SynthConfig:
     kind: str  # one of GESTURE_KINDS
     samples_per_class: int = 100
     noise_stddev: float = 0.05
-    amplitude: float = 1.0
     drift_rate: float = 0.0
     seed: int = 0
 
@@ -81,7 +80,7 @@ class SynthConfig:
         check_numbers(dict(seed=self.seed), numbers.Integral)
         check_key("seed", self.seed)
         check_numbers(dict(noise_stddev=self.noise_stddev), numbers.Real, least=0)
-        check_numbers(dict(amplitude=self.amplitude, drift_rate=self.drift_rate), numbers.Real)
+        check_numbers(dict(drift_rate=self.drift_rate), numbers.Real)
 
     @property
     def frames(self):
@@ -97,8 +96,8 @@ def _tap_templates(config, anchor, jitter):
     width = T / 3.0
     env = np.exp(-0.5 * ((np.arange(T) - t0[:, None]) / width) ** 2)
     d2 = ((ELECTRODE_CORNERS - anchor) ** 2).sum(axis=1)
-    amp = config.amplitude * np.exp(-d2 / 0.5)
-    return amp[None, :, None] * env[:, None, :]
+    peak = np.exp(-d2 / 0.5)
+    return peak[None, :, None] * env[:, None, :]
 
 
 def _swipe_templates(config, direction, jitter):
@@ -115,14 +114,14 @@ def _swipe_templates(config, direction, jitter):
     frac = 3.0 * u ** 2 - 2.0 * u ** 3
     path = start[:, None, :] + frac[None, :, None] * (end - start)[:, None, :]
     d2 = ((path[:, None] - ELECTRODE_CORNERS[None, :, None]) ** 2).sum(axis=3)
-    return config.amplitude * np.exp(-d2 / 0.5)
+    return np.exp(-d2 / 0.5)
 
 
 def synth_generate(config):
     """Balanced synthetic gesture dataset, deterministic per seed.
 
-    Taps are a shared Gaussian-in-time pulse with per-channel amplitude
-    set by anchor-to-electrode distance; swipes translate the contact
+    Taps are a shared Gaussian-in-time pulse with per-channel peak set
+    by anchor-to-electrode distance; swipes translate the contact
     point across the surface so channel peaks occur in direction order.
     Gesture i of class k draws from stream ``derive(1 + k*n + i)``
     (template jitter, then noise), the class's streams in turn through
@@ -265,10 +264,11 @@ def _parse_rows(source, C):
     """One parse of CSV data lines, a list or an open text file from its
     current line: the distinct ids and class names, each a list in order
     of first appearance, and per row the indices of its id and class
-    name in them, its int() frame and its (C,) values; or None when a
-    line does not parse. Stricter than the per-field int()/float()
-    reading: a value with '_' or non-ASCII digits, or a frame beyond
-    int64, does not parse. Blank lines are skipped.
+    name in them, its frame and its (C,) values; or None when a line
+    does not parse. Stricter than the per-field int()/float() reading: a
+    frame that is not ASCII or holds '_', a value with '_' or non-ASCII
+    digits, or a frame beyond int64, does not parse. Blank lines are
+    skipped.
     """
     # each field's distinct strings, numbered from 0 as they first appear
     gids, names, frames = (collections.defaultdict(itertools.count().__next__)
@@ -279,6 +279,9 @@ def _parse_rows(source, C):
                           encoding=None,  # converters get str, not bytes, on numpy < 2
                           converters={0: gids.__getitem__, 1: names.__getitem__,
                                       2: frames.__getitem__})
+        text = "".join(frames)  # int() reads '_' and non-ASCII digits too
+        if not text.isascii() or "_" in text:
+            return None
         frame = np.array([int(s) for s in frames], dtype=np.int64)[rows["frame"]]
     except (ValueError, OverflowError):
         return None
@@ -382,12 +385,12 @@ def load_csv(path):
     the first gesture whose frame count differs from the first
     gesture's. So a NaN at line 5 and a short line at line 100 report
     line 100. Ids and class names are kept as written, frames are read
-    as int() reads them, and values as float() does except that a value
-    with '_' or non-ASCII digits is refused at its line. The file is
-    read as UTF-8 text whatever the locale, with universal newlines
-    ("\r\n" and "\r" end a line as "\n" does), and a byte that does not
-    decode is reported at its line. A file ``save_csv`` wrote loads to
-    the same bits in every version.
+    as int() reads ASCII without '_', and values as float() does, except
+    that a frame beyond int64 or a value with '_' or non-ASCII digits is
+    refused at its line. The file is read as UTF-8 text whatever the
+    locale, with universal newlines ("\r\n" and "\r" end a line as "\n"
+    does), and a byte that does not decode is reported at its line. A
+    file ``save_csv`` wrote loads to the same bits in every version.
 
     An LF, CRLF or CR file with no fault is parsed once, from the open
     file, after a pre-pass over its text; a row keeps only the index of

@@ -160,18 +160,23 @@ def train(dataset, config):
     report = TrainReport()
     flat = lambda a: a.reshape(K * spec.patches, config.m)
 
-    for _ in range(config.epochs):
-        for _ in range(config.batches_per_epoch):
-            idx = batch_rng.integers(config.batch_size, n)
-            Qb = Q[idx]
-            f, alpha, _ = batch_class_scores(Qb, A)
-            A -= config.eta * grad_fn(Qb, Y[idx], alpha, f)
-        A = nuclear_ball_project(flat(A), config.nuclear_radius).reshape(A.shape)
+    # the data and config are checked, so a fault from here on is weights
+    # that a step size too large has driven past what scores can hold
+    try:
+        for epoch in range(1, config.epochs + 1):
+            for _ in range(config.batches_per_epoch):
+                idx = batch_rng.integers(config.batch_size, n)
+                Qb = Q[idx]
+                f, alpha, _ = batch_class_scores(Qb, A)
+                A -= config.eta * grad_fn(Qb, Y[idx], alpha, f)
+            A = nuclear_ball_project(flat(A), config.nuclear_radius).reshape(A.shape)
 
-        f, _, _ = batch_class_scores(Q, A)
-        report.epoch_loss.append(loss_fn(f, Y))
-        report.epoch_accuracy.append(float((f.argmax(axis=1) == y).mean()))
-        report.epoch_nuclear_norm.append(nuclear_norm(flat(A)))
+            f, _, _ = batch_class_scores(Q, A)
+            report.epoch_loss.append(loss_fn(f, Y))
+            report.epoch_accuracy.append(float((f.argmax(axis=1) == y).mean()))
+            report.epoch_nuclear_norm.append(nuclear_norm(flat(A)))
+    except ValueError as e:
+        raise ValueError(f"training diverged in epoch {epoch} (eta {config.eta:g}): {e}") from None
 
     report.wall_time_s = time.perf_counter() - t_start
     bundle = ModelBundle(rff=rff, weights=A, spec=spec, norm_mean=mean, norm_std=std,

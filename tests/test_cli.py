@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
+    shown = warnings.formatwarning
     code = main(list(argv))
+    assert warnings.formatwarning is shown  # main restores how warnings are shown
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -326,7 +329,8 @@ def bad_files(workdir, tmp_path_factory):
     three lines and a line that is not UTF-8 ({not_utf8}), its header
     alone ({header_only}), its first two classes alone ({two_classes}),
     its taps set to +-1.5e308 ({near_max}), which normalizing by the tap
-    model's z-score statistics overflows; the tap model with norm stats
+    model's z-score statistics overflows, its channel 2 set to 1
+    ({constant_channel}); the tap model with norm stats
     past the 32-bit range ({big_model}) or scored by the hinge loss
     ({hinge_model}), and a file too short for a model header
     ({junk_model}); the config with a byte that is not UTF-8
@@ -356,6 +360,10 @@ def bad_files(workdir, tmp_path_factory):
     csvs["near_max"] = d / "near_max.csv"
     dataio.save_csv(dataio.Dataset(np.where(taps.samples > 0.5, 1.5e308, -1.5e308), taps.labels),
                     csvs["near_max"])
+    csvs["constant_channel"] = d / "constant.csv"
+    constant = taps.samples.copy()
+    constant[:, 2] = 1.0
+    dataio.save_csv(dataio.Dataset(constant, taps.labels), csvs["constant_channel"])
     bundle = load_model(workdir[3])
     csvs["big_model"] = d / "big.model"
     save_model(replace(bundle, norm_mean=1e40 * bundle.norm_mean,
@@ -371,7 +379,7 @@ def bad_files(workdir, tmp_path_factory):
                "inf_gamma": dict(cfg, gamma="G"), "unknown_key": {"learning_rate": 0.1},
                "loss_hinge": dict(cfg, loss_kind="Hinge"), "not_an_object": 5,
                "no_frames": {k: v for k, v in cfg.items() if k != "frames"},
-               "variance_meta": dict(cfg, variance_meta=50)}
+               "variance_meta": dict(cfg, variance_meta=50), "big_eta": dict(cfg, eta=1e20)}
     for name, values in configs.items():
         csvs[f"cfg_{name}"] = d / f"{name}.json"
         # a gamma of 1e400, which JSON reads as infinity
@@ -392,7 +400,6 @@ def bad_files(workdir, tmp_path_factory):
     ("predict --model {model} --data {swipe}", "shape (4, 30)"),
     ("verify --model {model} --data {swipe} --trials 2", "shape (4, 30)"),
     ("synth --kind tap --n-per-class 1 --out {missing}", "{missing}"),
-    ("synth --kind tap --amplitude nan --out {out}", "amplitude must be finite, got nan"),
     ("synth --kind tap --noise nan --out {out}", "noise_stddev must be finite, got nan"),
     ("train --data {data} --config {cfg} --out-model {missing}", "{missing}: not found"),
     ("train --data {data} --config {cfg} --out-model {out} --report {missing}",
@@ -450,10 +457,16 @@ def bad_files(workdir, tmp_path_factory):
       for command in ("verify", "bench", "export --out {out}")),
     *((f"bench --model {{model}} --data {{data}} --iters {n}", f"--iters must be >= 1, got {n}")
       for n in (0, -1)),
+    # counts whose arrays exceed any 64-bit address space: nothing is mapped
+    ("bench --model {model} --data {data} --iters 100000000000000000", "Unable to allocate"),
+    ("verify --model {model} --data {data} --trials 100000000000000000", "Unable to allocate"),
+    ("synth --kind tap --n-per-class 1000000000000000 --out {out}", "Unable to allocate"),
+    ("train --data {data} --config {cfg_big_eta} --out-model {out}",
+     "training diverged in epoch 1 (eta 1e+20): scores row 0 is too large"),
 ], ids=[
     "model-not-found", "data-not-found", "bench-mismatched-data",
     "export-mismatched-data", "predict-mismatched-data", "verify-mismatched-data",
-    "synth-out-missing-dir", "synth-nan-amplitude", "synth-nan-noise",
+    "synth-out-missing-dir", "synth-nan-noise",
     "train-out-model-missing-dir", "train-report-missing-dir",
     "train-out-model-is-a-dir", "train-report-is-a-dir",
     "predict-out-missing-dir", "export-out-missing-dir",
@@ -470,6 +483,8 @@ def bad_files(workdir, tmp_path_factory):
     "config-not-an-object", "config-without-frames", "predict-junk-model",
     "verify-header-only", "bench-header-only", "export-header-only",
     "bench-zero-iters", "bench-negative-iters",
+    "bench-unallocatable-iters", "verify-unallocatable-trials", "synth-unallocatable-count",
+    "train-diverging-eta",
 ])
 @pytest.mark.filterwarnings("error")
 def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, bad_files, tmp_path,
@@ -520,6 +535,31 @@ def test_entry_point_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"{tmp_path / 'nope.csv'}: not found" in proc.stderr
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    ("synth --kind tap --n-per-class 1000000000000000 --out {out}", 2,
+     "error: Unable to allocate"),
+    ("train --data {data} --config {cfg_big_eta} --out-model {out}", 2,
+     "error: training diverged in epoch 1"),
+    ("train --data {constant_channel} --config {cfg} --out-model {out}", 0,
+     "warning: constant channels [2]: stddev clamped to 1"),
+], ids=["unallocatable-count", "diverging-eta", "constant-channel"])
+def test_entry_point_stderr_holds_only_prefixed_lines(workdir, bad_files, tmp_path,
+                                                      argv, code, line):
+    # pytest records warnings in-process, so only a process of its own
+    # shows what reaches a user: no traceback, warning class or source line
+    _, data, cfg, _ = workdir
+    paths = dict(data=data, cfg=cfg, out=tmp_path / "out", **bad_files)
+    proc = subprocess.run(
+        [sys.executable, "-m", "convexattn.cli", *(a.format(**paths) for a in argv.split())],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert any(s.startswith(line) for s in lines), proc.stderr
+    assert all(s.startswith(("config: ", "warning: ", "error: ")) for s in lines), proc.stderr
+    assert "Warning:" not in proc.stderr and ".py" not in proc.stderr
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
