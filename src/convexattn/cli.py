@@ -68,6 +68,8 @@ def cmd_train(args):
             raise ValueError(f"{out}: not found")
         if out and Path(out).is_dir():
             raise ValueError(f"{out}: Is a directory")
+    if args.report and Path(args.report).resolve() == Path(args.out_model).resolve():
+        raise ValueError(f"--out-model and --report name one file, {args.report}")
     bundle, report = trainer.train(ds, cfg)
     trainable, fixed = param_count(bundle)
     print(f"trainable={trainable} fixed={fixed} total={trainable + fixed}")
@@ -90,12 +92,16 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    folds, jobs = args.folds, args.jobs
+    if args.mode == "split" and (folds, jobs) != (None, None):
+        raise ValueError("--folds and --jobs apply only to --mode kfold")
     ds = dataio.load_csv(args.data)
     cfg = _load_config(args, ds)
     # the methodology line follows the run, so a fault prints nothing
     if args.mode == "kfold":
-        res = trainer.kfold_evaluate(ds, cfg, folds=args.folds, jobs=args.jobs)
-        print(f"methodology: stratified {args.folds}-fold cross-validation")
+        folds = 10 if folds is None else folds
+        res = trainer.kfold_evaluate(ds, cfg, folds=folds, jobs=1 if jobs is None else jobs)
+        print(f"methodology: stratified {folds}-fold cross-validation")
         print(
             f"accuracy: {res.mean_accuracy:.4f} +/- {res.std_accuracy:.4f}  "
             f"macro_f1: {res.mean_f1:.4f} +/- {res.std_f1:.4f}"
@@ -243,10 +249,10 @@ def build_parser():
     s = sub.add_parser("eval", help="k-fold or split evaluation")
     s.add_argument("--data", required=True)
     s.add_argument("--mode", choices=["kfold", "split"], default="kfold")
-    s.add_argument("--folds", type=int, default=10)
-    s.add_argument("--jobs", type=int, default=1,
-                   help="fold-level worker processes, at most one per fold "
-                        "(results identical)")
+    s.add_argument("--folds", type=int, default=None, help="kfold only (default 10)")
+    s.add_argument("--jobs", type=int, default=None,
+                   help="kfold only: fold-level worker processes, at most one per fold "
+                        "(default 1; results identical)")
     add_cfg(s)
     s.set_defaults(func=cmd_eval)
 

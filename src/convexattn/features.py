@@ -131,16 +131,16 @@ def rff_init(spec, m, gamma, rng):
 
 @np.errstate(over="ignore", invalid="ignore")  # a phase that is not finite gives a NaN
 def rff_transform(patches, rmap):
-    """Apply the cosine feature map row-wise.
+    """Apply the cosine feature map to each row of patches (rows, patch_dim).
 
-    Returns Q of shape (patches, m) with rows sqrt(2/m)*cos(x W + b);
-    every entry is bounded by sqrt(2/m) in magnitude. Patches that are
-    not finite, or whose phases overflow, are refused.
+    Returns Q of shape (rows, m) with rows sqrt(2/m)*cos(x W + b);
+    every entry is bounded by sqrt(2/m) in magnitude. Patches of another
+    shape, that are not finite, or whose phases overflow, are refused.
     """
-    patches = np.atleast_2d(as_floats(patches, "patches"))
+    patches = as_floats(patches, "patches")
     if patches.ndim != 2 or patches.shape[1] != rmap.patch_dim:
-        raise ValueError(f"patches shape {patches.shape} does not match map "
-                         f"patch_dim {rmap.patch_dim}")
+        raise ValueError(f"patches must be 2-d with patch_dim {rmap.patch_dim} columns, "
+                         f"got shape {patches.shape}")
     out = patches @ rmap.W
     out += rmap.b
     np.cos(out, out=out)

@@ -33,8 +33,8 @@ def _margins(f, labels):
 
 
 def hinge_loss(f, labels):
-    """Mean multi-class hinge: max(0, 1 - f_true + best rival score)."""
-    f = np.atleast_2d(check_finite(f, "scores"))
+    """Mean multi-class hinge max(0, 1 - f_true + best rival) of scores f (n, K >= 2)."""
+    f = check_finite(f, "scores")
     if f.ndim != 2 or f.shape[1] < 2:
         raise ValueError(f"scores must be 2-d with at least 2 classes, got shape {f.shape}")
     with np.errstate(over="ignore"):
@@ -92,9 +92,11 @@ def hinge_subgradient(Q, labels, alpha, f):
 
 
 def squared_loss(f, Y):
-    """Mean squared error against one-hot targets."""
-    f = np.atleast_2d(check_finite(f, "scores"))
-    Y = np.atleast_2d(check_finite(Y, "targets"))
+    """Mean squared error of scores f (n, K) against one-hot targets Y (n, K)."""
+    f = check_finite(f, "scores")
+    Y = check_finite(Y, "targets")
+    if f.ndim != 2:
+        raise ValueError(f"scores must be 2-d, got shape {f.shape}")
     if f.shape != Y.shape:
         raise ValueError(f"scores shape {f.shape} does not match targets {Y.shape}")
     with np.errstate(over="ignore"):
@@ -109,7 +111,7 @@ def squared_gradient(Q, Y, alpha, f):
     averaged over the batch; f is as in hinge_subgradient.
     """
     Q, alpha, f = _fixed_attention(Q, alpha, f)
-    Y = np.atleast_2d(as_floats(Y, "targets"))
+    Y = as_floats(Y, "targets")
     if Y.shape != f.shape:
         raise ValueError(f"target shape {Y.shape} != scores {f.shape}")
     return _contract(2.0 * (f - Y), alpha, Q)

@@ -114,15 +114,11 @@ def check_finite(a, name="input"):
 
 def check_labels(labels, n_classes, n=None):
     """labels as a 1-d int64 array of values in 0..n_classes-1, of length
-    n when n is given. A label that is not a real number is refused
-    (as_floats); a float one is judged integral, then in range, before
-    the cast, so a NaN, infinite or huge label is named, not wrapped."""
+    n when n is given. Labels are an integer array: any other dtype is
+    refused, named, before a value is read (an empty list is float64)."""
     labels = as_array(labels, "labels")
     if labels.dtype.kind not in "iu":
-        real = as_floats(labels, "labels")
-        bad = ~np.isfinite(real) | (np.floor(real) != real)
-        if bad.any():
-            raise ValueError(f"labels must be integers, got {labels[bad][0]}")
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.ndim != 1:
         raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
     if n is not None and labels.size != n:
@@ -156,10 +152,10 @@ def check_numbers(values, kind, least=None, above=None):
 
 
 def check_matrix(A):
-    """A finite matrix as a 2-d float array; a 1-d array is one row."""
-    A = np.atleast_2d(check_finite(A, "matrix"))
-    if A.ndim > 2:
-        raise ValueError(f"matrix must be 1-d or 2-d, got shape {A.shape}")
+    """A finite 2-d float array; any other rank is refused, naming its shape."""
+    A = check_finite(A, "matrix")
+    if A.ndim != 2:
+        raise ValueError(f"matrix must be 2-d, got shape {A.shape}")
     return A
 
 

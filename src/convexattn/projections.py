@@ -104,17 +104,19 @@ def nuclear_ball_project(A, radius):
     ball: past the radius, nonnegative values project by the simplex
     threshold at that radius. A matrix already inside the ball
     (including the zero matrix) is returned unchanged; one whose
-    projected singular values do not sum to the radius within 1e-12
-    (rounding lost it) is refused.
+    projected singular values do not sum to the radius within 1e-12 of
+    it (rounding at the norm's scale lost it) is refused, naming both.
     """
     A = check_matrix(A)
     check_numbers(dict(radius=radius), numbers.Real, above=0)
     U, sigma, V = svd_thin(A)
-    if sigma.sum() <= radius:
+    norm = sigma.sum()
+    if norm <= radius:
         return A.copy()
     sigma = _threshold_rows(sigma[None], radius)[0]
     if not abs(sigma.sum() - radius) <= 1e-12 * radius:
-        raise ValueError("matrix is too large to project: rounding loses the radius")
+        raise ValueError(f"matrix of nuclear norm {norm:.6g} is too far outside the ball "
+                         f"of radius {radius:g}: rounding loses the radius")
     return (U * sigma) @ V.T
 
 

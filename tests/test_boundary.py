@@ -23,7 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexattn.features import PatchSpec, patchify, rff_init, rff_transform, zscore_fit
-from convexattn.losses import hinge_loss, one_hot, squared_loss
+from convexattn.losses import hinge_loss, one_hot, squared_gradient, squared_loss
 from convexattn.model import (
     ModelBundle,
     batch_class_scores,
@@ -77,10 +77,6 @@ def fraction(out, a):
     assert out <= 1.0
 
 
-def rows(a):
-    return len(np.atleast_2d(np.asarray(a)))
-
-
 def trained(out, a):
     bundle, report = out
     A = finite(bundle.weights, (4, 10, 3))
@@ -106,7 +102,7 @@ def normalized(out, a):
 
 
 def lifted(out, a):
-    assert (np.abs(finite(out, (rows(a), 3))) <= math.sqrt(2 / 3)).all()
+    assert (np.abs(finite(out, (len(a), 3))) <= math.sqrt(2 / 3)).all()
 
 
 def attended(out, a):
@@ -116,12 +112,12 @@ def attended(out, a):
 
 
 def projected(out, a):
-    assert nuclear_norm(finite(out, np.atleast_2d(a).shape)) <= 1.0 + 1e-12
+    assert nuclear_norm(finite(out, np.shape(a))) <= 1.0 + 1e-12
 
 
 def factored(out, a):
     U, sigma, V = out
-    (r, c), k = np.atleast_2d(a).shape, min(np.atleast_2d(a).shape)
+    (r, c), k = np.shape(a), min(np.shape(a))
     finite(U, (r, k)), finite(V, (c, k))
     assert (np.diff(finite(sigma, (k,))) <= 0).all() and (sigma >= 0).all()
 
@@ -246,27 +242,24 @@ NARROW = replace(BUNDLE, norm_std=np.full(4, 0.5))
 TOO_LARGE = "scores row {} is too large to project onto the simplex"
 NOT_COUNTS = "confusion must be a square matrix of integer counts >= 0, got dtype {}, shape {}"
 OVERFLOWS = "gesture is too large: normalizing it overflows"
+RADIUS_LOST = ("matrix of nuclear norm {} is too far outside the ball of radius {}: "
+               "rounding loses the radius")
+NOT_A_MATRIX = "matrix must be 2-d, got shape (3,)"
+PATCHES_SHAPE = "patches must be 2-d with patch_dim 4 columns, got shape {}"
+NOT_INTEGERS = "labels must be integers, got dtype float64"
 EXAMPLES = {
-    "labels-nan": (lambda: check_labels([0.0, math.nan], 2), "labels must be integers, got nan"),
-    "labels-inf": (lambda: check_labels([math.inf, 0.0], 2), "labels must be integers, got inf"),
-    "labels-huge": (lambda: check_labels([0.0, 1e30], 2), "labels must be in 0..1, got 1e+30"),
-    "labels-fraction": (lambda: one_hot([1.7], 4), "labels must be integers, got 1.7"),
-    "labels-fraction-array": (lambda: one_hot(np.array([0.0, 2.5]), 4),
-                              "labels must be integers, got 2.5"),
+    # a float label is refused by its dtype, whatever its value
+    "labels-nan": (lambda: check_labels([0.0, math.nan], 2), NOT_INTEGERS),
+    "labels-fraction": (lambda: one_hot([1.7], 4), NOT_INTEGERS),
     # a label column would index a 2-hot block per row
     "labels-column": (lambda: one_hot(np.array([[1], [2]]), 4),
                       "labels must be 1-d, got shape (2, 1)"),
     "labels-past-k": (lambda: one_hot([0, 4], 4), "labels must be in 0..3, got 4"),
     "labels-negative": (lambda: one_hot(np.array([-1, 2]), 4), "labels must be in 0..3, got -1"),
-    "one-hot-huge": (lambda: one_hot([0.0, 1e30], 2), "labels must be in 0..1, got 1e+30"),
-    "hinge-labels-nan": (lambda: hinge_loss(np.zeros((2, 2)), [0.0, math.nan]),
-                         "labels must be integers, got nan"),
-    "hinge-labels-fraction": (lambda: hinge_loss(np.zeros((1, 4)), [1.7]),
-                              "labels must be integers, got 1.7"),
-    "train-labels-huge": (lambda: train((GESTURES, [0.0, 1.0, 2.0, 1e30]), TINY),
-                          "labels must be in 0..3, got 1e+30"),
+    "hinge-labels-nan": (lambda: hinge_loss(np.zeros((2, 2)), [0.0, math.nan]), NOT_INTEGERS),
+    "train-labels-huge": (lambda: train((GESTURES, [0.0, 1.0, 2.0, 1e30]), TINY), NOT_INTEGERS),
     "evaluate-labels-nan": (lambda: evaluate(BUNDLE, GESTURES, [0.0, 1.0, 2.0, math.nan]),
-                            "labels must be integers, got nan"),
+                            NOT_INTEGERS),
     "simplex-overflow": (lambda: simplex_project([1e308, 1e308]), TOO_LARGE.format(0)),
     # the radius is below half an ulp of the row maximum: the row sums to 0
     "simplex-radius-lost": (lambda: simplex_project([1e17, 0.0]), TOO_LARGE.format(0)),
@@ -285,7 +278,10 @@ EXAMPLES = {
                          "matrix is too large: its singular values overflow"),
     # the threshold at 10 rounds to the singular value 1e17: the norm would be 16
     "nuclear-radius-lost": (lambda: nuclear_ball_project(np.diag([1e17, 0.0]), 10.0),
-                            "matrix is too large to project: rounding loses the radius"),
+                            RADIUS_LOST.format("1e+17", "10")),
+    # and a radius far below the norm is lost the same way
+    "nuclear-radius-too-small": (lambda: nuclear_ball_project(np.diag([0.1, 0.05, 0.03]), 1e-6),
+                                 RADIUS_LOST.format("0.18", "1e-06")),
     "nuclear-norm-overflow": (lambda: nuclear_norm(np.diag([1e308, 1e308])),
                               "matrix is too large: its singular values overflow"),
     "svd-nan": (lambda: svd_thin([[1.0, math.nan]]), "matrix contains non-finite entries"),
@@ -317,8 +313,22 @@ EXAMPLES = {
     "rff-phase-overflow": (
         lambda: rff_transform(np.full((2, 4), 1e308), RMAP),
         "patches must be finite, and small enough that x W + b does not overflow"),
-    "rff-wrong-dim": (lambda: rff_transform(np.zeros((2, 5)), RMAP),
-                      "patches shape (2, 5) does not match map patch_dim 4"),
+    "rff-wrong-dim": (lambda: rff_transform(np.zeros((2, 5)), RMAP), PATCHES_SHAPE.format((2, 5))),
+    # an array of another rank is refused, naming its shape, never promoted to one row
+    "norm-1d": (lambda: nuclear_norm(np.ones(3)), NOT_A_MATRIX),
+    "project-1d": (lambda: nuclear_ball_project(np.ones(3), 1.0), NOT_A_MATRIX),
+    "svd-1d": (lambda: svd_thin(np.ones(3)), NOT_A_MATRIX),
+    "rff-1d": (lambda: rff_transform(np.zeros(4), RMAP), PATCHES_SHAPE.format((4,))),
+    "hinge-1d": (lambda: hinge_loss(np.zeros(3), [0]),
+                 "scores must be 2-d with at least 2 classes, got shape (3,)"),
+    "squared-1d": (lambda: squared_loss(np.zeros(3), np.eye(3)[0]),
+                   "scores must be 2-d, got shape (3,)"),
+    "squared-targets-1d": (lambda: squared_loss(np.zeros((1, 3)), np.eye(3)[0]),
+                           "scores shape (1, 3) does not match targets (3,)"),
+    "squared-gradient-targets-1d": (
+        lambda: squared_gradient(FEATURES[None], np.eye(4)[0], np.full((1, 4, 10), 0.1),
+                                 np.zeros((1, 4))),
+        "target shape (4,) != scores (1, 4)"),
     "serialize-16-bit": (lambda: serialize(BUNDLE, 16), "precision must be 32 or 64, got 16"),
     # the header's loss-kind byte, at offset 7, one past the last kind
     "deserialize-loss-kind-2": (
@@ -365,9 +375,9 @@ COUNTS = {
     "radius-nan": (lambda: nuclear_ball_project(np.eye(2), math.nan),
                    "radius must be finite, got nan"),
     "norm-3d": (lambda: nuclear_norm(np.ones((2, 3, 4))),
-                "matrix must be 1-d or 2-d, got shape (2, 3, 4)"),
+                "matrix must be 2-d, got shape (2, 3, 4)"),
     "project-3d": (lambda: nuclear_ball_project(np.ones((2, 3, 4)), 1.0),
-                   "matrix must be 1-d or 2-d, got shape (2, 3, 4)"),
+                   "matrix must be 2-d, got shape (2, 3, 4)"),
 }
 NOT_REAL_ROWS = ("train", "evaluate", "scores", "predict", "zscore_fit", "rff_transform",
                  "batch_class_scores", "simplex_project", "nuclear_ball_project", "hinge_loss",

@@ -379,7 +379,8 @@ def bad_files(workdir, tmp_path_factory):
                "inf_gamma": dict(cfg, gamma="G"), "unknown_key": {"learning_rate": 0.1},
                "loss_hinge": dict(cfg, loss_kind="Hinge"), "not_an_object": 5,
                "no_frames": {k: v for k, v in cfg.items() if k != "frames"},
-               "variance_meta": dict(cfg, variance_meta=50), "big_eta": dict(cfg, eta=1e20)}
+               "variance_meta": dict(cfg, variance_meta=50), "big_eta": dict(cfg, eta=1e20),
+               "tiny_radius": dict(cfg, nuclear_radius=1e-6)}
     for name, values in configs.items():
         csvs[f"cfg_{name}"] = d / f"{name}.json"
         # a gamma of 1e400, which JSON reads as infinity
@@ -407,6 +408,8 @@ def bad_files(workdir, tmp_path_factory):
     ("train --data {data} --config {cfg} --out-model {dir}", "{dir}: Is a directory"),
     ("train --data {data} --config {cfg} --out-model {out} --report {dir}",
      "{dir}: Is a directory"),
+    ("train --data {data} --config {cfg} --out-model {out} --report {dir}/../out",
+     "--out-model and --report name one file, {dir}/../out"),
     ("predict --model {model} --data {data} --out {missing}", "{missing}"),
     ("export --model {model} --out {missing}", "{missing}"),
     ("train --data {dir} --config {cfg} --out-model {out}", "{dir}"),
@@ -432,6 +435,10 @@ def bad_files(workdir, tmp_path_factory):
     ("eval --data {data} --config {cfg} --folds 1", "folds must be >= 2"),
     ("eval --data {data} --config {cfg} --jobs 0", "jobs must be >= 1"),
     ("eval --data {data} --config {cfg} --folds 20", "class 0 has 10 samples, need >= 20"),
+    ("eval --data {data} --config {cfg} --mode split --folds 1 --jobs 0",
+     "--folds and --jobs apply only to --mode kfold"),
+    ("eval --data {data} --config {cfg} --mode split --jobs 1",
+     "--folds and --jobs apply only to --mode kfold"),
     ("predict --model {model} --data {near_max}", "gesture is too large: normalizing it overflows"),
     ("verify --model {hinge_model} --data {data} --noise 1e308",
      "noise_stddev 1e+308 is too large: trial 0's loss is not finite"),
@@ -463,19 +470,24 @@ def bad_files(workdir, tmp_path_factory):
     ("synth --kind tap --n-per-class 1000000000000000 --out {out}", "Unable to allocate"),
     ("train --data {data} --config {cfg_big_eta} --out-model {out}",
      "training diverged in epoch 1 (eta 1e+20): scores row 0 is too large"),
+    # the radius, not the step size, is at fault: no divergence is named
+    ("train --data {data} --config {cfg_tiny_radius} --out-model {out}",
+     "error: matrix of nuclear norm 0.660841 is too far outside the ball of radius 1e-06: "
+     "rounding loses the radius"),
 ], ids=[
     "model-not-found", "data-not-found", "bench-mismatched-data",
     "export-mismatched-data", "predict-mismatched-data", "verify-mismatched-data",
     "synth-out-missing-dir", "synth-nan-noise",
     "train-out-model-missing-dir", "train-report-missing-dir",
-    "train-out-model-is-a-dir", "train-report-is-a-dir",
+    "train-out-model-is-a-dir", "train-report-is-a-dir", "train-report-is-the-model",
     "predict-out-missing-dir", "export-out-missing-dir",
     "data-is-a-dir", "config-is-a-dir", "model-is-a-dir",
     "sidecar-invalid-json", "sidecar-not-an-object", "sidecar-without-class-names",
     "sidecar-class-names-not-strings", "data-not-utf8",
     "predict-fewer-class-names", "config-not-utf8", "config-m-not-an-integer",
     "config-gamma-infinite", "config-patches-zero",
-    "eval-one-fold", "eval-no-jobs", "eval-more-folds-than-taps",
+    "eval-one-fold", "eval-no-jobs", "eval-more-folds-than-taps", "eval-split-folds",
+    "eval-split-jobs",
     "predict-near-max-values", "verify-hinge-noise-overflow", "verify-squared-noise-overflow",
     "export-32-bit-overflow",
     "synth-unknown-kind", "train-data-not-found", "train-without-config",
@@ -484,7 +496,7 @@ def bad_files(workdir, tmp_path_factory):
     "verify-header-only", "bench-header-only", "export-header-only",
     "bench-zero-iters", "bench-negative-iters",
     "bench-unallocatable-iters", "verify-unallocatable-trials", "synth-unallocatable-count",
-    "train-diverging-eta",
+    "train-diverging-eta", "train-radius-too-small",
 ])
 @pytest.mark.filterwarnings("error")
 def test_input_fault_exits_2_with_one_error_line(workdir, swipe_csv, bad_files, tmp_path,

@@ -200,9 +200,12 @@ def test_loss_functions_table():
 
 
 def test_one_hot_edge_labels():
-    assert one_hot([], 4).shape == (0, 4)
-    assert np.array_equal(one_hot([1.0, 3.0], 4), one_hot(np.array([1, 3]), 4))
-    # the refusals are examples in test_boundary
+    assert one_hot(np.array([], dtype=int), 4).shape == (0, 4)
+    # labels are an integer array: an empty list reads as float64, and a
+    # float label is refused whatever its value (more refusals: test_boundary)
+    for labels in ([], [1.0, 3.0]):
+        with pytest.raises(ValueError, match=r"^labels must be integers, got dtype float64$"):
+            one_hot(labels, 4)
 
 
 @st.composite

@@ -204,9 +204,9 @@ def test_nuclear_project_interior_unchanged():
 
 
 def test_nuclear_one_row():
-    # a 1-d array is promoted to one row (a 3-d one is refused: test_numutil)
-    assert nuclear_norm(np.array([3.0, 4.0])) == 5.0
-    out = nuclear_ball_project(np.array([3.0, 4.0]), 1.0)
+    # a one-row matrix is (1, c); a 1-d or 3-d array is refused (test_boundary)
+    assert nuclear_norm(np.array([[3.0, 4.0]])) == 5.0
+    out = nuclear_ball_project(np.array([[3.0, 4.0]]), 1.0)
     assert out.shape == (1, 2) and np.allclose(out, [[0.6, 0.8]], atol=1e-12)
 
 

@@ -130,6 +130,17 @@ def test_float_conversion_has_one_owner():
     assert not found, found
 
 
+def test_no_array_is_promoted_to_another_rank():
+    # each array argument takes one rank, named in its refusal; an
+    # np.atleast_2d would read a 1-d array as one row instead
+    found = []
+    for path in sorted((ROOT / "src" / "convexattn").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("atleast_"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 # exported callables that need no row in test_boundary's table, each
 # with the reason
 BOUNDARY_EXEMPT = {
