@@ -7,10 +7,9 @@ the weights for fixed attention, under a nuclear-norm constraint.
 """
 
 from .dataio import Dataset, SynthConfig, load_csv, save_csv, synth_generate
-from .features import PatchSpec, RffMap, patchify, rff_init, rff_transform
+from .features import PatchSpec, RffMap, rff_init
 from .model import (
     ModelBundle,
-    class_scores,
     deserialize,
     load_model,
     param_count,
@@ -19,20 +18,13 @@ from .model import (
     scores,
     serialize,
 )
-from .numutil import RngStream, svd_thin
-from .projections import (
-    nuclear_ball_project,
-    nuclear_norm,
-    simplex_project,
-    softmax_ref,
-    squared_distance_to_simplex,
-)
+from .numutil import RngStream
+from .projections import nuclear_ball_project, nuclear_norm, simplex_project, softmax_ref
 from .trainer import (
     PRESETS,
     TrainConfig,
     evaluate,
     kfold_evaluate,
-    macro_f1,
     preset_config,
     split_evaluate,
     train,

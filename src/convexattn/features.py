@@ -107,9 +107,8 @@ def patchify(X, spec):
 
     Returns (patches, patch_dim) rows, channel-major within a frame and
     frames in temporal order; a view of X when each patch is one frame.
+    X is trusted: its one caller, lift, checked its shape and finiteness.
     """
-    X = check_finite(X, "gesture")
-    spec.check(X.shape, "gesture")
     fpp, P = spec.frames_per_patch, spec.patches
     return X.reshape(spec.channels, P, fpp).transpose(1, 2, 0).reshape(P, spec.patch_dim)
 
@@ -134,13 +133,10 @@ def rff_transform(patches, rmap):
     """Apply the cosine feature map to each row of patches (rows, patch_dim).
 
     Returns Q of shape (rows, m) with rows sqrt(2/m)*cos(x W + b);
-    every entry is bounded by sqrt(2/m) in magnitude. Patches of another
-    shape, that are not finite, or whose phases overflow, are refused.
+    every entry is bounded by sqrt(2/m) in magnitude. The patches are
+    trusted: its one caller, lift, passes finite floats of patch_dim
+    columns. Patches whose phases overflow are still refused.
     """
-    patches = as_floats(patches, "patches")
-    if patches.ndim != 2 or patches.shape[1] != rmap.patch_dim:
-        raise ValueError(f"patches must be 2-d with patch_dim {rmap.patch_dim} columns, "
-                         f"got shape {patches.shape}")
     out = patches @ rmap.W
     out += rmap.b
     np.cos(out, out=out)
@@ -162,9 +158,11 @@ def lift(X, stats, spec, rff):
     X has shape (n, channels, frames) and stats is the (mean, std) pair
     of per-channel normalization statistics; returns Q of shape
     (n, patches, m), all n * patches rows mapped by one rff_transform.
+    X's shape and finiteness are checked once here, for patchify and rff_transform.
     """
     X = as_floats(X, "gesture")
     spec.check(X.shape[1:], "gesture")
+    X = check_finite(X, "gesture")
     try:
         Z = _normalized(X, *stats)
     except FloatingPointError:

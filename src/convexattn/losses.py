@@ -35,8 +35,8 @@ def _margins(f, labels):
 def hinge_loss(f, labels):
     """Mean multi-class hinge max(0, 1 - f_true + best rival) of scores f (n, K >= 2)."""
     f = check_finite(f, "scores")
-    if f.ndim != 2 or f.shape[1] < 2:
-        raise ValueError(f"scores must be 2-d with at least 2 classes, got shape {f.shape}")
+    if f.ndim != 2 or f.shape[1] < 2 or not len(f):
+        raise ValueError(f"scores must be 2-d with 1+ rows and 2+ classes, got shape {f.shape}")
     with np.errstate(over="ignore"):
         return _finite(np.maximum(0.0, _margins(f, labels)[3]).mean())
 
@@ -55,8 +55,8 @@ def _fixed_attention(Q, alpha, f):
     f = as_floats(f, "scores")
     if Q.ndim != 3 or alpha.ndim != 3 or alpha.shape[::2] != Q.shape[:2]:
         raise ValueError(f"alpha shape {alpha.shape} does not match features {Q.shape}")
-    if f.shape != alpha.shape[:2]:
-        raise ValueError(f"scores shape {f.shape} != {alpha.shape[:2]}")
+    if f.shape != alpha.shape[:2] or not len(f):
+        raise ValueError(f"scores shape {f.shape} must be {alpha.shape[:2]} with 1+ rows")
     return Q, alpha, f
 
 
@@ -95,8 +95,8 @@ def squared_loss(f, Y):
     """Mean squared error of scores f (n, K) against one-hot targets Y (n, K)."""
     f = check_finite(f, "scores")
     Y = check_finite(Y, "targets")
-    if f.ndim != 2:
-        raise ValueError(f"scores must be 2-d, got shape {f.shape}")
+    if f.ndim != 2 or not len(f):
+        raise ValueError(f"scores must be 2-d with 1+ rows, got shape {f.shape}")
     if f.shape != Y.shape:
         raise ValueError(f"scores shape {f.shape} does not match targets {Y.shape}")
     with np.errstate(over="ignore"):

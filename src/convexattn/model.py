@@ -123,8 +123,9 @@ def _score(Q, A, alpha=None):
 
 
 def class_scores(Q, A):
-    """Class scores f (K,) of one feature matrix Q (P, m)."""
-    return _score(np.asanyarray(Q)[None], A)[0][0]  # asanyarray: a masked Q is refused
+    """Class scores f (K,) of one feature matrix Q (P, m). Q is trusted: its
+    one caller, predict, passes lift's float array; _score checks its shape."""
+    return _score(Q[None], A)[0][0]
 
 
 def batch_class_scores(Q, A):

@@ -169,11 +169,12 @@ def nuclear_sum(sigma):
 
 
 def svd_thin(M):
-    """Thin SVD of a matrix (check_matrix) whose nuclear_sum is finite.
+    """Thin SVD of a matrix whose nuclear_sum is finite.
 
     Returns (U, sigma, V) with M = U @ diag(sigma) @ V.T, sigma sorted
-    descending and U, V having orthonormal columns.
+    descending and U, V having orthonormal columns. M is trusted: its one
+    caller, nuclear_ball_project, ran check_matrix on it.
     """
-    U, sigma, Vt = np.linalg.svd(check_matrix(M), full_matrices=False)
+    U, sigma, Vt = np.linalg.svd(M, full_matrices=False)
     nuclear_sum(sigma)
     return U, sigma, Vt.T

@@ -82,14 +82,10 @@ def squared_distance_to_simplex(s):
     """Squared Euclidean distance from s to the probability simplex.
 
     Half of this quantity is differentiable with gradient s - proj(s).
+    s is trusted: its one caller, softmax_counterexample, passes fixed 2-vectors.
     """
-    s = as_floats(s, "scores")
     d = s - simplex_project(s)
-    with np.errstate(over="ignore"):
-        dist = float(d @ d)
-    if dist == np.inf:
-        raise ValueError("scores are too large: their squared distance to the simplex overflows")
-    return dist
+    return float(d @ d)
 
 
 def nuclear_norm(A):

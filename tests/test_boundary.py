@@ -23,17 +23,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexattn.features import PatchSpec, patchify, rff_init, rff_transform, zscore_fit
-from convexattn.losses import hinge_loss, one_hot, squared_gradient, squared_loss
+from convexattn.losses import (
+    hinge_loss,
+    hinge_subgradient,
+    one_hot,
+    squared_gradient,
+    squared_loss,
+)
 from convexattn.model import (
     ModelBundle,
     batch_class_scores,
-    class_scores,
     deserialize,
     predict,
     scores,
     serialize,
 )
-from convexattn.numutil import RngStream, check_labels, svd_thin
+from convexattn.numutil import RngStream, check_labels
 from convexattn.projections import (
     nuclear_ball_project,
     nuclear_norm,
@@ -42,7 +47,7 @@ from convexattn.projections import (
     softmax_ref,
     squared_distance_to_simplex,
 )
-from convexattn.trainer import TrainConfig, evaluate, kfold_evaluate, macro_f1, train
+from convexattn.trainer import TrainConfig, evaluate, kfold_evaluate, train
 from convexattn.verify import convexity_check, nonexpansiveness_sweep
 
 SPEC = PatchSpec(4, 10, 10)
@@ -72,11 +77,6 @@ def loss(x):
     assert type(x) is float and 0.0 <= x < math.inf
 
 
-def fraction(out, a):
-    loss(out)
-    assert out <= 1.0
-
-
 def trained(out, a):
     bundle, report = out
     A = finite(bundle.weights, (4, 10, 3))
@@ -101,10 +101,6 @@ def normalized(out, a):
     assert (finite(std, (4,)) > 0).all()
 
 
-def lifted(out, a):
-    assert (np.abs(finite(out, (len(a), 3))) <= math.sqrt(2 / 3)).all()
-
-
 def attended(out, a):
     f, alpha, s = out
     n = len(a)
@@ -113,13 +109,6 @@ def attended(out, a):
 
 def projected(out, a):
     assert nuclear_norm(finite(out, np.shape(a))) <= 1.0 + 1e-12
-
-
-def factored(out, a):
-    U, sigma, V = out
-    (r, c), k = np.shape(a), min(np.shape(a))
-    finite(U, (r, k)), finite(V, (c, k))
-    assert (np.diff(finite(sigma, (k,))) <= 0).all() and (sigma >= 0).all()
 
 
 def encoded(out, a):
@@ -142,32 +131,22 @@ ROWS = {
                   lambda out, a: finite(out, (len(a), 4))),
     "predict": Row(lambda a: predict(a, BUNDLE), GESTURES[0], ("gesture", "patches"), predicted),
     "zscore_fit": Row(zscore_fit, GESTURES, ("dataset", "channel"), normalized),
-    "patchify": Row(lambda a: patchify(a, SPEC), GESTURES[0], ("gesture",),
-                    lambda out, a: finite(out, (10, 4))),
-    "rff_transform": Row(lambda a: rff_transform(a, RMAP), patchify(GESTURES[0], SPEC),
-                         ("patches",), lifted),
     "batch_class_scores": Row(lambda a: batch_class_scores(a, WEIGHTS), FEATURES[None],
                               ("features", "scores"), attended),
-    "class_scores": Row(lambda a: class_scores(a, WEIGHTS), FEATURES, ("features", "scores"),
-                        lambda out, a: finite(out, (4,))),
     "simplex_project": Row(simplex_project, SCORES[0], ("scores",),
                            lambda out, a: on_simplex(out, (3,))),
     "simplex_project_rows": Row(simplex_project_rows, SCORES, ("scores",),
                                 lambda out, a: on_simplex(out, np.shape(a))),
-    "squared_distance_to_simplex": Row(squared_distance_to_simplex, SCORES[0], ("scores",),
-                                       lambda out, a: loss(out)),
     "softmax_ref": Row(softmax_ref, SCORES[0], ("scores",), lambda out, a: on_simplex(out, (3,))),
     "nuclear_ball_project": Row(lambda a: nuclear_ball_project(a, 1.0), 2.0 * SCORES.T,
                                 ("matrix",), projected),
     "nuclear_norm": Row(nuclear_norm, SCORES, ("matrix",), lambda out, a: loss(out)),
-    "svd_thin": Row(svd_thin, SCORES, ("matrix",), factored),
     "hinge_loss": Row(lambda a: hinge_loss(a, [0, 1]), SCORES, ("scores", "labels"),
                       lambda out, a: loss(out)),
     "squared_loss": Row(lambda a: squared_loss(a, np.eye(3)[:2]), SCORES, ("scores",),
                         lambda out, a: loss(out)),
     "one_hot": Row(lambda a: one_hot(a, 4), np.array([0, 3, 1]), ("labels",), encoded),
     "check_labels": Row(lambda a: check_labels(a, 4), np.array([0, 3, 1]), ("labels",), labelled),
-    "macro_f1": Row(macro_f1, np.array([[3, 1], [0, 2]]), ("confusion",), fraction),
 }
 
 # 1e16 outgrows a radius of 1 in rounding; 1e154 squared overflows
@@ -240,12 +219,11 @@ def refuses(call, message):
 HUGE = np.where(np.arange(10) == 0, 1e308, GESTURES)  # finite, too large to normalize
 NARROW = replace(BUNDLE, norm_std=np.full(4, 0.5))
 TOO_LARGE = "scores row {} is too large to project onto the simplex"
-NOT_COUNTS = "confusion must be a square matrix of integer counts >= 0, got dtype {}, shape {}"
 OVERFLOWS = "gesture is too large: normalizing it overflows"
 RADIUS_LOST = ("matrix of nuclear norm {} is too far outside the ball of radius {}: "
                "rounding loses the radius")
 NOT_A_MATRIX = "matrix must be 2-d, got shape (3,)"
-PATCHES_SHAPE = "patches must be 2-d with patch_dim 4 columns, got shape {}"
+EMPTY_BATCH = (np.zeros((0, 4, 10)), np.zeros((0, 4)))  # alpha and scores of no gesture
 NOT_INTEGERS = "labels must be integers, got dtype float64"
 EXAMPLES = {
     # a float label is refused by its dtype, whatever its value
@@ -266,8 +244,6 @@ EXAMPLES = {
     "simplex-rows-overflow": (lambda: simplex_project_rows([[0.0, 1.0], [1e308, 1e308]]),
                               TOO_LARGE.format(1)),
     "distance-overflow": (lambda: squared_distance_to_simplex([1e308, 1e308]), TOO_LARGE.format(0)),
-    "distance-too-far": (lambda: squared_distance_to_simplex([-1e308, 0.0]),
-                         "scores are too large: their squared distance to the simplex overflows"),
     "simplex-empty": (lambda: simplex_project(np.array([])),
                       "scores must be a nonempty 1-d vector, got shape (0,)"),
     "simplex-infinite": (lambda: simplex_project(np.array([1.0, math.inf])),
@@ -284,18 +260,11 @@ EXAMPLES = {
                                  RADIUS_LOST.format("0.18", "1e-06")),
     "nuclear-norm-overflow": (lambda: nuclear_norm(np.diag([1e308, 1e308])),
                               "matrix is too large: its singular values overflow"),
-    "svd-nan": (lambda: svd_thin([[1.0, math.nan]]), "matrix contains non-finite entries"),
-    "f1-negative": (lambda: macro_f1([[-1, 0], [0, 2]]), NOT_COUNTS.format("int64", (2, 2))),
-    "f1-fraction": (lambda: macro_f1([[0.5, 0], [0, 2]]), NOT_COUNTS.format("float64", (2, 2))),
-    "f1-not-square": (lambda: macro_f1(np.ones((2, 3), dtype=int)),
-                      NOT_COUNTS.format("int64", (2, 3))),
-    "f1-float-zeros": (lambda: macro_f1(np.zeros((2, 2))), NOT_COUNTS.format("float64", (2, 2))),
-    "f1-huge-floats": (lambda: macro_f1(np.diag([1e308, 1e308])),
-                       NOT_COUNTS.format("float64", (2, 2))),
-    "f1-empty": (lambda: macro_f1(np.zeros((2, 2), dtype=int)), "confusion matrix is empty"),
+    "project-nan": (lambda: nuclear_ball_project([[1.0, math.nan]], 1.0),
+                    "matrix contains non-finite entries"),
     "hinge-nan": (lambda: hinge_loss([[math.nan, 0.0]], [1]), "scores contains non-finite entries"),
     "hinge-one-class": (lambda: hinge_loss(np.ones((2, 1)), [0, 0]),
-                        "scores must be 2-d with at least 2 classes, got shape (2, 1)"),
+                        "scores must be 2-d with 1+ rows and 2+ classes, got shape (2, 1)"),
     "hinge-overflow": (lambda: hinge_loss([[-1e308, 1e308], [-1e308, 1e308]], [0, 0]),
                        "scores are too large: the loss overflows"),
     "squared-nan": (lambda: squared_loss([[math.nan, 0.0]], [[1.0, 0.0]]),
@@ -313,22 +282,30 @@ EXAMPLES = {
     "rff-phase-overflow": (
         lambda: rff_transform(np.full((2, 4), 1e308), RMAP),
         "patches must be finite, and small enough that x W + b does not overflow"),
-    "rff-wrong-dim": (lambda: rff_transform(np.zeros((2, 5)), RMAP), PATCHES_SHAPE.format((2, 5))),
     # an array of another rank is refused, naming its shape, never promoted to one row
     "norm-1d": (lambda: nuclear_norm(np.ones(3)), NOT_A_MATRIX),
     "project-1d": (lambda: nuclear_ball_project(np.ones(3), 1.0), NOT_A_MATRIX),
-    "svd-1d": (lambda: svd_thin(np.ones(3)), NOT_A_MATRIX),
-    "rff-1d": (lambda: rff_transform(np.zeros(4), RMAP), PATCHES_SHAPE.format((4,))),
     "hinge-1d": (lambda: hinge_loss(np.zeros(3), [0]),
-                 "scores must be 2-d with at least 2 classes, got shape (3,)"),
+                 "scores must be 2-d with 1+ rows and 2+ classes, got shape (3,)"),
     "squared-1d": (lambda: squared_loss(np.zeros(3), np.eye(3)[0]),
-                   "scores must be 2-d, got shape (3,)"),
+                   "scores must be 2-d with 1+ rows, got shape (3,)"),
     "squared-targets-1d": (lambda: squared_loss(np.zeros((1, 3)), np.eye(3)[0]),
                            "scores shape (1, 3) does not match targets (3,)"),
     "squared-gradient-targets-1d": (
         lambda: squared_gradient(FEATURES[None], np.eye(4)[0], np.full((1, 4, 10), 0.1),
                                  np.zeros((1, 4))),
         "target shape (4,) != scores (1, 4)"),
+    # an empty batch is refused, not averaged into 0/0
+    "hinge-empty": (lambda: hinge_loss(np.zeros((0, 2)), np.array([], dtype=int)),
+                    "scores must be 2-d with 1+ rows and 2+ classes, got shape (0, 2)"),
+    "squared-empty": (lambda: squared_loss(np.zeros((0, 3)), np.zeros((0, 3))),
+                      "scores must be 2-d with 1+ rows, got shape (0, 3)"),
+    "hinge-gradient-empty": (
+        lambda: hinge_subgradient(FEATURES[None][:0], np.array([], dtype=int), *EMPTY_BATCH),
+        "scores shape (0, 4) must be (0, 4) with 1+ rows"),
+    "squared-gradient-empty": (
+        lambda: squared_gradient(FEATURES[None][:0], np.zeros((0, 4)), *EMPTY_BATCH),
+        "scores shape (0, 4) must be (0, 4) with 1+ rows"),
     "serialize-16-bit": (lambda: serialize(BUNDLE, 16), "precision must be 32 or 64, got 16"),
     # the header's loss-kind byte, at offset 7, one past the last kind
     "deserialize-loss-kind-2": (
@@ -379,6 +356,5 @@ COUNTS = {
     "project-3d": (lambda: nuclear_ball_project(np.ones((2, 3, 4)), 1.0),
                    "matrix must be 2-d, got shape (2, 3, 4)"),
 }
-NOT_REAL_ROWS = ("train", "evaluate", "scores", "predict", "zscore_fit", "rff_transform",
-                 "batch_class_scores", "simplex_project", "nuclear_ball_project", "hinge_loss",
-                 "squared_loss")
+NOT_REAL_ROWS = ("train", "evaluate", "scores", "predict", "zscore_fit", "batch_class_scores",
+                 "simplex_project", "nuclear_ball_project", "hinge_loss", "squared_loss")

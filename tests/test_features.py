@@ -172,15 +172,8 @@ def test_patchify_round_trip():
         assert np.array_equal(back, X)
 
 
-def test_patchify_rejects_mismatch():
-    spec = PatchSpec(channels=4, frames=10, patches=10)
-    message = r"^gesture shape \(4, 12\) does not match spec \(4, 10\)$"
-    with pytest.raises(ValueError, match=message):
-        patchify(np.zeros((4, 12)), spec)
-
-
 @pytest.mark.parametrize("entry,what", [
-    ("train", "dataset"), ("scores", "gesture"), ("predict", "gesture"), ("patchify", "gesture"),
+    ("train", "dataset"), ("scores", "gesture"), ("predict", "gesture"), ("lift", "gesture"),
 ])
 def test_shape_rule_names_what_it_was_given(entry, what):
     # PatchSpec.check is the one shape rule behind every entry point
@@ -194,7 +187,7 @@ def test_shape_rule_names_what_it_was_given(entry, what):
         "train": lambda: train((X, np.array([0, 1])), cfg),
         "scores": lambda: scores(X, bundle),
         "predict": lambda: predict(X[0], bundle),
-        "patchify": lambda: patchify(X[0], spec),
+        "lift": lambda: lift(X, (bundle.norm_mean, bundle.norm_std), spec, bundle.rff),
     }[entry]
     message = rf"^{what} shape \(3, 10\) does not match spec \(4, 10\)$"
     with pytest.raises(ValueError, match=message):
@@ -322,6 +315,18 @@ def test_lift_retry_in_scaled_units_gives_the_same_bits(monkeypatch):
     monkeypatch.setattr(features, "_normalized", overflow_once)
     assert np.array_equal(lift(X, stats, spec, rmap).view(np.uint64), direct.view(np.uint64))
     assert len(calls) == 2 and not np.array_equal(calls[1][0], X)
+
+
+def test_lift_checks_finiteness_once_per_stack(monkeypatch):
+    # one check_finite for the stack, none per gesture in patchify
+    X = synth_generate(SynthConfig(kind="tap", samples_per_class=20, seed=3)).samples
+    spec = PatchSpec(channels=4, frames=10, patches=10)
+    bundle = ModelBundle(rff=rff_init(spec, 3, 1.0, RngStream(0)), weights=np.zeros((4, 10, 3)),
+                         spec=spec, norm_mean=np.zeros(4), norm_std=np.ones(4), loss_kind="hinge")
+    check, calls = features.check_finite, []
+    monkeypatch.setattr(features, "check_finite", lambda a, name: calls.append(name) or check(a, name))
+    assert scores(X, bundle).shape == (80, 4)
+    assert calls == ["gesture"]
 
 
 def test_lift_rejects_channel_mismatch():

@@ -175,6 +175,49 @@ def test_boundary_table_covers_exports():
     assert sorted(set(BOUNDARY_EXEMPT) & set(ROWS)) == []
 
 
+# internal kernels that trust their one caller to have checked their
+# input: none is exported, and a new caller fails here until it is
+# confirmed to check the input first and added
+TRUSTED = {
+    "patchify": {"lift"},
+    "rff_transform": {"lift"},
+    "class_scores": {"predict"},
+    "svd_thin": {"nuclear_ball_project"},
+    "macro_f1": {"evaluate"},
+    "squared_distance_to_simplex": {"softmax_counterexample"},
+}
+
+
+class _Uses(ast.NodeVisitor):
+    """Each (name, innermost enclosing function) that a module reads."""
+
+    def __init__(self):
+        self.owner, self.found = "<module>", set()
+
+    def visit_FunctionDef(self, node):
+        outer, self.owner = self.owner, node.name
+        self.generic_visit(node)
+        self.owner = outer
+
+    def visit_Name(self, node):
+        self.found.add((node.id, self.owner))
+
+    def visit_Attribute(self, node):
+        self.found.add((node.attr, self.owner))
+        self.generic_visit(node)
+
+
+def test_trusted_kernels_are_internal_with_one_caller():
+    import convexattn
+
+    assert sorted(set(TRUSTED) & set(vars(convexattn))) == []
+    uses = _Uses()
+    for path in sorted((ROOT / "src" / "convexattn").glob("*.py")):
+        uses.visit(ast.parse(path.read_text()))
+    callers = {name: {owner for n, owner in uses.found if n == name} for name in TRUSTED}
+    assert callers == TRUSTED
+
+
 def test_every_load_csv_diagnostic_has_a_file_case():
     # each message load_csv raises or _line_fault returns, with every
     # {...} read as ".+", ends the outcome of some CSV_FILES row
